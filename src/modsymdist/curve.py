@@ -237,6 +237,11 @@ def coefficient_table(curve, n_max):
     return hecke_expand(ap, bad, n_max)
 
 
+def eta_fft_length(n_max):
+    """FFT length of eta_deep_table_level11(n_max): the power of two >= 2 n_max."""
+    return 1 << (2 * int(n_max) - 1).bit_length()
+
+
 def eta_deep_table_level11(n_max):
     """Deep coefficient table for the level-11 newform via its eta product.
 
@@ -244,9 +249,10 @@ def eta_deep_table_level11(n_max):
     q prod_{n>=1} (1-q^n)^2 (1-q^{11n})^2, so its coefficients to very large
     index come from squaring the sparse pentagonal-number series
     D = P(q) P(q^11), P(q) = sum_k (-1)^k q^{k(3k-1)/2}, with one real FFT.
-    Point counting is O(p) per prime and cannot reach the ~10^7 coefficients
-    the homomorphism suite needs; this route can, and is cross-validated
-    against the point-count/Hecke table in the tests.  The rounded product
+    Point counting is O(p) per prime and cannot reach the ~6*10^6
+    coefficients the homomorphism suite needs (verify sizes the table from
+    its drawn pairs); this route can, and is cross-validated against the
+    point-count/Hecke table in the tests.  The rounded product
     must be integer to ~1e-6, else we raise rather than ship noise.
     """
     n_max = int(n_max)
@@ -268,14 +274,17 @@ def eta_deep_table_level11(n_max):
             continue
         m = exps < L - e2
         np.add.at(D, exps[m] + e2, signs[m] * s2)
-    M = 1
-    while M < 2 * L:
-        M *= 2
+    M = eta_fft_length(L)
     F = np.fft.rfft(D, M)
-    prod = np.fft.irfft(F * F, M)[:L]
+    del D
+    F *= F  # square the spectrum in place: no second M/2-point buffer
+    prod = np.fft.irfft(F, M)[:L]
+    del F
     a = np.zeros(n_max + 1, dtype=np.float64)
-    a[1:] = np.round(prod[:n_max])
-    resid = float(np.max(np.abs(prod[:n_max] - a[1:])))
+    np.round(prod, out=a[1:])
+    prod -= a[1:]
+    resid = float(np.max(np.abs(prod)))
+    del prod
     if resid > 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
     n = np.arange(1, n_max + 1)

@@ -11,9 +11,9 @@ residue constants; asymptotic_constants() tabulates them.  The smoothed
 variant replaces the sharp cutoff by a C^2 quintic ramp supported on
 [1 - 1/U, 1 + 1/U], which sandwiches the sharp sum for nonnegative weights.
 
-All reductions use exact compensated summation (math.fsum) per shell and
-merge shells in ascending c order, so results are bit-identical regardless
-of thread count or sample permutation.
+All reductions are exact sums rounded once (_exact_sum, a vectorized
+superaccumulator that returns math.fsum's result bit for bit), so results
+are bit-identical regardless of thread count or sample permutation.
 """
 
 import math
@@ -138,16 +138,61 @@ def smooth_cutoff(t, U):
     return float(out[0]) if scalar else out
 
 
+_SUM_CHUNK = 1 << 16  # 2^16 halves of at most 2^27 keep every bin below 2^53
+_SUM_BINS = 2098  # frexp exponents -1073..1024, offset by 1073
+_SUM_OFFSET = 1073 + 53  # bin i holds multiples of 2^(i - _SUM_OFFSET)
+
+
+def _exact_sum(values):
+    """Correctly rounded sum of a real array, bit-identical to math.fsum.
+
+    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
+    53-bit integer.  m splits into a high half (m >> 26) and a low half in
+    [0, 2^26); np.bincount sums each half by exponent e over chunks of 2^16
+    values, so every partial bin sum is an integer below 2^53 and exact in
+    any order.  The int64 bin totals are combined as one Python integer and
+    rounded once by int/int true division, which is correctly rounded (half
+    to even), the same rounding math.fsum applies to the exact sum.
+
+    Non-finite input, and input large enough that math.fsum could overflow
+    on the way, is handed to math.fsum so that inf, nan, ValueError and
+    OverflowError behave exactly as there.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = len(v)
+    if n == 0:
+        return 0.0
+    if not (n < 1 << 35 and max(float(v.max()), -float(v.min())) * n < 2.0 ** 1020):
+        return math.fsum(v)
+    hi_bins = np.zeros(_SUM_BINS, dtype=np.int64)
+    lo_bins = np.zeros(_SUM_BINS, dtype=np.int64)
+    for s in range(0, n, _SUM_CHUNK):
+        mant, exp = np.frexp(v[s : s + _SUM_CHUNK])
+        m = np.ldexp(mant, 53).astype(np.int64)
+        idx = exp + 1073
+        hi_bins += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
+        lo_bins += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
+    used = np.nonzero(hi_bins | lo_bins)[0].tolist()
+    if not used:
+        return 0.0
+    base = used[0]
+    total = 0
+    for i in used:
+        total += ((int(hi_bins[i]) << 26) + int(lo_bins[i])) << (i - base)
+    shift = base - _SUM_OFFSET
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
 def cfsum(values):
-    """Exact compensated (Shewchuk) sum of a complex array."""
+    """Exact sum of a complex array, each part rounded once (see _exact_sum)."""
     v = np.asarray(values)
     if v.dtype.kind != "c":
-        return complex(math.fsum(v), 0.0)
-    return complex(math.fsum(v.real), math.fsum(v.imag))
+        return complex(_exact_sum(v), 0.0)
+    return complex(_exact_sum(v.real), _exact_sum(v.imag))
 
 
 def _weighted_sum(batch, weight, mask, extra=None, identity_factor=1.0):
-    """fsum of weight(values[mask]) plus the identity-coset term."""
+    """Exact sum of weight(values[mask]) plus the identity-coset term."""
     terms = weight.apply(batch.values[mask])
     if extra is not None:
         terms = terms * extra
@@ -161,7 +206,7 @@ def _error_budget(batch, weight, mask):
         return 0.0
     v = np.abs(batch.values[mask])
     scale = np.maximum(v, 1.0) ** (deg - 1)
-    return float(deg * math.fsum(scale * batch.err_bounds[mask]))
+    return float(deg * _exact_sum(scale * batch.err_bounds[mask]))
 
 
 def sharp_sum(batch, weight, T=None):
@@ -260,8 +305,8 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     if m == 0 and n == 0:
         value += complex(y) ** s
     mags = np.abs(terms)
-    last = float(math.fsum(mags[norms > T_max / 10]))
-    prev = float(math.fsum(mags[(norms > T_max / 100) & (norms <= T_max / 10)]))
+    last = _exact_sum(mags[norms > T_max / 10])
+    prev = _exact_sum(mags[(norms > T_max / 100) & (norms <= T_max / 10)])
     if prev > 0 and last < prev:
         ratio = last / prev
         tail = last * ratio / (1 - ratio)

@@ -11,14 +11,16 @@ z = i just the identity).  The empirical moments
 
 converge to the moments of the standard bivariate Gaussian with correlation
 zero: n!/((n/2)! 2^{n/2}) * m!/((m/2)! 2^{m/2}) for even n, m and 0 otherwise.
-Moment accumulation uses exact compensated summation, so the reported values
-are permutation-invariant bit for bit.
+Moment accumulation uses exact summation rounded once (series._exact_sum),
+so the reported values are permutation-invariant bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .series import _exact_sum
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ def moments_from_arrays(x, y, n_max, m_max, T=None):
     pairs = {}
     for i in range(n_max + 1):
         for j in range(m_max + 1):
-            pairs[(i, j)] = math.fsum(xp[i] * yp[j]) / k
+            pairs[(i, j)] = _exact_sum(xp[i] * yp[j]) / k
     limits = {key: gaussian_moment(*key) for key in pairs}
     return MomentReport(T=float(T) if T is not None else math.inf, pairs=pairs,
                         gaussian_limit=limits)

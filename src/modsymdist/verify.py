@@ -23,7 +23,8 @@ from . import cosets, curve as curve_mod, modsym, petersson, series, stats
 
 EICHLER_RECORDED_BOUND = 0.75  # observed max 0.496 at T=1e6; 1.5x headroom, pinned
 EISENSTEIN_STABLE_TOL = 1e-3   # "stable to 3 digits" fallback relative tolerance
-DEEP_TABLE_N = 11 * 10 ** 6    # covers c <= ~2e6 at per-symbol tol 2e-9
+HOMOMORPHISM_TOL = 2e-9        # per-symbol truncation tolerance of criterion 01
+ETA11_TAIL_CONSTANT = 1.1      # 1.1 * max |a_n|/n for 11a: the max is 1, at n = 1 and 2
 
 
 @dataclass
@@ -57,9 +58,23 @@ class Resources:
             self._cache[key] = curve_mod.coefficient_table(self.curve, n_max)
         return self._cache[key]
 
+    def deep_table_size(self):
+        """(c_max, n_max) of criterion 01's deep table, from its drawn pairs alone.
+
+        c_max is the largest |c| over g1, g2 and g1*g2 (an inverse has the
+        same |c|); n_max is the shortest table whose tail stays below the
+        per-symbol tolerance at height 1/c_max, hence at every drawn symbol.
+        """
+        c_max = max(
+            abs(g.c) for g1, g2 in homomorphism_pairs(self.seed, quick=False)
+            for g in (g1, g2, g1 @ g2)
+        )
+        return c_max, modsym.tail_terms_needed(1.0 / c_max, ETA11_TAIL_CONSTANT, HOMOMORPHISM_TOL)
+
     def deep_table(self):
         if "deep" not in self._cache:
-            self._cache["deep"] = curve_mod.eta_deep_table_level11(DEEP_TABLE_N)
+            _, n_max = self.deep_table_size()
+            self._cache["deep"] = curve_mod.eta_deep_table_level11(n_max)
         return self._cache["deep"]
 
     def lattice(self):
@@ -102,29 +117,35 @@ def _random_gamma(rng, bound):
             return cosets.GammaMatrix(a, b, c, d)
 
 
+HOMOMORPHISM_DRAWS = {False: (100, 1000), True: (25, 60)}  # quick -> (pairs, entry bound)
+
+
+def homomorphism_pairs(seed, quick):
+    """Criterion 01's random pairs (g1, g2), drawn in one place for the check and its table."""
+    count, bound = HOMOMORPHISM_DRAWS[quick]
+    rng = random.Random(seed)
+    return [(_random_gamma(rng, bound), _random_gamma(rng, bound)) for _ in range(count)]
+
+
 def crit_homomorphism(res, quick):
-    pairs = 25 if quick else 100
-    bound = 60 if quick else 1000
+    pairs = homomorphism_pairs(res.seed, quick)
+    bound = HOMOMORPHISM_DRAWS[quick][1]
     table = res.table() if quick else res.deep_table()
-    rng = random.Random(res.seed)
-    tol_each = 2e-9
     worst_hom = 0.0
     worst_inv = 0.0
     cmax = 0
-    for _ in range(pairs):
-        g1 = _random_gamma(rng, bound)
-        g2 = _random_gamma(rng, bound)
+    for g1, g2 in pairs:
         g3 = g1 @ g2
         cmax = max(cmax, abs(g3.c))
-        v1 = modsym.pairing(table, g1, tol_each).value
-        v2 = modsym.pairing(table, g2, tol_each).value
-        v3 = modsym.pairing(table, g3, tol_each).value
+        v1 = modsym.pairing(table, g1, HOMOMORPHISM_TOL).value
+        v2 = modsym.pairing(table, g2, HOMOMORPHISM_TOL).value
+        v3 = modsym.pairing(table, g3, HOMOMORPHISM_TOL).value
         worst_hom = max(worst_hom, abs(v3 - v1 - v2))
-        vi = modsym.pairing(table, g1.inverse(), tol_each).value
+        vi = modsym.pairing(table, g1.inverse(), HOMOMORPHISM_TOL).value
         worst_inv = max(worst_inv, abs(vi + v1))
     ok = worst_hom < 1e-8 and worst_inv < 1e-8
     detail = (
-        f"{pairs} pairs entries<={bound}: max|<g1g2>-<g1>-<g2>|={worst_hom:.2e}, "
+        f"{len(pairs)} pairs entries<={bound}: max|<g1g2>-<g1>-<g2>|={worst_hom:.2e}, "
         f"max|<g^-1>+<g>|={worst_inv:.2e} (< 1e-8), max product c={cmax}"
     )
     return ok, detail, 10.0
@@ -312,8 +333,8 @@ def crit_gaussian_normalized(res, quick):
     batch = res.batch(T_top)
     nfsq = res.rankin().value
     x, y = _moment_arrays(res, batch, T_top, nfsq)
-    m20 = math.fsum(x * x) / len(x)
-    m02 = math.fsum(y * y) / len(y)
+    m20 = series._exact_sum(x * x) / len(x)
+    m02 = series._exact_sum(y * y) / len(y)
     ks = stats.ks_distance(x)
     ok = band[0] <= m20 <= band[1] and band[0] <= m02 <= band[1] and ks <= ks_tol
     detail = (
@@ -356,8 +377,7 @@ def crit_convergence_decay(res, quick):
         stab_msgs.append(f"E^{m},{n}: {abs(e1):.4e}->{abs(e4):.4e} {'ok' if good else 'UNSTABLE'}")
     # (b) shell maxima of |v| / norm^0.1 strictly decreasing over decade shells
     shells = []
-    top = 5 if quick else 6
-    for k in range(2, top):
+    for k in range(2, 6):
         msk = (batch.norms > 10 ** k) & (batch.norms <= 10 ** (k + 1))
         shells.append(float(np.max(np.abs(batch.values[msk]) / batch.norms[msk] ** 0.1)))
     decay_ok = all(shells[i] > shells[i + 1] for i in range(len(shells) - 1))
@@ -457,13 +477,18 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
     t0 = time.perf_counter()
     res.table()
     res.lattice()
+    deep = ""
     if quick:
         res.batch(10 ** 6)
     else:
+        c_max, n_max = res.deep_table_size()
         res.deep_table()
         res.batch(10 ** 7)
         res.batch(10 ** 6)
-    log(f"shared resources (tables, lattice, symbol batches) in {time.perf_counter()-t0:.1f}s")
+        deep = (f"; deep table c_max={c_max} n_max={n_max} "
+                f"fft_len={curve_mod.eta_fft_length(n_max)}")
+    log(f"shared resources (tables, lattice, symbol batches) in "
+        f"{time.perf_counter()-t0:.1f}s{deep}")
     results = []
     for key, name, fn, defect in CRITERIA:
         if quick and defect:

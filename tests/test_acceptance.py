@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from modsymdist import cosets, modsym, series, verify
+from modsymdist import cosets, curve, modsym, series, verify
 
 Z0 = 0.45 + 0.1j
 # same coset counts at z0 (792, 7955, 79571) as criterion 05's grid at z = i
@@ -91,6 +91,21 @@ def _assert_residue_law(batch, m, K, wrong_K):
 
 def test_criterion_01_homomorphism(acceptance):
     _check(acceptance, "01")
+
+
+def test_deep_table_size_covers_drawn_pairs():
+    # draws the pairs only; the table itself is never built here
+    for seed in range(1, 21):
+        c_max, n_max = verify.Resources(seed=seed).deep_table_size()
+        cs = [abs(g.c) for g1, g2 in verify.homomorphism_pairs(seed, quick=False)
+              for g in (g1, g2, g1 @ g2, g1.inverse())]
+        assert max(cs) == c_max
+        for c in cs:
+            assert modsym.tail_terms_needed(1.0 / c, verify.ETA11_TAIL_CONSTANT,
+                                            verify.HOMOMORPHISM_TOL) <= n_max
+        assert curve.eta_fft_length(n_max) == 1 << 24
+    # the sizing constant is the one the built table certifies (max at n = 1, 2)
+    assert curve.eta_deep_table_level11(30000).tail_constant == verify.ETA11_TAIL_CONSTANT
 
 
 def test_criterion_02_eichler_shimura_lattice(acceptance):

@@ -14,6 +14,7 @@ from modsymdist.curve import (
     ap_count,
     coefficient_table,
     eta_deep_table_level11,
+    eta_fft_length,
     hecke_expand,
     lattice_distance,
     resolve_curve,
@@ -197,6 +198,12 @@ def test_eta_deep_table_matches_hecke(table11):
     deep = eta_deep_table_level11(30000)
     assert np.array_equal(deep.a, table11.a)
     assert deep.tail_constant <= 2.0
+
+
+def test_eta_fft_length_is_power_of_two_cover():
+    assert [eta_fft_length(n) for n in (1, 2, 3, 4, 5)] == [2, 4, 8, 8, 16]
+    assert eta_fft_length(1 << 23) == 1 << 24
+    assert eta_fft_length((1 << 23) + 1) == 1 << 25
 
 
 def test_lattice_distance_zero_for_lattice_points(lattice11):

@@ -147,6 +147,41 @@ def test_oracle_pairing_matches_and_height_free(table11):
         assert abs(o1 - v) < 1e-8
 
 
+def _mpmath_ray_integral(table, num, den, y0):
+    """Int_{y0}^{inf} f(num/den + i y) i dy: 30-digit mpmath.quad of the raw q-series."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        twist = mpmath.expj(2 * mpmath.pi * mpmath.mpf(num) / den)
+
+        def f(y):
+            terms = int(math.ceil(60 / (2 * math.pi * float(y))))  # tail ~ e^{-60}
+            q = twist * mpmath.exp(-2 * mpmath.pi * y)
+            acc = mpmath.mpc(0)
+            for a in table.a[terms:0:-1]:  # Horner in q, a_n are integers
+                acc = acc * q + int(a)
+            return acc * q
+
+        pts = [mpmath.mpf(y0)]
+        while pts[-1] < 4:
+            pts.append(2 * pts[-1])
+        return 1j * mpmath.quad(f, pts + [mpmath.inf])
+
+
+def test_oracle_pairing_vs_mpmath_quad(table11):
+    import mpmath
+
+    for c, d in ((11, 3), (22, -7), (33, 19)):
+        m = lift(Coset(c, d, float(c * c + d * d)))
+        a, c, d = (m.a, m.c, m.d) if m.c > 0 else (-m.a, -m.c, -m.d)
+        # split at z* = (a + i)/c: both rays start at height 1/c
+        up = _mpmath_ray_integral(table11, a, c, mpmath.mpf(1) / c)
+        dn = _mpmath_ray_integral(table11, -d, c, mpmath.mpf(1) / c)
+        ref = complex(-2j * mpmath.pi * (dn - up))
+        for h in (1.0, 2.0):
+            assert abs(oracle_pairing(table11, m, h, 1e-10) - ref) < 1e-10
+
+
 def test_oracle_pairing_c0(table11):
     assert oracle_pairing(table11, GammaMatrix(1, 3, 0, 1)) == 0
 

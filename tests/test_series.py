@@ -10,6 +10,8 @@ from modsymdist.modsym import antiderivative, symbols_up_to
 from modsymdist.series import (
     AsymptoticConstant,
     WeightSpec,
+    _exact_sum,
+    cfsum,
     asymptotic_constants,
     eisenstein_twisted,
     sharp_sum,
@@ -57,6 +59,51 @@ def test_smooth_cutoff_exact_endpoints_and_shape():
         assert smooth_cutoff(1.0, U) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         smooth_cutoff(0.5, 1)
+
+
+def _adversarial_sums():
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal(1000) * 1e200
+    yield np.concatenate([big, -big, [1.0, 1e-300]])  # +-1e200 cancellation
+    sign = rng.choice([-1.0, 1.0], 100000)
+    yield sign * 10.0 ** rng.uniform(-300, 300, 100000)  # exponents 1e-300..1e300
+    yield rng.standard_normal(1000) * 5e-321  # subnormals
+    yield np.array([5e-324, -5e-324, 5e-324, 2.0 ** -1074])
+    yield np.array([1.0, 2.0 ** -53])  # exact tie: rounds to even
+    yield np.array([1.0, 2.0 ** -53, 2.0 ** -53])
+    yield np.array([1.0, 2.0 ** -53, 2.0 ** -106])  # just above the tie
+    yield np.array([1e307] * 5 + [-1e307] * 5)
+    x, y = rng.standard_normal((2, 1 << 17))
+    for i in range(5):  # the 25 products of a 4x4 moment table
+        for j in range(5):
+            yield x ** i * y ** j
+    for n in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1):  # around one chunk
+        yield rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
+    yield np.zeros(0)
+    yield np.array([-0.0])
+
+
+def test_exact_sum_is_fsum_bit_for_bit():
+    for v in _adversarial_sums():
+        assert _exact_sum(v).hex() == math.fsum(v).hex(), len(v)
+
+
+def test_exact_sum_non_finite_as_fsum():
+    with pytest.raises(ValueError) as ours:
+        _exact_sum(np.array([math.inf, -math.inf]))
+    with pytest.raises(ValueError) as ref:
+        math.fsum(np.array([math.inf, -math.inf]))
+    assert str(ours.value) == str(ref.value)
+    assert _exact_sum(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(_exact_sum(np.array([math.nan, 1.0])))
+    with pytest.raises(OverflowError):  # math.fsum's intermediate overflow
+        _exact_sum(np.array([1e308, 1e308, -1e308]))
+
+
+def test_cfsum_parts_are_exact(batch11_1e4):
+    v = batch11_1e4.values
+    assert cfsum(v) == complex(math.fsum(v.real), math.fsum(v.imag))
+    assert cfsum(v.real) == complex(math.fsum(v.real), 0.0)
 
 
 def test_sharp_sum_weight_one_hand_count(batch11_1e4):
