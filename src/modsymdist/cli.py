@@ -145,7 +145,7 @@ def cmd_symbols(args):
     return 0
 
 
-def _theory_constant(weight, cfg, crv, table, batch):
+def _theory_constant(weight, cfg, crv, table):
     vol = cosets.volume(crv.N)
     y = cfg.z[1]
     try:
@@ -172,7 +172,7 @@ def cmd_sums(args):
     cfg_cover = RunConfig(**{**asdict(cfg), "T": cover, "T_grid": []})
     crv, table = _table_for(cfg_cover)
     batch = modsym.symbols_up_to(table, crv.N, cover, cfg.zc, cfg.tol, cfg.threads)
-    const = _theory_constant(weight, cfg, crv, table, batch)
+    const = _theory_constant(weight, cfg, crv, table)
     rows = []
     for T in grid:
         if U:

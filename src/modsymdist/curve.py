@@ -172,8 +172,15 @@ class CoefficientTable:
     """Fourier coefficients a_1..a_n_max with a certified linear tail bound.
 
     a[0] is unused padding so that a[n] is the n-th coefficient.  The tail
-    constant is measured on the table and inflated by 1.1, then asserted:
-    |a_n| <= tail_constant * n for every tabulated n.
+    constant C is asserted on the table, |a_n| <= C n for every tabulated n,
+    and tail_terms_needed applies it to every n > n_max as well.  That
+    extrapolation rests on Deligne's bound |a_n| <= d(n) sqrt(n) together
+    with two facts about the divisor function: d(n)/sqrt(n) <= sqrt(3) for
+    all n (equality at n = 12), and d(n) < sqrt(n) for n > 1260.  Hence
+    |a_n|/n <= sqrt(3) everywhere and |a_n|/n < 1 beyond 1260.  So
+    certified_tail_constant dominates the tail: it is 1.1 times the
+    measured maximum (at least 1.1, since a_1 = 1), raised to sqrt(3) when
+    n_max < 1260.
     """
 
     n_max: int
@@ -188,6 +195,21 @@ class CoefficientTable:
         n = np.arange(1, self.n_max + 1)
         if float(np.max(np.abs(self.a[1:]) / n)) > self.tail_constant:
             raise ValueError("tail_constant does not dominate |a_n|/n on the table")
+
+
+DIVISOR_BOUND_START = 1260  # d(n) < sqrt(n) for every n > 1260
+
+
+def certified_tail_constant(a):
+    """Certified C with |a_n| <= C n for all n >= 1, from a[1..n_max].
+
+    1.1 times the measured max |a_n|/n; for tables shorter than
+    DIVISOR_BOUND_START also at least sqrt(3), the Deligne bound on
+    |a_n|/n that covers the untabulated n <= 1260 (see CoefficientTable).
+    """
+    n_max = len(a) - 1
+    measured = 1.1 * float(np.max(np.abs(a[1:]) / np.arange(1, n_max + 1)))
+    return measured if n_max >= DIVISOR_BOUND_START else max(measured, math.sqrt(3))
 
 
 def hecke_expand(ap, bad_primes, n_max):
@@ -224,9 +246,7 @@ def hecke_expand(ap, bad_primes, n_max):
             a[n] = ap[p]
         else:
             a[n] = ap[p] * a[p ** (k - 1)] - p * a[p ** (k - 2)]
-    n = np.arange(1, n_max + 1)
-    tail = 1.1 * float(np.max(np.abs(a[1:]) / n)) if n_max >= 1 else 1.1
-    return CoefficientTable(n_max=n_max, a=a, tail_constant=tail)
+    return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
 
 
 def coefficient_table(curve, n_max):
@@ -287,9 +307,7 @@ def eta_deep_table_level11(n_max):
     del prod
     if resid > 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
-    n = np.arange(1, n_max + 1)
-    tail = 1.1 * float(np.max(np.abs(a[1:]) / n))
-    return CoefficientTable(n_max=n_max, a=a, tail_constant=tail)
+    return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ height 1/c) gives the closed form
     <gamma, f> = H((-d+i)/c) - H((a+i)/c),          c > 0,
 
 and 0 for c = 0.  Only (c, d mod c) enters, since a = d^{-1} (mod c) and H
-has period 1.  That periodicity is what the batch evaluator exploits: per c
-it folds the weighted coefficients into residue classes mod c and reads all
-phi(c) distinct values off one length-c DFT.
+has period 1.  Both evaluators exploit that periodicity through one kernel,
+_fold, which folds the weighted coefficients into residue classes mod c in
+O(c) memory.  The batch evaluator reads all phi(c) distinct values per c
+off one length-c DFT of the fold; a single pairing reads its two residues
+off the fold with baby-step/giant-step phases, O(c) work per symbol.
 
 Truncation after n_used terms is certified by the geometric tail bound
 tail_constant * sum_{n > n_used} e^{-2 pi n y} < tol (one factor per
@@ -27,7 +29,7 @@ import numpy as np
 
 from .cosets import Coset, coset_arrays
 
-_POWER_CHUNK = 1 << 20  # bounds the cumprod scratch arrays (~16 MB complex)
+_POWER_CHUNK = 1 << 20  # bounds antiderivative's cumprod scratch (~16 MB complex)
 
 
 @dataclass(frozen=True)
@@ -107,23 +109,6 @@ def _phase_series(a, n_used, w):
     return total
 
 
-def _pair_series(a, n_used, w1, w2):
-    """sum (a_n / n) (w1^n - w2^n): one weights pass shared by both points."""
-    total = 0.0 + 0.0j
-    p1, p2 = w1, w2
-    for s in range(1, n_used + 1, _POWER_CHUNK):
-        e = min(n_used, s + _POWER_CHUNK - 1)
-        k = e - s + 1
-        ph1 = _powers(w1, p1, k)
-        ph2 = _powers(w2, p2, k)
-        p1 = complex(ph1[-1]) * w1
-        p2 = complex(ph2[-1]) * w2
-        ph1 -= ph2
-        ph1 *= a[s : e + 1] / np.arange(s, e + 1)
-        total += complex(np.sum(ph1))
-    return total
-
-
 def _canonical_row(m):
     """Reduce a GammaMatrix to canonical (a, c, d) with c >= 0."""
     a, c, d = m.a, m.c, m.d
@@ -132,10 +117,70 @@ def _canonical_row(m):
     return a, c, d
 
 
+def _terms_for_c(table, c, tol):
+    """(n_used, err) of a symbol at denominator c: both points sit at height 1/c."""
+    n_used = tail_terms_needed(1.0 / c, table.tail_constant, tol)
+    if n_used > table.n_max:
+        raise ValueError(
+            f"tol {tol} unreachable for c={c}: need n_max >= {n_used}, "
+            f"table has {table.n_max}"
+        )
+    r = math.exp(-2 * math.pi / c)
+    return n_used, 2 * table.tail_constant * r ** (n_used + 1) / (1 - r)
+
+
+def _fold(a, c, n_used):
+    """folded[k] = sum_{n = k (mod c), 1 <= n <= n_used} (a_n / n) e^{-2 pi n / c}.
+
+    Row j of the index range holds n = j c + k, whose weight is
+    e^{-2 pi j} r^k with r = e^{-2 pi / c}.  Each row's a_n / n is formed in
+    one length-c scratch buffer, scaled by e^{-2 pi j} and added in place;
+    the common factor r^k is applied once at the end.  Memory is O(c)
+    however long the series.
+    """
+    acc = np.zeros(c)
+    buf = np.empty(c)
+    k = np.arange(c, dtype=np.float64)
+    for j in range(n_used // c + 1):
+        lo = 1 if j == 0 else 0  # n = 0 is not a term
+        hi = min(c, n_used - j * c + 1)
+        row = buf[lo:hi]
+        np.add(k[lo:hi], j * c, out=row)
+        np.divide(a[j * c + lo : j * c + hi], row, out=row)
+        row *= math.exp(-2 * math.pi * j)
+        acc[lo:hi] += row
+    acc *= np.exp(k * (-2 * math.pi / c))
+    return acc
+
+
+def _twisted_sums(folded, us):
+    """sum_k folded[k] e^{2 pi i u k / c} for each residue u in us (c = len(folded)).
+
+    With B = ceil(sqrt c) and k = q B + s, the phase of u k is the product of
+    a giant-step factor at (u B q) mod c and a baby-step factor at
+    (u s) mod c.  Both angles are exact integers mod c, so the rounding of
+    each phase is a few ulp whatever k, and only O(sqrt c) exponentials are
+    taken per residue; the O(c) work is plain multiply-adds in einsum.
+    """
+    c = len(folded)
+    B = math.isqrt(c - 1) + 1
+    Q = -(-c // B)
+    grid = np.zeros(Q * B)
+    grid[:c] = folded
+    u = np.asarray(us, dtype=np.int64)[:, None]
+    baby = (2 * math.pi / c) * ((u * np.arange(B)) % c)
+    giant = (2 * math.pi / c) * ((u * B % c) * np.arange(Q) % c)
+    # real row sums against cos and sin of every baby angle, all residues at once
+    trig = np.concatenate([np.cos(baby), np.sin(baby)])
+    rows = np.einsum("qs,ks->kq", grid.reshape(Q, B), trig)
+    return np.einsum("uq,uq->u", np.exp(1j * giant), rows[: len(us)] + 1j * rows[len(us) :])
+
+
 def pairing(table, m, tol=1e-10):
     """SymbolSample for <gamma, f> with certified truncation error <= tol.
 
-    Exact 0 for c = 0; otherwise the two-point closed form at height 1/c.
+    Exact 0 for c = 0; otherwise the two-point closed form at height 1/c,
+    read off the residue fold at u1 = -d and u2 = a (mod c) in O(c) work.
     The value depends only on the coset Gamma_infty * (+-gamma): the top row
     enters through a mod c alone.  The coset's bookkeeping norm is c^2 + d^2
     (the z = i norm).
@@ -144,18 +189,9 @@ def pairing(table, m, tol=1e-10):
     if c == 0:
         sample_coset = Coset(0, 1, 1.0)
         return SymbolSample(sample_coset, 0j, 0j, 0j, 0.0)
-    n_used = tail_terms_needed(1.0 / c, table.tail_constant, tol)
-    if n_used > table.n_max:
-        raise ValueError(
-            f"tol {tol} unreachable for c={c}: need n_max >= {n_used}, "
-            f"table has {table.n_max}"
-        )
-    decay = math.exp(-2 * math.pi / c)
-    w1 = cmath.exp(2j * math.pi * ((-d) % c) / c) * decay
-    w2 = cmath.exp(2j * math.pi * (a_top % c) / c) * decay
-    value = _pair_series(table.a, n_used, w1, w2)
-    r = decay
-    err = 2 * table.tail_constant * r ** (n_used + 1) / (1 - r)
+    n_used, err = _terms_for_c(table, c, tol)
+    h1, h2 = _twisted_sums(_fold(table.a, c, n_used), [(-d) % c, a_top % c])
+    value = complex(h1 - h2)
     alpha, beta = decompose(value)
     sample_coset = Coset(c, d, float(c * c + d * d))
     return SymbolSample(sample_coset, value, alpha, beta, err)
@@ -298,26 +334,34 @@ class SymbolBatch:
         )
 
 
-def _symbols_for_c(table, c, ds, norms, tol):
-    """Symbol values for one c: residue folding + one DFT + inverse lookups."""
-    n_used = tail_terms_needed(1.0 / c, table.tail_constant, tol)
-    if n_used > table.n_max:
-        raise ValueError(
-            f"tol {tol} unreachable for c={c}: need n_max >= {n_used}, table has {table.n_max}"
-        )
-    n = np.arange(1, n_used + 1)
-    w = (table.a[1 : n_used + 1] / n) * np.exp(-2 * math.pi * n / c)
-    folded = np.zeros(c, dtype=np.float64)
-    np.add.at(folded, n % c, w)
-    hvals = np.fft.ifft(folded) * c  # hvals[k] = H((k+i)/c)
+def _inverse_table(c):
+    """inv[r] = r^{-1} mod c for units r, 0 at non-units (Euler: r^{phi(c)-1}).
+
+    Vectorized square-and-multiply over the units; every product of two
+    residues stays below c^2, so c is capped where c^2 would overflow int64.
+    """
+    if c * c >= 1 << 63:
+        raise ValueError(f"c={c} too large for the int64 inverse table")
+    r = np.arange(c, dtype=np.int64)
+    unit = np.gcd(r, c) == 1
+    base = r[unit]
+    power = np.ones(len(base), dtype=np.int64)
+    e = len(base) - 1  # phi(c) - 1
+    while e:
+        if e & 1:
+            power = power * base % c
+        base = base * base % c
+        e >>= 1
     inv = np.zeros(c, dtype=np.int64)
-    for res in range(1, c):
-        if math.gcd(res, c) == 1:
-            inv[res] = pow(res, -1, c)
-    dm = ds % c
-    values = hvals[(-ds) % c] - hvals[inv[dm]]
-    r = math.exp(-2 * math.pi / c)
-    err = 2 * table.tail_constant * r ** (n_used + 1) / (1 - r)
+    inv[unit] = power % c
+    return inv
+
+
+def _symbols_for_c(table, c, ds, norms, tol):
+    """Symbol values for one c: residue fold + one DFT + inverse lookups."""
+    n_used, err = _terms_for_c(table, c, tol)
+    hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c  # hvals[k] = H((k+i)/c)
+    values = hvals[(-ds) % c] - hvals[_inverse_table(c)[ds % c]]
     return values, np.full(len(ds), err)
 
 

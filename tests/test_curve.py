@@ -11,7 +11,9 @@ from modsymdist.curve import (
     CoefficientTable,
     CurveSpec,
     agm_periods,
+    DIVISOR_BOUND_START,
     ap_count,
+    certified_tail_constant,
     coefficient_table,
     eta_deep_table_level11,
     eta_fft_length,
@@ -109,6 +111,37 @@ def test_tail_constant_bound(table11, table37):
         n = np.arange(1, t.n_max + 1)
         assert np.all(np.abs(t.a[1:]) <= t.tail_constant * n)
         assert t.tail_constant <= 2.0  # shipped presets
+
+
+def test_divisor_bounds_behind_certified_tail():
+    # the two divisor-function facts CoefficientTable's tail argument rests on
+    n_top = 10 ** 5
+    d = np.zeros(n_top + 1, dtype=np.int64)
+    for k in range(1, n_top + 1):
+        d[k::k] += 1
+    n = np.arange(1, n_top + 1)
+    ratio = d[1:] / np.sqrt(n)
+    assert int(n[np.argmax(ratio)]) == 12 and float(ratio.max()) == pytest.approx(math.sqrt(3))
+    assert int(n[ratio >= 1].max()) == DIVISOR_BOUND_START
+
+
+def test_short_table_tail_constant_is_deligne_bound(curve11):
+    # 10 terms cannot see |a_n|/n beyond n = 10, so the Deligne bound sqrt(3) applies
+    ap = {p: ap_count(curve11, p) for p in (2, 3, 5, 7)}
+    short = hecke_expand(ap, set(), 10)
+    assert short.tail_constant == math.sqrt(3)
+    assert 1.1 * float(np.max(np.abs(short.a[1:]) / np.arange(1, 11))) < math.sqrt(3)
+
+
+def test_tail_constant_switches_at_divisor_bound_start(table11):
+    assert certified_tail_constant(table11.a[:DIVISOR_BOUND_START]) == math.sqrt(3)
+    assert certified_tail_constant(table11.a[: DIVISOR_BOUND_START + 1]) == 1.1
+
+
+def test_long_table_tail_constant_unchanged(table11):
+    # n_max >= 1260: still 1.1 times the measured max |a_n|/n (1, at n = 1 and 2)
+    n = np.arange(1, table11.n_max + 1)
+    assert table11.tail_constant == 1.1 * float(np.max(np.abs(table11.a[1:]) / n)) == 1.1
 
 
 def test_hecke_expand_missing_prime_named():

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from modsymdist.cosets import Coset, GammaMatrix, lift
-from modsymdist.curve import lattice_distance
+from modsymdist.curve import eta_deep_table_level11, lattice_distance
 from modsymdist.modsym import (
+    _inverse_table,
     antiderivative,
     decompose,
     oracle_pairing,
     pairing,
     samples_from_batch,
     symbols_up_to,
+    tail_terms_needed,
 )
 
 # H(i) = sum (a_n/n) e^{-2 pi n} for 11a, pinned before the build by direct
@@ -199,13 +201,82 @@ def test_decompose_identities():
 
 
 def test_batch_matches_pairing(table11, batch11_1e4):
-    # the folded-DFT batch path and the direct series agree per coset
+    # the batch's DFT of the fold and pairing's two-residue read-out agree per
+    # coset; both share _fold, so test_pairing_vs_direct_series is the reference
     idx = np.random.default_rng(0).choice(len(batch11_1e4.cs), 25, replace=False)
     for i in idx:
         c, d = int(batch11_1e4.cs[i]), int(batch11_1e4.ds[i])
         m = lift(Coset(c, d, float(c * c + d * d)))
         v = pairing(table11, m, 1e-12).value
         assert abs(v - batch11_1e4.values[i]) < 1e-10
+
+
+def _direct_pairing(table, c, u1, u2, n_used):
+    """sum_{n <= n_used} (a_n/n) r^n (e^{2 pi i n u1/c} - e^{2 pi i n u2/c}), term by term.
+
+    Each phase comes from the exact integer (n u) mod c; no residue fold.
+    """
+    n = np.arange(1, n_used + 1, dtype=np.int64)
+    w = table.a[1 : n_used + 1] / n * np.exp(-2 * math.pi * n / c)
+    ph = np.exp(2j * math.pi * ((n * u1) % c) / c) - np.exp(2j * math.pi * ((n * u2) % c) / c)
+    return complex(np.sum(w * ph))
+
+
+def _tol_for_terms(table, c, target):
+    """A tol at which pairing at denominator c sums exactly `target` terms (bisection)."""
+    lo, hi = -30.0, 5.0  # log10 tol: many terms at lo, few at hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        got = tail_terms_needed(1.0 / c, table.tail_constant, 10 ** mid)
+        if got == target:
+            return 10 ** mid
+        lo, hi = (mid, hi) if got > target else (lo, mid)
+    raise AssertionError(f"no tol gives {target} terms at c={c}")
+
+
+@pytest.fixture(scope="module")
+def eta_table_1e5():
+    # long enough for every c <= 100100 at tol 1e-10 (11a's tail constant is 1.1)
+    return eta_deep_table_level11(tail_terms_needed(1 / 100100, 1.1, 1e-10))
+
+
+def test_pairing_vs_direct_series(eta_table_1e5):
+    # the residue fold against the series written out term by term
+    rng = random.Random(4)
+    for c in (11, 121, 1331, 11 * 9091):
+        for _ in range(3):
+            d = _coprime_d(rng, c, -c, c)
+            m = lift(Coset(c, d, float(c * c + d * d)))
+            n_used = tail_terms_needed(1.0 / c, eta_table_1e5.tail_constant, 1e-10)
+            ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
+            assert abs(pairing(eta_table_1e5, m, 1e-10).value - ref) < 1e-11
+
+
+@pytest.mark.parametrize("c", [11, 121])
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_pairing_vs_direct_series_row_edges(eta_table_1e5, c, rows):
+    # rows = 0: n_used < c (one partial row); else n_used + 1 = 0 (mod c): last row full
+    rng = random.Random(c + rows)
+    targets = [c // 2] if rows == 0 else [(rows + 1) * c - 1, (rows + 1) * c, (rows + 1) * c + 1]
+    for n_used in targets:
+        tol = _tol_for_terms(eta_table_1e5, c, n_used)
+        d = _coprime_d(rng, c, -c, c)
+        m = lift(Coset(c, d, float(c * c + d * d)))
+        ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
+        assert abs(pairing(eta_table_1e5, m, tol).value - ref) < 1e-11
+
+
+def test_inverse_table_matches_pow():
+    for c in list(range(1, 401)) + [3157, 11 * 1009, 1 << 16, 99991]:
+        want = [pow(r, -1, c) if math.gcd(r, c) == 1 else 0 for r in range(c)]
+        assert _inverse_table(c).tolist() == want, c
+
+
+def test_inverse_table_rejects_int64_overflow():
+    # 3037000500^2 > 2^63 - 1; raised before any array is built
+    assert 3037000499 ** 2 < 1 << 63 <= 3037000500 ** 2
+    with pytest.raises(ValueError, match="int64"):
+        _inverse_table(3037000500)
 
 
 def test_batch_thread_determinism(table11):
