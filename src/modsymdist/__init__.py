@@ -6,7 +6,7 @@ norm two ways, and compare the normalized values against the bivariate
 Gaussian they converge to.
 """
 
-from .cosets import Coset, GammaMatrix, enumerate_cosets, lift, volume
+from .cosets import Coset, GammaMatrix, coset_arrays, lift, volume
 from .curve import (
     CoefficientTable,
     CurveSpec,
@@ -19,9 +19,8 @@ from .curve import (
     resolve_curve,
 )
 from .modsym import (
-    SymbolSample,
+    SymbolBatch,
     antiderivative,
-    decompose,
     oracle_pairing,
     pairing,
     symbols_up_to,
@@ -39,12 +38,11 @@ from .series import (
 )
 from .stats import (
     MomentReport,
-    NormalizedSample,
     gaussian_moment,
     histogram,
     ks_distance,
-    moments,
-    normalize,
+    moments_from_arrays,
+    normalize_arrays,
 )
 
 __version__ = "0.1.0"

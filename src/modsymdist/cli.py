@@ -29,14 +29,19 @@ class RunConfig:
     seed: int = 11
 
     def __post_init__(self):
-        if self.z[1] <= 0:
+        # every bound is written so that NaN fails it
+        if len(self.z) != 2 or not all(math.isfinite(t) for t in self.z):
+            raise ValueError("z must be two finite numbers 'x,y'")
+        if not (self.z[1] > 0):
             raise ValueError("Im(z) must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.T < 1:
+        if not all(t >= 1 for t in (self.T, *self.T_grid)):
             raise ValueError("T must be >= 1")
+        if not all(math.isfinite(t) for t in (self.T, *self.T_grid)):
+            raise ValueError("T must be finite")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -55,17 +60,17 @@ class RunConfig:
 
 
 def _cfg_from_args(args):
+    """RunConfig from the flags of common(); only --T and --T-grid are per subcommand."""
+    grid = getattr(args, "T_grid", None)
     return RunConfig(
-        curve=getattr(args, "curve", "11a"),
-        T=float(getattr(args, "T", 1e4) or 1e4),
-        T_grid=[float(t) for t in getattr(args, "T_grid", "").split(",") if t]
-        if getattr(args, "T_grid", None)
-        else [],
-        z=tuple(float(t) for t in args.z.split(",")) if getattr(args, "z", None) else (0.0, 1.0),
-        tol=float(getattr(args, "tol", 1e-10)),
-        threads=int(getattr(args, "threads", 1)),
-        fmt=getattr(args, "format", "csv"),
-        seed=int(getattr(args, "seed", 11)),
+        curve=args.curve,
+        T=getattr(args, "T", 1e4),
+        T_grid=[float(t) for t in grid.split(",") if t] if grid else [],
+        z=tuple(float(t) for t in args.z.split(",")),
+        tol=args.tol,
+        threads=args.threads,
+        fmt=args.format,
+        seed=args.seed,
     )
 
 
@@ -99,17 +104,27 @@ def _emit_rows(args, header, rows):
         _emit(args, "\n".join(lines))
 
 
-def _table_for(cfg, n_max=None):
+def _batch_for(cfg, T):
+    """(curve, table, batch) for every coset with N_z(gamma) <= T at cfg's z and tol."""
     crv = curve_mod.resolve_curve(cfg.curve)
-    if n_max is None:
-        # enough for every c <= sqrt(T_max) at the requested tolerance
-        T_max = max([cfg.T] + list(cfg.T_grid))
-        cmax = max(crv.N, int(math.isqrt(int(T_max / cfg.z[1] ** 2))) + 1)
-        n_max = max(
-            2000,
-            modsym.tail_terms_needed(1.0 / cmax, 2.0, cfg.tol),
-        )
-    return crv, curve_mod.coefficient_table(crv, n_max)
+    # enough terms for every c <= sqrt(T) / Im z at the requested tolerance
+    cmax = max(crv.N, int(math.isqrt(int(T / cfg.z[1] ** 2))) + 1)
+    n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, cfg.tol))
+    table = curve_mod.coefficient_table(crv, n_max)
+    return crv, table, modsym.symbols_up_to(table, crv.N, T, cfg.zc, cfg.tol, cfg.threads)
+
+
+def _norm_f_sq(crv, table):
+    """Rankin-Selberg estimate of ||f||^2 from the first 20000 terms of the table."""
+    return petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
+
+
+def _normalized(cfg):
+    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= cfg.T."""
+    crv, table, batch = _batch_for(cfg, cfg.T)
+    vol = cosets.volume(crv.N)
+    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, _norm_f_sq(crv, table), vol)
+    return x, y
 
 
 def cmd_coeffs(args):
@@ -124,15 +139,16 @@ def cmd_coeffs(args):
 def cmd_enumerate(args):
     cfg = _cfg_from_args(args)
     N = int(args.N) if args.N else curve_mod.resolve_curve(cfg.curve).N
-    rows = [(cs.c, cs.d, cs.norm) for cs in cosets.enumerate_cosets(N, cfg.T, cfg.zc)]
+    rows = [(0, 1, 1.0)]  # the identity coset
+    for c, ds, norms in cosets.coset_arrays(N, cfg.T, cfg.zc):
+        rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
     _emit_rows(args, ["c", "d", "norm"], rows)
     return 0
 
 
 def cmd_symbols(args):
     cfg = _cfg_from_args(args)
-    crv, table = _table_for(cfg)
-    batch = modsym.symbols_up_to(table, crv.N, cfg.T, cfg.zc, cfg.tol, cfg.threads)
+    _, _, batch = _batch_for(cfg, cfg.T)
     rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
     rows += [
         (c, d, nrm, v.real, v.imag, e)
@@ -154,7 +170,7 @@ def _theory_constant(weight, cfg, crv, table):
         if weight.kind in ("alphabeta", "abs2m") or (
             weight.kind == "f_power" and weight.m == weight.n
         ):
-            nfsq = petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
+            nfsq = _norm_f_sq(crv, table)
         if weight.kind == "f_power" and weight.m != weight.n:
             hval = modsym.antiderivative(table, cfg.zc, tol=1e-13)
         const = series.asymptotic_constants(weight, vol, y, norm_f_sq=nfsq, h_value=hval)
@@ -168,10 +184,7 @@ def cmd_sums(args):
     weight = series.WeightSpec.parse(args.weight)
     grid = cfg.T_grid or [cfg.T]
     U = float(args.smooth_U) if args.smooth_U else None
-    cover = max(grid) * (1 + 1 / U) if U else max(grid)
-    cfg_cover = RunConfig(**{**asdict(cfg), "T": cover, "T_grid": []})
-    crv, table = _table_for(cfg_cover)
-    batch = modsym.symbols_up_to(table, crv.N, cover, cfg.zc, cfg.tol, cfg.threads)
+    crv, table, batch = _batch_for(cfg, max(grid) * (1 + 1 / U) if U else max(grid))
     const = _theory_constant(weight, cfg, crv, table)
     rows = []
     for T in grid:
@@ -194,11 +207,7 @@ def cmd_sums(args):
 
 def cmd_moments(args):
     cfg = _cfg_from_args(args)
-    crv, table = _table_for(cfg)
-    batch = modsym.symbols_up_to(table, crv.N, cfg.T, cfg.zc, cfg.tol, cfg.threads)
-    vol = cosets.volume(crv.N)
-    nfsq = petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
-    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, vol)
+    x, y = _normalized(cfg)
     if len(x) == 0:
         print("error: no samples with N_z(gamma) > 1 at this T", file=sys.stderr)
         return 1
@@ -211,12 +220,7 @@ def cmd_moments(args):
 
 
 def cmd_histogram(args):
-    cfg = _cfg_from_args(args)
-    crv, table = _table_for(cfg)
-    batch = modsym.symbols_up_to(table, crv.N, cfg.T, cfg.zc, cfg.tol, cfg.threads)
-    vol = cosets.volume(crv.N)
-    nfsq = petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
-    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, vol)
+    x, y = _normalized(_cfg_from_args(args))
     comp = x if args.component == "re" else y
     lo, hi = (float(t) for t in args.range.split(","))
     rows = stats.histogram(comp, int(args.bins), (lo, hi))
@@ -245,9 +249,7 @@ def cmd_eisenstein(args):
     cfg = _cfg_from_args(args)
     s = complex(float(args.s_re), float(args.s_im))
     T_max = float(args.T_max)
-    cfg_cover = RunConfig(**{**asdict(cfg), "T": T_max, "T_grid": []})
-    crv, table = _table_for(cfg_cover)
-    batch = modsym.symbols_up_to(table, crv.N, T_max, cfg.zc, cfg.tol, cfg.threads)
+    _, _, batch = _batch_for(cfg, T_max)
     rep = series.eisenstein_twisted(batch, s, int(args.m), int(args.n), T_max)
     _emit(
         args,

@@ -2,9 +2,11 @@
 
 Each coset is pinned down by the lower row (c, d) of any representative,
 up to the sign identification (c, d) ~ (-c, -d); we canonicalize to c > 0,
-with (0, 1) for the identity coset.  At z = i the ordering norm is the
-integer c^2 + d^2, so enumeration is exact; for general z bounds are
-computed with a safety margin and every candidate's norm is re-checked.
+with (0, 1) for the identity coset.  coset_arrays yields the non-identity
+cosets as per-c arrays; the identity (norm 1) is implied.  At z = i the
+ordering norm is the integer c^2 + d^2, so enumeration is exact; for
+general z bounds are computed with a safety margin and every candidate's
+norm is re-checked.
 """
 
 import math
@@ -81,6 +83,8 @@ def coset_arrays(N, T, z=1j):
     N = int(N)
     z = complex(z)
     x, y = z.real, z.imag
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     if y <= 0:
         raise ValueError("z must lie in the upper half-plane")
     if T < 1:
@@ -96,18 +100,6 @@ def coset_arrays(N, T, z=1j):
         if np.any(keep):
             yield c, ds[keep], norms[keep]
         c += N
-
-
-def enumerate_cosets(N, T, z=1j):
-    """Stream of Coset with norm <= T, identity first, then by (c, d)."""
-    if complex(z).imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    yield Coset(0, 1, 1.0)  # |0*z+1|^2 = 1
-    for c, ds, norms in coset_arrays(N, T, z):
-        for d, nrm in zip(ds.tolist(), norms.tolist()):
-            yield Coset(int(c), int(d), float(nrm))
 
 
 def coset_count(N, T, z=1j):

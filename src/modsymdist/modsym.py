@@ -20,43 +20,13 @@ evaluation point, both at height 1/c, hence the factor 2 below).
 """
 
 import math
-import cmath
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import Coset, coset_arrays
-
-_POWER_CHUNK = 1 << 20  # bounds antiderivative's cumprod scratch (~16 MB complex)
-
-
-@dataclass(frozen=True)
-class SymbolSample:
-    """A coset with its symbol value and real/imaginary decomposition.
-
-    value = alpha + i*beta with alpha = <gamma, Re(f dz)> and
-    beta = <gamma, Im(f dz)> both purely imaginary; err_bound is the
-    certified absolute truncation error of value.
-    """
-
-    coset: Coset
-    value: complex
-    alpha: complex
-    beta: complex
-    err_bound: float
-
-
-def decompose(value):
-    """Split <gamma,f> into (<gamma,alpha>, <gamma,beta>), both in i*R.
-
-    value = -2 pi i (P + iQ) with P, Q the real path integrals of the two
-    real differentials, so alpha = -2 pi i P = i*Im(value) and
-    beta = -2 pi i Q = -i*Re(value); then value = alpha + i*beta exactly.
-    """
-    value = complex(value)
-    return 1j * value.imag, -1j * value.real
+from .cosets import coset_arrays
 
 
 def tail_terms_needed(y, tail_constant, tol, two_sided=True):
@@ -73,9 +43,8 @@ def tail_terms_needed(y, tail_constant, tol, two_sided=True):
 def antiderivative(table, z, tol=1e-12):
     """H(z) = sum_{n <= n_used} (a_n / n) e^{2 pi i n z}, truncation error < tol.
 
-    Powers of q = e^{2 pi i z} are built by repeated multiplication, one
-    complex multiply per term.  Raises if the table is too short for the
-    requested tolerance at this height.
+    One direct sum over the n_used terms.  Raises if the table is too short
+    for the requested tolerance at this height.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -85,28 +54,8 @@ def antiderivative(table, z, tol=1e-12):
         raise ValueError(
             f"table too short: need n_max >= {n_used} for tol={tol} at Im z = {z.imag}"
         )
-    q = cmath.exp(2j * math.pi * z)
-    return _phase_series(table.a, n_used, q)
-
-
-def _powers(w, start_pow, k):
-    ph = np.empty(k, dtype=np.complex128)
-    np.multiply.accumulate(np.broadcast_to(np.complex128(w), (k,)), out=ph)
-    ph *= start_pow / w
-    return ph
-
-
-def _phase_series(a, n_used, w):
-    """sum_{n=1}^{n_used} (a_n / n) w^n via chunked cumulative products."""
-    total = 0.0 + 0.0j
-    start_pow = w
-    for s in range(1, n_used + 1, _POWER_CHUNK):
-        e = min(n_used, s + _POWER_CHUNK - 1)
-        ph = _powers(w, start_pow, e - s + 1)
-        n = np.arange(s, e + 1)
-        total += complex(np.sum((a[s : e + 1] / n) * ph))
-        start_pow = complex(ph[-1]) * w
-    return total
+    n = np.arange(1, n_used + 1)
+    return complex(np.sum(table.a[1 : n_used + 1] / n * np.exp(2j * math.pi * z * n)))
 
 
 def _canonical_row(m):
@@ -177,24 +126,19 @@ def _twisted_sums(folded, us):
 
 
 def pairing(table, m, tol=1e-10):
-    """SymbolSample for <gamma, f> with certified truncation error <= tol.
+    """(<gamma, f>, err) with certified truncation error err <= tol.
 
-    Exact 0 for c = 0; otherwise the two-point closed form at height 1/c,
-    read off the residue fold at u1 = -d and u2 = a (mod c) in O(c) work.
-    The value depends only on the coset Gamma_infty * (+-gamma): the top row
-    enters through a mod c alone.  The coset's bookkeeping norm is c^2 + d^2
-    (the z = i norm).
+    Exactly (0j, 0.0) for c = 0; otherwise the two-point closed form at
+    height 1/c, read off the residue fold at u1 = -d and u2 = a (mod c) in
+    O(c) work.  The value depends only on the coset Gamma_infty * (+-gamma):
+    the top row enters through a mod c alone.
     """
     a_top, c, d = _canonical_row(m)
     if c == 0:
-        sample_coset = Coset(0, 1, 1.0)
-        return SymbolSample(sample_coset, 0j, 0j, 0j, 0.0)
+        return 0j, 0.0
     n_used, err = _terms_for_c(table, c, tol)
     h1, h2 = _twisted_sums(_fold(table.a, c, n_used), [(-d) % c, a_top % c])
-    value = complex(h1 - h2)
-    alpha, beta = decompose(value)
-    sample_coset = Coset(c, d, float(c * c + d * d))
-    return SymbolSample(sample_coset, value, alpha, beta, err)
+    return complex(h1 - h2), err
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +336,3 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
         values = np.zeros(0, dtype=np.complex128)
         errs = np.zeros(0, dtype=np.float64)
     return SymbolBatch(int(N), float(T), complex(z), float(tol), cs, ds, norms, values, errs)
-
-
-def samples_from_batch(batch):
-    """Materialize SymbolSample objects (identity first) from a batch."""
-    out = [SymbolSample(Coset(0, 1, 1.0), 0j, 0j, 0j, 0.0)]
-    for c, d, nrm, v, e in zip(
-        batch.cs.tolist(), batch.ds.tolist(), batch.norms.tolist(),
-        batch.values.tolist(), batch.err_bounds.tolist(),
-    ):
-        alpha, beta = decompose(v)
-        out.append(SymbolSample(Coset(c, d, nrm), v, alpha, beta, e))
-    return out

@@ -77,7 +77,12 @@ class WeightSpec:
         )
 
     def apply(self, values):
-        """Evaluate the weight on an array of symbol values."""
+        """Evaluate the weight on an array of symbol values.
+
+        value = -2 pi i (P + iQ) with P, Q the path integrals of the real
+        differentials Re(f dz), Im(f dz), so alpha = i Im(value) and
+        beta = -i Re(value), and value = alpha + i beta exactly.
+        """
         v = np.asarray(values, dtype=np.complex128)
         if self.kind == "one":
             return np.ones(v.shape, dtype=np.complex128)
@@ -232,14 +237,6 @@ def sharp_sum(batch, weight, T=None):
         err_budget=budget,
         err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
     )
-
-
-def shell_sum(batch, weight, lo, hi):
-    """Sum of the weight over the norm shell lo < N_z(gamma) <= hi."""
-    mask = (batch.norms > lo) & (batch.norms <= hi)
-    terms = weight.apply(batch.values[mask])
-    value = cfsum(terms) + (weight.at_zero() if lo < 1.0 <= hi else 0j)
-    return value
 
 
 def smoothed_sum(batch, weight, T, U):

@@ -24,19 +24,6 @@ from .series import _exact_sum
 
 
 @dataclass(frozen=True)
-class NormalizedSample:
-    x: float
-    y: float
-    norm: float
-
-    def __post_init__(self):
-        if not (self.norm > 1):
-            raise ValueError("normalized samples require N_z(gamma) > 1")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("non-finite normalized sample")
-
-
-@dataclass(frozen=True)
 class MomentReport:
     T: float
     pairs: dict
@@ -50,25 +37,19 @@ def tilde_factor(norm_f_sq, vol):
 
 
 def normalize_arrays(values, norms, norm_f_sq, vol):
-    """Vector form of normalize(): returns (x, y, kept_norms, dropped_count)."""
+    """Normalized symbols (x, y, kept_norms, dropped_count).
+
+    Samples with norm <= 1 are dropped and counted; a non-finite normalized
+    value raises ValueError.
+    """
     values = np.asarray(values, dtype=np.complex128)
     norms = np.asarray(norms, dtype=np.float64)
     keep = norms > 1.0
     dropped = int(len(norms) - keep.sum())
     w = tilde_factor(norm_f_sq, vol) * values[keep] / np.sqrt(np.log(norms[keep]))
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite normalized sample")
     return w.real, w.imag, norms[keep], dropped
-
-
-def normalize(samples, norm_f_sq, vol):
-    """Stream of NormalizedSample from SymbolSample objects; drops norm <= 1.
-
-    Returns (list of NormalizedSample, dropped_count).
-    """
-    vals = np.array([s.value for s in samples], dtype=np.complex128)
-    nrms = np.array([s.coset.norm for s in samples], dtype=np.float64)
-    x, y, kept, dropped = normalize_arrays(vals, nrms, norm_f_sq, vol)
-    out = [NormalizedSample(float(a), float(b), float(n)) for a, b, n in zip(x, y, kept)]
-    return out, dropped
 
 
 def gaussian_moment(n, m):
@@ -101,16 +82,6 @@ def moments_from_arrays(x, y, n_max, m_max, T=None):
     limits = {key: gaussian_moment(*key) for key in pairs}
     return MomentReport(T=float(T) if T is not None else math.inf, pairs=pairs,
                         gaussian_limit=limits)
-
-
-def moments(samples, n_max, m_max, T=None):
-    """Moments of a stream of NormalizedSample."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample stream")
-    x = np.array([s.x for s in samples])
-    y = np.array([s.y for s in samples])
-    return moments_from_arrays(x, y, n_max, m_max, T=T)
 
 
 def normal_cdf(x):

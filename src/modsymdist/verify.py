@@ -137,11 +137,11 @@ def crit_homomorphism(res, quick):
     for g1, g2 in pairs:
         g3 = g1 @ g2
         cmax = max(cmax, abs(g3.c))
-        v1 = modsym.pairing(table, g1, HOMOMORPHISM_TOL).value
-        v2 = modsym.pairing(table, g2, HOMOMORPHISM_TOL).value
-        v3 = modsym.pairing(table, g3, HOMOMORPHISM_TOL).value
+        v1, _ = modsym.pairing(table, g1, HOMOMORPHISM_TOL)
+        v2, _ = modsym.pairing(table, g2, HOMOMORPHISM_TOL)
+        v3, _ = modsym.pairing(table, g3, HOMOMORPHISM_TOL)
         worst_hom = max(worst_hom, abs(v3 - v1 - v2))
-        vi = modsym.pairing(table, g1.inverse(), HOMOMORPHISM_TOL).value
+        vi, _ = modsym.pairing(table, g1.inverse(), HOMOMORPHISM_TOL)
         worst_inv = max(worst_inv, abs(vi + v1))
     ok = worst_hom < 1e-8 and worst_inv < 1e-8
     detail = (
@@ -187,7 +187,7 @@ def crit_oracle_agreement(res, quick):
             if math.gcd(c, d) == 1:
                 break
         m = cosets.lift(cosets.Coset(c, d, float(c * c + d * d)))
-        v_closed = modsym.pairing(table, m, 1e-12).value
+        v_closed, _ = modsym.pairing(table, m, 1e-12)
         o1 = modsym.oracle_pairing(table, m, split_height=1.0, tol=1e-10)
         o2 = modsym.oracle_pairing(table, m, split_height=2.0, tol=1e-10)
         worst_h = max(worst_h, abs(o1 - o2))

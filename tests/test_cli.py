@@ -1,10 +1,19 @@
-"""CLI surface: formats, flags, determinism, config round-trip."""
+"""CLI surface: formats, flags, validation, determinism, config round-trip.
+
+Also checks that the README's library quickstart names only API that exists.
+"""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
+import modsymdist
 from modsymdist.cli import RunConfig, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +164,45 @@ def test_config_validation():
         RunConfig(T=0.5)
     with pytest.raises(ValueError):
         RunConfig(fmt="xml")
+    # exactly two finite components of z, Im z > 0; T >= 1 and tol > 0, both finite
+    for z in ((5.0,), (0.0, 1.0, 7.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="z"):
+            RunConfig(z=z)
+    for T in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T must be"):
+            RunConfig(T=T)
+    with pytest.raises(ValueError, match="T must be"):
+        RunConfig(T_grid=[1e3, math.nan])
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            RunConfig(tol=tol)
+
+
+def test_T_zero_is_rejected_not_replaced(capsys):
+    # --T 0 used to fall back to the 1e4 default and print 795 cosets
+    code = main(["enumerate", "--N", "11", "--T", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: T must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--z", "5"], "z must be two finite numbers"),
+        (["--z", "0,1,7"], "z must be two finite numbers"),
+        (["--z", "0,nan"], "z must be two finite numbers"),
+        (["--T", "nan"], "T must be >= 1"),
+        (["--T", "inf"], "T must be finite"),
+        (["--tol", "nan"], "tol must be positive and finite"),
+        (["--tol", "inf"], "tol must be positive and finite"),
+    ],
+)
+def test_bad_run_flags_exit_1(capsys, flags, message):
+    code = main(["symbols", "--curve", "11a", "--T", "500", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_unknown_subcommand_usage_error():
@@ -194,3 +242,17 @@ def test_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("c,d,norm\n")
     assert text.endswith("\n")
+
+
+def test_readme_quickstart_names_resolve():
+    # every M.<name> in the README's library quickstart must exist; nothing is run
+    text = README.read_text()
+    block = text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "import modsymdist as M" in block
+    names = sorted(set(re.findall(r"\bM\.([A-Za-z_][\w.]*\w)", block)))
+    assert len(names) >= 5
+    for name in names:
+        obj = modsymdist
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README quickstart names M.{name}, which does not exist"
+            obj = getattr(obj, part)

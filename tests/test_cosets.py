@@ -10,10 +10,17 @@ from modsymdist.cosets import (
     GammaMatrix,
     coset_arrays,
     coset_count,
-    enumerate_cosets,
     lift,
     volume,
 )
+
+
+def _all_cosets(N, T, z=1j):
+    """Every coset with norm <= T: the implied identity, then coset_arrays' rows."""
+    out = [Coset(0, 1, 1.0)]
+    for c, ds, norms in coset_arrays(N, T, z):
+        out += [Coset(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
+    return out
 
 
 def test_volume_values():
@@ -36,11 +43,11 @@ def test_volume_rejects_bad_level():
 
 
 def test_enumerate_t1_identity_only():
-    assert list(enumerate_cosets(11, 1, 1j)) == [Coset(0, 1, 1.0)]
+    assert _all_cosets(11, 1, 1j) == [Coset(0, 1, 1.0)]
 
 
 def test_enumerate_t122_hand_enumeration():
-    got = [(c.c, c.d, c.norm) for c in enumerate_cosets(11, 122, 1j)]
+    got = [(c.c, c.d, c.norm) for c in _all_cosets(11, 122, 1j)]
     assert got == [(0, 1, 1.0), (11, -1, 122.0), (11, 1, 122.0)]
 
 
@@ -48,7 +55,7 @@ def test_enumerate_exhaustive_properties():
     # gcd = 1, 11 | c, no duplicates, all and only pairs with c^2+d^2 <= T
     T = 10 ** 4
     seen = set()
-    for cs in enumerate_cosets(11, T, 1j):
+    for cs in _all_cosets(11, T, 1j):
         assert math.gcd(cs.c, cs.d) == 1
         assert cs.c % 11 == 0
         assert cs.norm <= T
@@ -64,7 +71,7 @@ def test_enumerate_exhaustive_properties():
 
 def test_enumerate_mirror_symmetry_at_i():
     T = 5000
-    seen = {(cs.c, cs.d) for cs in enumerate_cosets(11, T, 1j)}
+    seen = {(cs.c, cs.d) for cs in _all_cosets(11, T, 1j)}
     for c, d in seen:
         if c > 0:
             assert (c, -d) in seen
@@ -72,7 +79,7 @@ def test_enumerate_mirror_symmetry_at_i():
 
 def test_enumerate_general_z_rechecks_norm():
     z = 0.3 + 0.7j
-    for cs in enumerate_cosets(11, 500, z):
+    for cs in _all_cosets(11, 500, z):
         if cs.c:
             assert abs(cs.c * z + cs.d) ** 2 <= 500 * (1 + 1e-12)
 
@@ -94,9 +101,12 @@ def test_counting_lemma_other_z():
 
 def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
-        list(enumerate_cosets(11, 0.5, 1j))
+        list(coset_arrays(11, 0.5, 1j))
     with pytest.raises(ValueError):
-        list(enumerate_cosets(11, 100, 1 - 1j))
+        list(coset_arrays(11, 100, 1 - 1j))
+    for N in (0, -11):  # N = 0 would never leave the c loop
+        with pytest.raises(ValueError, match="N must be"):
+            list(coset_arrays(N, 100, 1j))
 
 
 def test_lift_examples():
@@ -106,7 +116,7 @@ def test_lift_examples():
 
 
 def test_lift_roundtrip_and_canonical():
-    for cs in enumerate_cosets(11, 4000, 1j):
+    for cs in _all_cosets(11, 4000, 1j):
         m = lift(cs)
         assert m.a * m.d - m.b * m.c == 1
         assert (m.c, m.d) == (cs.c, cs.d)

@@ -1,4 +1,4 @@
-"""Modular symbol evaluation: closed form, quadrature oracle, decomposition."""
+"""Modular symbol evaluation: closed form, quadrature oracle, alpha/beta split."""
 
 import cmath
 import math
@@ -12,13 +12,12 @@ from modsymdist.curve import eta_deep_table_level11, lattice_distance
 from modsymdist.modsym import (
     _inverse_table,
     antiderivative,
-    decompose,
     oracle_pairing,
     pairing,
-    samples_from_batch,
     symbols_up_to,
     tail_terms_needed,
 )
+from modsymdist.series import WeightSpec
 
 # H(i) = sum (a_n/n) e^{-2 pi n} for 11a, pinned before the build by direct
 # quadrature of f along the vertical ray (2 pi * Int_1^inf f(iy) dy).
@@ -55,35 +54,35 @@ def test_antiderivative_rejects_short_table(table11):
 
 
 def test_pairing_identity_and_c0(table11):
-    assert pairing(table11, GammaMatrix(1, 0, 0, 1)).value == 0
-    assert pairing(table11, GammaMatrix(1, 5, 0, 1)).value == 0  # any translation
-    assert pairing(table11, GammaMatrix(-1, 3, 0, -1)).value == 0
+    assert pairing(table11, GammaMatrix(1, 0, 0, 1)) == (0j, 0.0)
+    assert pairing(table11, GammaMatrix(1, 5, 0, 1)) == (0j, 0.0)  # any translation
+    assert pairing(table11, GammaMatrix(-1, 3, 0, -1)) == (0j, 0.0)
 
 
 def test_pairing_translation_invariance(table11):
     # <T gamma, f> = <gamma, f>: the closed form only sees a mod c
     g = GammaMatrix(3, 1, 11, 4)
     tg = GammaMatrix(3 + 11, 1 + 4, 11, 4)
-    v1 = pairing(table11, g, 1e-12).value
-    v2 = pairing(table11, tg, 1e-12).value
+    v1, _ = pairing(table11, g, 1e-12)
+    v2, _ = pairing(table11, tg, 1e-12)
     assert abs(v1 - v2) < 1e-15
 
 
 def test_pairing_sign_canonicalization(table11):
     g = GammaMatrix(3, 1, 11, 4)
     neg = GammaMatrix(-3, -1, -11, -4)
-    assert pairing(table11, g, 1e-12).value == pairing(table11, neg, 1e-12).value
+    assert pairing(table11, g, 1e-12) == pairing(table11, neg, 1e-12)
 
 
 def test_pairing_lattice_membership_example(table11, lattice11):
-    v = pairing(table11, GammaMatrix(1, 0, 11, 1), 1e-12).value
+    v, _ = pairing(table11, GammaMatrix(1, 0, 11, 1), 1e-12)
     assert float(lattice_distance([v], lattice11)[0]) < 1e-8
 
 
 def test_pairing_known_nonzero_value(table11, lattice11):
     # pinned by adaptive quadrature of -2 pi i Int f from z0 to gamma z0:
     # <[[6,1],[11,2]], f> = omega1 of 11a (agreement 5e-15 at build time)
-    v = pairing(table11, GammaMatrix(6, 1, 11, 2), 1e-13).value
+    v, _ = pairing(table11, GammaMatrix(6, 1, 11, 2), 1e-13)
     assert v == pytest.approx(lattice11.omega1, abs=1e-12)
 
 
@@ -91,7 +90,7 @@ def test_pairing_doubling(table11):
     # <gamma^2, f> = 2 <gamma, f>: path-splitting additivity
     g = GammaMatrix(1, 0, 11, 1)
     g2 = g @ g
-    assert abs(pairing(table11, g2, 1e-12).value - 2 * pairing(table11, g, 1e-12).value) < 1e-10
+    assert abs(pairing(table11, g2, 1e-12)[0] - 2 * pairing(table11, g, 1e-12)[0]) < 1e-10
 
 
 def _coprime_d(rng, c, lo, hi):
@@ -111,16 +110,16 @@ def test_homomorphism_small_sample(table11):
         d2 = _coprime_d(rng, c2, -30, 30)
         g1 = lift(Coset(c1, d1, float(c1 * c1 + d1 * d1)))
         g2 = lift(Coset(c2, d2, float(c2 * c2 + d2 * d2)))
-        v1 = pairing(table11, g1, 1e-11).value
-        v2 = pairing(table11, g2, 1e-11).value
-        v3 = pairing(table11, g1 @ g2, 1e-11).value
+        v1, _ = pairing(table11, g1, 1e-11)
+        v2, _ = pairing(table11, g2, 1e-11)
+        v3, _ = pairing(table11, g1 @ g2, 1e-11)
         assert abs(v3 - v1 - v2) < 1e-9
 
 
 def test_inverse_antisymmetry(table11):
     g = lift(Coset(33, 10, float(33 ** 2 + 100)))
-    vi = pairing(table11, g.inverse(), 1e-12).value
-    v = pairing(table11, g, 1e-12).value
+    vi, _ = pairing(table11, g.inverse(), 1e-12)
+    v, _ = pairing(table11, g, 1e-12)
     assert abs(vi + v) < 1e-10
 
 
@@ -129,11 +128,17 @@ def test_pairing_tol_unreachable_reports_needed(table11):
         pairing(table11, lift(Coset(11 * 10 ** 5, 1, 1e10 + 1)), 1e-10)
 
 
+def _alpha_beta(values):
+    """(<gamma, alpha>, <gamma, beta>) per value, read off the ab:1,0 and ab:0,1 weights."""
+    return WeightSpec("alphabeta", 1, 0).apply(values), WeightSpec("alphabeta", 0, 1).apply(values)
+
+
 def test_pairing_err_bound_below_tol(table11):
-    s = pairing(table11, GammaMatrix(3, 1, 11, 4), 1e-9)
-    assert 0 < s.err_bound <= 1e-9
-    assert s.value == s.alpha + 1j * s.beta
-    assert s.alpha.real == 0 and s.beta.real == 0
+    value, err = pairing(table11, GammaMatrix(3, 1, 11, 4), 1e-9)
+    assert 0 < err <= 1e-9
+    (alpha,), (beta,) = _alpha_beta([value])
+    assert value == alpha + 1j * beta
+    assert alpha.real == 0 and beta.real == 0
 
 
 def test_oracle_pairing_matches_and_height_free(table11):
@@ -144,7 +149,7 @@ def test_oracle_pairing_matches_and_height_free(table11):
         m = lift(Coset(c, d, float(c * c + d * d)))
         o1 = oracle_pairing(table11, m, 1.0, 1e-10)
         o2 = oracle_pairing(table11, m, 2.0, 1e-10)
-        v = pairing(table11, m, 1e-12).value
+        v, _ = pairing(table11, m, 1e-12)
         assert abs(o1 - o2) < 1e-9
         assert abs(o1 - v) < 1e-8
 
@@ -189,13 +194,15 @@ def test_oracle_pairing_c0(table11):
 
 
 def test_decompose_identities():
-    assert decompose(0) == (0, 0)
-    a, b = decompose(2 * math.pi)  # real value: alpha = 0, i*beta = value
+    # value = alpha + i*beta with alpha, beta in i*R, through WeightSpec.apply
+    (a0,), (b0,) = _alpha_beta([0])
+    assert (a0, b0) == (0, 0)
+    (a,), (b,) = _alpha_beta([2 * math.pi])  # real value: alpha = 0, i*beta = value
     assert a == 0 and 1j * b == 2 * math.pi
     rng = random.Random(9)
     for _ in range(50):
         v = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        alpha, beta = decompose(v)
+        (alpha,), (beta,) = _alpha_beta([v])
         assert alpha + 1j * beta == v  # exact recomposition
         assert alpha.real == 0 and beta.real == 0
 
@@ -207,7 +214,7 @@ def test_batch_matches_pairing(table11, batch11_1e4):
     for i in idx:
         c, d = int(batch11_1e4.cs[i]), int(batch11_1e4.ds[i])
         m = lift(Coset(c, d, float(c * c + d * d)))
-        v = pairing(table11, m, 1e-12).value
+        v, _ = pairing(table11, m, 1e-12)
         assert abs(v - batch11_1e4.values[i]) < 1e-10
 
 
@@ -249,7 +256,7 @@ def test_pairing_vs_direct_series(eta_table_1e5):
             m = lift(Coset(c, d, float(c * c + d * d)))
             n_used = tail_terms_needed(1.0 / c, eta_table_1e5.tail_constant, 1e-10)
             ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
-            assert abs(pairing(eta_table_1e5, m, 1e-10).value - ref) < 1e-11
+            assert abs(pairing(eta_table_1e5, m, 1e-10)[0] - ref) < 1e-11
 
 
 @pytest.mark.parametrize("c", [11, 121])
@@ -263,7 +270,7 @@ def test_pairing_vs_direct_series_row_edges(eta_table_1e5, c, rows):
         d = _coprime_d(rng, c, -c, c)
         m = lift(Coset(c, d, float(c * c + d * d)))
         ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
-        assert abs(pairing(eta_table_1e5, m, tol).value - ref) < 1e-11
+        assert abs(pairing(eta_table_1e5, m, tol)[0] - ref) < 1e-11
 
 
 def test_inverse_table_matches_pow():
@@ -293,11 +300,13 @@ def test_batch_count_and_restrict(batch11_1e4):
 
 
 def test_samples_from_batch(batch11_1e4):
-    samples = samples_from_batch(batch11_1e4.restricted(122))
-    assert len(samples) == 3
-    assert samples[0].value == 0
-    for s in samples[1:]:
-        assert s.value == s.alpha + 1j * s.beta
+    # the identity coset is implied by the batch: counted, with symbol 0
+    sub = batch11_1e4.restricted(122)
+    values = np.concatenate([[0j], sub.values])
+    assert len(values) == sub.count == 3
+    assert values[0] == 0
+    alpha, beta = _alpha_beta(values[1:])
+    assert np.array_equal(values[1:], alpha + 1j * beta)
 
 
 def test_eichler_growth_monitored(batch11_1e4):

@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from modsymdist.cosets import volume
-from modsymdist.modsym import samples_from_batch
 from modsymdist.stats import (
     gaussian_moment,
     histogram,
     ks_distance,
-    moments,
     moments_from_arrays,
     normal_cdf,
-    normalize,
     normalize_arrays,
 )
 
@@ -23,10 +20,12 @@ VOL11 = 4 * math.pi
 
 
 def test_normalize_drops_identity(batch11_1e4):
-    samples = samples_from_batch(batch11_1e4)
-    kept, dropped = normalize(samples, 0.0469, VOL11)
+    # the batch implies the identity coset (symbol 0, norm 1); put it back in front
+    values = np.concatenate([[0j], batch11_1e4.values])
+    norms = np.concatenate([[1.0], batch11_1e4.norms])
+    x, y, kept, dropped = normalize_arrays(values, norms, 0.0469, VOL11)
     assert dropped == 1  # only the identity coset has norm <= 1 at z = i
-    assert len(kept) == len(samples) - 1
+    assert len(x) == len(y) == len(kept) == len(values) - 1
 
 
 def test_normalize_zero_and_scaling():
@@ -66,8 +65,9 @@ def test_moments_basics_and_permutation_invariance():
 def test_moments_empty_stream_rejected():
     with pytest.raises(ValueError):
         moments_from_arrays(np.zeros(0), np.zeros(0), 2, 2)
+    x, y, _, _ = normalize_arrays([0j], [1.0], 0.0469, VOL11)  # the identity alone
     with pytest.raises(ValueError):
-        moments([], 2, 2)
+        moments_from_arrays(x, y, 2, 2)
 
 
 def test_moments_match_gaussian_on_synthetic():
@@ -123,9 +123,8 @@ def test_histogram_validation():
 
 
 def test_normalized_sample_validation():
-    from modsymdist.stats import NormalizedSample
-
-    with pytest.raises(ValueError):
-        NormalizedSample(0.0, 0.0, 1.0)  # norm must exceed 1
-    with pytest.raises(ValueError):
-        NormalizedSample(math.nan, 0.0, 2.0)
+    x, y, kept, dropped = normalize_arrays([0j], [1.0], 1.0, VOL11)
+    assert len(x) == len(y) == len(kept) == 0 and dropped == 1  # norm must exceed 1
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_arrays([bad], [2.0], 1.0, VOL11)
