@@ -7,6 +7,7 @@ config and seed produce byte-identical output for any --threads value.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -104,6 +105,12 @@ def _emit_rows(args, header, rows):
         _emit(args, "\n".join(lines))
 
 
+def _require(ok, message):
+    """Reject a flag outside RunConfig; callers write each bound so that NaN fails it."""
+    if not ok:
+        raise ValueError(message)
+
+
 def _batch_for(cfg, T):
     """(curve, table, batch) for every coset with N_z(gamma) <= T at cfg's z and tol."""
     crv = curve_mod.resolve_curve(cfg.curve)
@@ -120,16 +127,18 @@ def _norm_f_sq(crv, table):
 
 
 def _normalized(cfg):
-    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= cfg.T."""
+    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= cfg.T; never empty."""
     crv, table, batch = _batch_for(cfg, cfg.T)
     vol = cosets.volume(crv.N)
     x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, _norm_f_sq(crv, table), vol)
+    _require(len(x) > 0, "no samples with N_z(gamma) > 1 at this T")
     return x, y
 
 
 def cmd_coeffs(args):
     cfg = _cfg_from_args(args)
     crv = curve_mod.resolve_curve(cfg.curve)
+    _require(args.n_max >= 1, "n-max must be >= 1")
     table = curve_mod.coefficient_table(crv, int(args.n_max))
     rows = [(n, int(table.a[n])) for n in range(1, table.n_max + 1)]
     _emit_rows(args, ["n", "a_n"], rows)
@@ -138,7 +147,7 @@ def cmd_coeffs(args):
 
 def cmd_enumerate(args):
     cfg = _cfg_from_args(args)
-    N = int(args.N) if args.N else curve_mod.resolve_curve(cfg.curve).N
+    N = int(args.N) if args.N is not None else curve_mod.resolve_curve(cfg.curve).N
     rows = [(0, 1, 1.0)]  # the identity coset
     for c, ds, norms in cosets.coset_arrays(N, cfg.T, cfg.zc):
         rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
@@ -183,7 +192,8 @@ def cmd_sums(args):
     cfg = _cfg_from_args(args)
     weight = series.WeightSpec.parse(args.weight)
     grid = cfg.T_grid or [cfg.T]
-    U = float(args.smooth_U) if args.smooth_U else None
+    U = float(args.smooth_U) if args.smooth_U is not None else None
+    _require(U is None or 2 <= U < math.inf, "smooth-U must be >= 2 and finite")
     crv, table, batch = _batch_for(cfg, max(grid) * (1 + 1 / U) if U else max(grid))
     const = _theory_constant(weight, cfg, crv, table)
     rows = []
@@ -207,10 +217,8 @@ def cmd_sums(args):
 
 def cmd_moments(args):
     cfg = _cfg_from_args(args)
+    _require(args.nmax >= 0 and args.mmax >= 0, "nmax and mmax must be >= 0")
     x, y = _normalized(cfg)
-    if len(x) == 0:
-        print("error: no samples with N_z(gamma) > 1 at this T", file=sys.stderr)
-        return 1
     rep = stats.moments_from_arrays(x, y, int(args.nmax), int(args.mmax), T=cfg.T)
     rows = [
         (n, m, rep.pairs[(n, m)], rep.gaussian_limit[(n, m)]) for (n, m) in sorted(rep.pairs)
@@ -220,10 +228,15 @@ def cmd_moments(args):
 
 
 def cmd_histogram(args):
-    x, y = _normalized(_cfg_from_args(args))
+    cfg = _cfg_from_args(args)
+    bounds = tuple(float(t) for t in args.range.split(","))
+    _require(
+        len(bounds) == 2 and all(map(math.isfinite, bounds)) and bounds[0] < bounds[1],
+        "range must be two finite numbers 'lo,hi' with lo < hi",
+    )
+    x, y = _normalized(cfg)
     comp = x if args.component == "re" else y
-    lo, hi = (float(t) for t in args.range.split(","))
-    rows = stats.histogram(comp, int(args.bins), (lo, hi))
+    rows = stats.histogram(comp, int(args.bins), bounds)
     _emit_rows(args, ["bin_lo", "bin_hi", "count", "expected"], rows)
     return 0
 
@@ -232,6 +245,7 @@ def cmd_petersson(args):
     cfg = _cfg_from_args(args)
     crv = curve_mod.resolve_curve(cfg.curve)
     X = int(args.X)
+    _require(X >= petersson.RANKIN_MIN_X, f"X must be >= {petersson.RANKIN_MIN_X}")
     table = curve_mod.coefficient_table(crv, X)
     out = []
     est = petersson.rankin_estimate(table, crv.N, X)
@@ -248,7 +262,9 @@ def cmd_petersson(args):
 def cmd_eisenstein(args):
     cfg = _cfg_from_args(args)
     s = complex(float(args.s_re), float(args.s_im))
+    _require(cmath.isfinite(s), "s must be finite")
     T_max = float(args.T_max)
+    _require(1 <= T_max < math.inf, "T-max must be >= 1 and finite")
     _, _, batch = _batch_for(cfg, T_max)
     rep = series.eisenstein_twisted(batch, s, int(args.m), int(args.n), T_max)
     _emit(

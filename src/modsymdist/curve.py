@@ -192,12 +192,25 @@ class CoefficientTable:
             raise ValueError("coefficient array must have length n_max+1")
         if self.a[1] != 1:
             raise ValueError("a_1 must be 1 (newform normalization)")
-        n = np.arange(1, self.n_max + 1)
-        if float(np.max(np.abs(self.a[1:]) / n)) > self.tail_constant:
+        if max_ratio(self.a) > self.tail_constant:
             raise ValueError("tail_constant does not dominate |a_n|/n on the table")
 
 
 DIVISOR_BOUND_START = 1260  # d(n) < sqrt(n) for every n > 1260
+RATIO_CHUNK = 1 << 16  # entries per slice of max_ratio: O(chunk) scratch memory
+
+
+def max_ratio(a):
+    """max |a_n|/n over n = 1..len(a)-1, taken in slices of RATIO_CHUNK entries.
+
+    Equal to np.max(np.abs(a[1:]) / np.arange(1, len(a))), NaN included,
+    without that expression's three length-n temporaries.
+    """
+    peaks = []
+    for lo in range(1, len(a), RATIO_CHUNK):
+        n = np.arange(lo, min(lo + RATIO_CHUNK, len(a)))
+        peaks.append(np.max(np.abs(a[lo : lo + RATIO_CHUNK]) / n))
+    return float(np.max(peaks))
 
 
 def certified_tail_constant(a):
@@ -207,9 +220,8 @@ def certified_tail_constant(a):
     DIVISOR_BOUND_START also at least sqrt(3), the Deligne bound on
     |a_n|/n that covers the untabulated n <= 1260 (see CoefficientTable).
     """
-    n_max = len(a) - 1
-    measured = 1.1 * float(np.max(np.abs(a[1:]) / np.arange(1, n_max + 1)))
-    return measured if n_max >= DIVISOR_BOUND_START else max(measured, math.sqrt(3))
+    measured = 1.1 * max_ratio(a)
+    return measured if len(a) - 1 >= DIVISOR_BOUND_START else max(measured, math.sqrt(3))
 
 
 def hecke_expand(ap, bad_primes, n_max):
@@ -258,54 +270,77 @@ def coefficient_table(curve, n_max):
 
 
 def eta_fft_length(n_max):
-    """FFT length of eta_deep_table_level11(n_max): the power of two >= 2 n_max."""
-    return 1 << (2 * int(n_max) - 1).bit_length()
+    """FFT length of each residue-class convolution in eta_deep_table_level11(n_max).
+
+    The power of two >= 2K - 1, K = ceil(n_max / 11): a class of at most K
+    terms times the K-term prefix R, without wrap-around.
+    """
+    K = -(-int(n_max) // 11)
+    return 1 << (2 * K - 2).bit_length()
+
+
+def _pentagonal(L):
+    """Ascending exponents below L and signs of P(q) = sum_k (-1)^k q^{k(3k-1)/2}."""
+    exps = [0]
+    signs = [1.0]
+    k = 1
+    while k * (3 * k - 1) // 2 < L:
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < L:
+                exps.append(e)
+                signs.append(-1.0 if k % 2 else 1.0)
+        k += 1
+    return np.array(exps, dtype=np.int64), np.array(signs, dtype=np.float64)
 
 
 def eta_deep_table_level11(n_max):
     """Deep coefficient table for the level-11 newform via its eta product.
 
-    The unique weight-2 newform on Gamma_0(11) equals
-    q prod_{n>=1} (1-q^n)^2 (1-q^{11n})^2, so its coefficients to very large
-    index come from squaring the sparse pentagonal-number series
-    D = P(q) P(q^11), P(q) = sum_k (-1)^k q^{k(3k-1)/2}, with one real FFT.
+    The unique weight-2 newform on Gamma_0(11) is f = q D(q)^2 with
+    D = P(q) P(q^11), P(q) = prod_{n>=1} (1-q^n) = sum_k (-1)^k q^{k(3k-1)/2}.
+    So D^2 = E(q) E(q^11) with E = P^2, and modulo q^L (L = n_max) only the
+    first K = ceil(L/11) terms R = E[:K] enter E(q^11).  Splitting the
+    index by its residue mod 11,
+
+        D^2[11u + r] = sum_j E[11(u-j) + r] R[j] = (E_r * R)[u],
+        E_r[v] = E[11v + r],
+
+    eleven convolutions of length ~L/11 replace one of length L.  E is built
+    exactly in a[1:] from the sparse pentagonal series; R is transformed
+    once, before any class is overwritten (class 0 overlaps R), and each
+    class is convolved with an eta_fft_length(n_max)-point real FFT and
+    rounded back into its own slots a[1+r::11].  Zeros are stored as +0.0,
+    so the table depends only on its integer values.  Every class must be
+    integer to ~1e-6, else we raise rather than ship noise.
+
     Point counting is O(p) per prime and cannot reach the ~6*10^6
     coefficients the homomorphism suite needs (verify sizes the table from
     its drawn pairs); this route can, and is cross-validated against the
-    point-count/Hecke table in the tests.  The rounded product
-    must be integer to ~1e-6, else we raise rather than ship noise.
+    point-count/Hecke table in the tests.
     """
     n_max = int(n_max)
     L = n_max
-    exps = [0]
-    signs = [1.0]
-    k = 1
-    while k * (3 * k - 1) // 2 <= L:
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e <= L:
-                exps.append(e)
-                signs.append(-1.0 if k % 2 else 1.0)
-        k += 1
-    exps = np.array(exps, dtype=np.int64)
-    signs = np.array(signs, dtype=np.float64)
-    D = np.zeros(L, dtype=np.float64)
-    for e2, s2 in zip(11 * exps, signs):
-        if e2 >= L:
-            continue
-        m = exps < L - e2
-        np.add.at(D, exps[m] + e2, signs[m] * s2)
-    M = eta_fft_length(L)
-    F = np.fft.rfft(D, M)
-    del D
-    F *= F  # square the spectrum in place: no second M/2-point buffer
-    prod = np.fft.irfft(F, M)[:L]
-    del F
     a = np.zeros(n_max + 1, dtype=np.float64)
-    np.round(prod, out=a[1:])
-    prod -= a[1:]
-    resid = float(np.max(np.abs(prod)))
-    del prod
-    if resid > 1e-6:
+    E = a[1:]  # E[m] is the coefficient of q^m, first of P^2, then of D^2
+    exps, signs = _pentagonal(L)
+    for e2, s2 in zip(exps.tolist(), signs.tolist()):
+        cut = int(np.searchsorted(exps, L - e2))
+        E[exps[:cut] + e2] += signs[:cut] * s2  # distinct indices: no np.add.at
+    M = eta_fft_length(L)
+    R = np.fft.rfft(E[: -(-L // 11)], M)
+    resid = 0.0
+    for r in range(min(11, L)):
+        cls = E[r::11]
+        F = np.fft.rfft(cls, M)
+        F *= R
+        prod = np.fft.irfft(F, M)[: len(cls)]
+        del F
+        np.round(prod, out=cls)
+        cls += 0.0  # -0.0 + 0.0 is +0.0
+        prod -= cls
+        resid = max(resid, float(np.max(np.abs(prod, out=prod))))
+        del prod
+    if not resid <= 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
     return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
 

@@ -98,7 +98,8 @@ def _fold(a, c, n_used):
         np.divide(a[j * c + lo : j * c + hi], row, out=row)
         row *= math.exp(-2 * math.pi * j)
         acc[lo:hi] += row
-    acc *= np.exp(k * (-2 * math.pi / c))
+    np.multiply(k, -2 * math.pi / c, out=buf)
+    acc *= np.exp(buf, out=buf)
     return acc
 
 

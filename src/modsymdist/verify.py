@@ -77,6 +77,12 @@ class Resources:
             self._cache["deep"] = curve_mod.eta_deep_table_level11(n_max)
         return self._cache["deep"]
 
+    def take_deep_table(self):
+        """The deep table, dropped from the cache: criterion 01 is its only reader."""
+        table = self.deep_table()
+        del self._cache["deep"]
+        return table
+
     def lattice(self):
         if "lattice" not in self._cache:
             self._cache["lattice"] = curve_mod.agm_periods(self.curve)
@@ -130,7 +136,7 @@ def homomorphism_pairs(seed, quick):
 def crit_homomorphism(res, quick):
     pairs = homomorphism_pairs(res.seed, quick)
     bound = HOMOMORPHISM_DRAWS[quick][1]
-    table = res.table() if quick else res.deep_table()
+    table = res.table() if quick else res.take_deep_table()
     worst_hom = 0.0
     worst_inv = 0.0
     cmax = 0

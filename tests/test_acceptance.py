@@ -103,7 +103,10 @@ def test_deep_table_size_covers_drawn_pairs():
         for c in cs:
             assert modsym.tail_terms_needed(1.0 / c, verify.ETA11_TAIL_CONSTANT,
                                             verify.HOMOMORPHISM_TOL) <= n_max
-        assert curve.eta_fft_length(n_max) == 1 << 24
+        # eleven residue-class convolutions of ~n_max/11 terms each
+        assert curve.eta_fft_length(n_max) <= 1 << 21
+        if seed == 11:
+            assert curve.eta_fft_length(n_max) == 1 << 20
     # the sizing constant is the one the built table certifies (max at n = 1, 2)
     assert curve.eta_deep_table_level11(30000).tail_constant == verify.ETA11_TAIL_CONSTANT
 

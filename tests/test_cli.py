@@ -189,20 +189,42 @@ def test_T_zero_is_rejected_not_replaced(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--z", "5"], "z must be two finite numbers"),
-        (["--z", "0,1,7"], "z must be two finite numbers"),
-        (["--z", "0,nan"], "z must be two finite numbers"),
-        (["--T", "nan"], "T must be >= 1"),
-        (["--T", "inf"], "T must be finite"),
-        (["--tol", "nan"], "tol must be positive and finite"),
-        (["--tol", "inf"], "tol must be positive and finite"),
+        (["symbols", "--T", "500", "--z", "5"], "z must be two finite numbers"),
+        (["symbols", "--T", "500", "--z", "0,1,7"], "z must be two finite numbers"),
+        (["symbols", "--T", "500", "--z", "0,nan"], "z must be two finite numbers"),
+        (["symbols", "--T", "nan"], "T must be >= 1"),
+        (["symbols", "--T", "inf"], "T must be finite"),
+        (["symbols", "--T", "500", "--tol", "nan"], "tol must be positive and finite"),
+        (["symbols", "--T", "500", "--tol", "inf"], "tol must be positive and finite"),
+        # flags outside RunConfig
+        (["eisenstein", "--T-max", "nan"], "T-max must be >= 1 and finite"),
+        (["eisenstein", "--T-max", "inf"], "T-max must be >= 1 and finite"),
+        (["eisenstein", "--s-im", "nan"], "s must be finite"),
+        (["sums", "--T", "1000", "--smooth-U", "nan"], "smooth-U must be >= 2 and finite"),
+        (["sums", "--T", "1000", "--smooth-U", "0"], "smooth-U must be >= 2 and finite"),
+        (["sums", "--T", "1000", "--smooth-U", "inf"], "smooth-U must be >= 2 and finite"),
+        (["histogram", "--T", "1000", "--range", "nan,1"], "range must be two finite numbers"),
+        (["histogram", "--T", "1000", "--range", "1"], "range must be two finite numbers"),
+        (["moments", "--T", "1000", "--nmax", "-1"], "nmax and mmax must be >= 0"),
+        (["coeffs", "--n-max", "0"], "n-max must be >= 1"),
+        (["petersson", "--X", "0"], "X must be >= 1000"),
+        (["enumerate", "--N", "0"], "N must be a positive integer"),
     ],
 )
 def test_bad_run_flags_exit_1(capsys, flags, message):
-    code = main(["symbols", "--curve", "11a", "--T", "500", *flags])
+    code = main(flags)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["histogram", "--bins", "2"]])
+def test_no_samples_exit_1(capsys, argv):
+    # no coset has 1 < N_z(gamma) <= 100: both commands refuse, neither prints rows
+    code = main([*argv, "--curve", "11a", "--T", "100"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: no samples with N_z(gamma) > 1 at this T\n"
 
 
 def test_unknown_subcommand_usage_error():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from modsymdist.curve import (
     CurveSpec,
     agm_periods,
     DIVISOR_BOUND_START,
+    RATIO_CHUNK,
     ap_count,
     certified_tail_constant,
     coefficient_table,
@@ -19,6 +21,7 @@ from modsymdist.curve import (
     eta_fft_length,
     hecke_expand,
     lattice_distance,
+    max_ratio,
     resolve_curve,
 )
 
@@ -233,10 +236,70 @@ def test_eta_deep_table_matches_hecke(table11):
     assert deep.tail_constant <= 2.0
 
 
+def _eta11_product(n_terms):
+    """prod (1-q^n)^2 (1-q^{11n})^2 to q^{n_terms-1}, multiplied out in Python ints."""
+    c = np.zeros(n_terms, dtype=object)
+    c[0] = 1
+    for k in range(1, n_terms):
+        for step in (k, k, 11 * k, 11 * k):
+            if step < n_terms:
+                c[step:] = c[step:] - c[:-step]  # right side is read before the write
+    return c
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 10, 11, 12, 22, 23, 2000])
+def test_eta_deep_table_is_exact_eta_product(n_max):
+    # below n_max = 11 some residue classes mod 11 are empty
+    a = eta_deep_table_level11(n_max).a
+    assert a[0] == 0
+    assert a[1:].tolist() == _eta11_product(n_max).tolist()
+    assert not np.signbit(a[a == 0]).any()  # zeros are +0.0 whatever the FFT layout
+
+
 def test_eta_fft_length_is_power_of_two_cover():
-    assert [eta_fft_length(n) for n in (1, 2, 3, 4, 5)] == [2, 4, 8, 8, 16]
-    assert eta_fft_length(1 << 23) == 1 << 24
-    assert eta_fft_length((1 << 23) + 1) == 1 << 25
+    # a class of K = ceil(n/11) terms times the K-term prefix: 2K - 1 points, no wrap
+    assert [eta_fft_length(n) for n in (1, 11, 12, 22, 23, 44, 45)] == [1, 1, 4, 4, 8, 8, 16]
+    assert eta_fft_length(11 << 19) == 1 << 20
+    assert eta_fft_length((11 << 19) + 1) == 1 << 21
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eta_deep_table_peak_memory():
+    # tracemalloc sees numpy's buffers: the build holds the table plus O(n/11) scratch
+    n_max = 10 ** 6
+    peak = _traced_peak(lambda: eta_deep_table_level11(n_max))
+    assert peak <= 2.5 * 8 * (n_max + 1)
+
+
+def test_max_ratio_matches_full_expression():
+    rng = np.random.default_rng(5)
+    for length in (2, RATIO_CHUNK, RATIO_CHUNK + 1, RATIO_CHUNK + 2, 3 * RATIO_CHUNK + 7):
+        a = rng.integers(-50, 50, size=length).astype(np.float64)
+        full = float(np.max(np.abs(a[1:]) / np.arange(1, length)))
+        assert max_ratio(a) == full
+        a[-1] = np.nan
+        assert math.isnan(max_ratio(a))
+    with pytest.raises(ValueError):
+        max_ratio(np.zeros(1))
+
+
+def test_coefficient_table_checks_in_chunks():
+    n_max = 4 * 10 ** 6
+    a = np.zeros(n_max + 1)
+    a[1] = 1.0
+    a[2::7] = -2.0
+    peak = _traced_peak(
+        lambda: CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
+    )
+    assert peak <= 8 * 8 * RATIO_CHUNK  # a few chunk-sized buffers, not length-n_max ones
 
 
 def test_lattice_distance_zero_for_lattice_points(lattice11):
