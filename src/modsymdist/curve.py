@@ -35,6 +35,16 @@ class CurveSpec:
             raise ValueError("singular Weierstrass model (discriminant 0)")
         if self.N < 11:
             raise ValueError(f"conductor N={self.N} < 11 has no weight-2 rational newform")
+        # a prime of N prime to the discriminant has good reduction; the converse is
+        # not checked, since a non-minimal model has extra primes in the discriminant
+        delta, good = self.discriminant(), self.N
+        while (g := math.gcd(good, delta)) > 1:
+            good //= g
+        if good > 1:
+            raise ValueError(
+                f"conductor N={self.N} has a prime of good reduction: "
+                f"its factor {good} is prime to the discriminant {delta}"
+            )
 
     def b_invariants(self):
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -105,11 +115,13 @@ def is_prime(p):
 
 
 def ap_count(curve, p):
-    """a_p from point counts over F_p.
+    """a_p = p + 1 - #E~(F_p), the projective points of the reduction mod p.
 
-    Good p: a_p = p + 1 - #E(F_p) (projective points).
-    Bad p (p | N): a_p = p - #E^sm(F_p) counting smooth points only, which
-    lands in {0, +1, -1} for additive / split / non-split reduction.
+    One rule for every prime.  At good p this is the trace of Frobenius.  At
+    bad p the reduced cubic is singular with exactly one singular point, and
+    that point is F_p-rational (Silverman, GTM 106, III.1), so the count is
+    the smooth-point rule a_p = p - #E~_ns(F_p): 0, +1, -1 for additive,
+    split, non-split reduction.
     """
     p = int(p)
     if not is_prime(p):
@@ -117,54 +129,22 @@ def ap_count(curve, p):
     if p > AP_PRIME_BOUND:
         raise ValueError(f"p={p} exceeds point-counting bound {AP_PRIME_BOUND}")
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    good = curve.N % p != 0
 
     if p == 2:
-        pts = [
-            (x, y)
-            for x in range(2)
-            for y in range(2)
-            if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0
-        ]
-        if good:
-            return 2 + 1 - (len(pts) + 1)
-        smooth = sum(
-            1
-            for x, y in pts
-            if (a1 * y - 3 * x * x - 2 * a2 * x - a4) % 2 != 0
-            or (2 * y + a1 * x + a3) % 2 != 0
+        return 2 - sum(
+            (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0
+            for x in range(2) for y in range(2)
         )
-        return 2 - (smooth + 1)
 
     x = np.arange(p, dtype=np.int64)
     rhs = (x * x % p * x + a2 * x * x + a4 * x + a6) % p
     B = (a1 * x + a3) % p
-    # complete the square: y = (-B +- sqrt(D))/2 with D = B^2 + 4 rhs
+    # complete the square: y = (-B +- sqrt(D))/2 with D = B^2 + 4 rhs, so each
+    # x has 2, 1 or 0 points as D is a nonzero square, zero or a non-square
     D = (B * B + 4 * rhs) % p
     sq = np.zeros(p, dtype=bool)
-    sq[(x * x) % p] = True
-    counts = np.where(D == 0, 1, np.where(sq[D], 2, 0))
-    if good:
-        return p + 1 - (int(counts.sum()) + 1)
-
-    # bad prime: walk the solutions and drop singular points
-    sqrt_tab = np.zeros(p, dtype=np.int64)
-    sqrt_tab[(x * x) % p] = x
-    inv2 = pow(2, -1, p)
-    smooth = 0
-    for xi in np.nonzero(counts)[0]:
-        xi = int(xi)
-        if D[xi] == 0:
-            ys = [(-int(B[xi]) * inv2) % p]
-        else:
-            r = int(sqrt_tab[D[xi]])
-            ys = [((-int(B[xi]) + r) * inv2) % p, ((-int(B[xi]) - r) * inv2) % p]
-        for y in ys:
-            fx = (a1 * y - 3 * xi * xi - 2 * a2 * xi - a4) % p
-            fy = (2 * y + a1 * xi + a3) % p
-            if fx != 0 or fy != 0:
-                smooth += 1
-    return p - (smooth + 1)
+    sq[(x * x) % p] = True  # the squares mod p, 0 included
+    return p - 2 * int(np.count_nonzero(sq[D])) + int(np.count_nonzero(D == 0))
 
 
 @dataclass(frozen=True)
@@ -227,8 +207,9 @@ def certified_tail_constant(a):
 def hecke_expand(ap, bad_primes, n_max):
     """Expand prime coefficients to a full CoefficientTable.
 
-    Good prime powers follow a_{p^r} = a_p a_{p^{r-1}} - p a_{p^{r-2}},
-    bad primes use a_{p^r} = a_p^r, and coprime indices multiply.
+    Prime powers follow a_{p^k} = a_p a_{p^{k-1}} - chi(p) p a_{p^{k-2}},
+    with chi(p) = 0 at the bad primes and 1 elsewhere, and coprime indices
+    multiply.  a[0] = 0 stands in for a_{p^{-1}}, so k = 1 gives a_p.
     """
     n_max = int(n_max)
     primes = sieve_primes(n_max)
@@ -241,31 +222,28 @@ def hecke_expand(ap, bad_primes, n_max):
     spf = np.zeros(n_max + 1, dtype=np.int64)
     for p in primes:
         sl = spf[p::p]
-        sl[sl == 0] = p
-        spf[p::p] = sl
+        sl[sl == 0] = p  # sl is a view: this writes spf
     for n in range(2, n_max + 1):
         p = int(spf[n])
         m = n
-        k = 0
         while m % p == 0:
             m //= p
-            k += 1
         if m > 1:
             a[n] = a[m] * a[n // m]
-        elif p in bad_primes:
-            a[n] = float(ap[p]) ** k
-        elif k == 1:
-            a[n] = ap[p]
-        else:
-            a[n] = ap[p] * a[p ** (k - 1)] - p * a[p ** (k - 2)]
+        else:  # n = p^k
+            chi = 0 if p in bad_primes else 1
+            a[n] = ap[p] * a[n // p] - chi * p * a[n // (p * p)]
     return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
 
 
 def coefficient_table(curve, n_max):
     """Point-count a_p for p <= n_max and Hecke-expand."""
     curve = resolve_curve(curve)
-    ap = {int(p): ap_count(curve, int(p)) for p in sieve_primes(n_max)}
-    bad = {int(p) for p in ap if curve.N % p == 0}
+    primes = sieve_primes(n_max)
+    if len(primes) and primes[-1] > AP_PRIME_BOUND:
+        raise ValueError(f"p={int(primes[-1])} exceeds point-counting bound {AP_PRIME_BOUND}")
+    ap = {int(p): ap_count(curve, int(p)) for p in primes}
+    bad = {p for p in ap if curve.N % p == 0}
     return hecke_expand(ap, bad, n_max)
 
 

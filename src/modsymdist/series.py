@@ -283,10 +283,12 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
 
     Im(gamma z) = y / N_z(gamma), so the general term is
     v^m conj(v)^n (y / norm)^s; the identity coset contributes y^s (m=n=0
-    only).  Outside the absolute-convergence region Re(s) > 1 the sum is
-    refused.  The tail estimate extrapolates the last decade's shell of
+    only).  Negative m or n, and Re(s) <= 1 (outside absolute convergence),
+    are refused.  The tail estimate extrapolates the last decade's shell of
     |terms| geometrically and is reported separately, never folded in.
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"exponents m={m}, n={n} must be >= 0")
     s = complex(s)
     if s.real <= 1:
         raise ValueError("Re(s) must exceed 1 (absolute convergence region)")

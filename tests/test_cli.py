@@ -209,6 +209,13 @@ def test_T_zero_is_rejected_not_replaced(capsys):
         (["coeffs", "--n-max", "0"], "n-max must be >= 1"),
         (["petersson", "--X", "0"], "X must be >= 1000"),
         (["enumerate", "--N", "0"], "N must be a positive integer"),
+        # a conductor with a prime of good reduction (11a's discriminant is -11^5)
+        (["coeffs", "--curve", "0,-1,1,-10,-20,12", "--n-max", "4"],
+         "conductor N=12 has a prime of good reduction"),
+        (["coeffs", "--curve", "0,-1,1,-10,-20,22", "--n-max", "4"],
+         "conductor N=22 has a prime of good reduction"),
+        (["eisenstein", "--m", "-1", "--T-max", "1e3"], "exponents m=-1, n=0 must be >= 0"),
+        (["eisenstein", "--n", "-1", "--T-max", "1e3"], "exponents m=1, n=-1 must be >= 0"),
     ],
 )
 def test_bad_run_flags_exit_1(capsys, flags, message):

@@ -11,6 +11,7 @@ from modsymdist import curve as curve_mod
 from modsymdist.curve import (
     CoefficientTable,
     CurveSpec,
+    PRESETS,
     agm_periods,
     DIVISOR_BOUND_START,
     RATIO_CHUNK,
@@ -46,10 +47,41 @@ def count_points_naive(curve, p):
     return cnt
 
 
+# Models beyond the presets: 14a (composite level, multiplicative at 2 and 7)
+# and three with additive primes, 27a (3), 36a (2 and 3) and 20a (2).
+CURVE_14A = "1,0,1,4,-6,14"
+CURVE_27A = "0,0,1,0,-7,27"
+CURVE_36A = "0,0,0,0,1,36"
+CURVE_20A = "0,1,0,4,4,20"
+
+
 def test_ap_good_primes_vs_naive_count(curve11):
-    for p in (2, 3, 5, 7, 13, 17, 19):
-        assert ap_count(curve11, p) == p + 1 - count_points_naive(curve11, p)
+    # one rule at every prime, bad primes included: a_p = p + 1 - #E~(F_p)
+    for spec in ("11a", "37a", CURVE_14A, CURVE_27A, CURVE_36A, CURVE_20A):
+        crv = resolve_curve(spec)
+        for p in curve_mod.sieve_primes(50).tolist():
+            assert ap_count(crv, p) == p + 1 - count_points_naive(crv, p), (spec, p)
     assert ap_count(curve11, 19) == 0  # #E(F_19) = 20 = p + 1
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (CURVE_14A, {2: -1, 7: 1}),
+        (CURVE_27A, {3: 0}),
+        (CURVE_36A, {2: 0, 3: 0}),
+        (CURVE_20A, {2: 0, 5: -1}),
+    ],
+)
+def test_ap_bad_primes_pinned(spec, expected):
+    crv = resolve_curve(spec)
+    assert {p: ap_count(crv, p) for p in expected} == expected
+
+
+def test_additive_prime_powers_vanish():
+    # chi(3) = 0 and a_3 = 0 on 27a, so every a_{3^k} is 0
+    t = coefficient_table(CURVE_27A, 30)
+    assert t.a[3] == t.a[9] == t.a[27] == 0
 
 
 def test_ap_11a_p2_exhaustive(curve11):
@@ -73,6 +105,21 @@ def test_ap_rejects_bad_input(curve11):
         ap_count(curve11, 15)
     with pytest.raises(ValueError):
         ap_count(curve11, 10 ** 6 + 3)
+
+
+def test_coefficient_table_checks_bound_before_counting(monkeypatch):
+    # primes up to 103 pass 100: refuse before the first count, not at p = 101
+    calls = []
+
+    def counting(curve, p):
+        calls.append(p)
+        return ap_count(curve, p)
+
+    monkeypatch.setattr(curve_mod, "AP_PRIME_BOUND", 100)
+    monkeypatch.setattr(curve_mod, "ap_count", counting)
+    with pytest.raises(ValueError, match="p=103 exceeds point-counting bound 100"):
+        coefficient_table("11a", 103)
+    assert calls == []
 
 
 def test_hasse_bound(table11, curve11):
@@ -164,9 +211,23 @@ def test_curve_spec_validation():
         CurveSpec(0, 0, 0, 0, 0, 11)  # singular
     with pytest.raises(ValueError):
         CurveSpec(0, -1, 1, -10, -20, 5)  # conductor too small
+    # 11a's discriminant is -11^5: 2 and 3 are primes of good reduction
+    for N in (12, 22, 33):
+        with pytest.raises(ValueError, match=f"conductor N={N} has a prime of good reduction"):
+            CurveSpec(0, -1, 1, -10, -20, N)
     assert resolve_curve("0,-1,1,-10,-20,11") == resolve_curve("11a")
     with pytest.raises(ValueError):
         resolve_curve("not-a-curve")
+
+
+def test_known_models_pass_conductor_check():
+    # the presets, the benchmark's 14a, 43a and 389a, and every model the tests use
+    specs = [*PRESETS, CURVE_14A, "0,1,1,0,0,43", "0,1,1,-2,0,389"]
+    specs += [CURVE_27A, CURVE_36A, CURVE_20A, "0,-1,1,-10,-20,11"]
+    for spec in specs:
+        crv = resolve_curve(spec)  # raises if a prime of N were prime to the discriminant
+        bad = [p for p in curve_mod.sieve_primes(crv.N).tolist() if crv.N % p == 0]
+        assert bad and all(crv.discriminant() % p == 0 for p in bad)
 
 
 def test_agm_periods_11a_vs_oracle():

@@ -183,6 +183,17 @@ def test_eisenstein_rejects_low_s(batch11_1e4):
         eisenstein_twisted(batch11_1e4, 0.5 + 3j, 1, 1)
 
 
+def test_eisenstein_rejects_negative_exponents(batch11_1e4):
+    for m, n in ((-1, 0), (0, -1), (-2, -2)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            eisenstein_twisted(batch11_1e4, 2.0, m, n)
+    # m + n > 6 is summed like any other pair
+    rep = eisenstein_twisted(batch11_1e4, 2.0, 4, 3, 10 ** 3)
+    b = batch11_1e4.restricted(10 ** 3)
+    terms = b.values ** 4 * np.conj(b.values) ** 3 * (1.0 / b.norms) ** complex(2.0)
+    assert rep.value == cfsum(terms)
+
+
 def test_asymptotic_constants_table(table11):
     nfsq = 0.0469001478734952  # 11a lattice value
     h_i = antiderivative(table11, 1j, 1e-13)
