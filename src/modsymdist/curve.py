@@ -122,29 +122,50 @@ def ap_count(curve, p):
     that point is F_p-rational (Silverman, GTM 106, III.1), so the count is
     the smooth-point rule a_p = p - #E~_ns(F_p): 0, +1, -1 for additive,
     split, non-split reduction.
+
+    For odd p, completing the square (y = (-B +- sqrt(D))/2, B = a1 x + a3)
+    gives #affine points = sum_x (1 + chi(D(x))) with chi the Legendre
+    symbol and D = B^2 + 4 rhs = 4x^3 + b2 x^2 + 2 b4 x + b6, so
+
+        a_p = -sum_{x in F_p} chi(D(x)).
+
+    This holds at bad p too: the singular point is a root of D with one y,
+    and chi(0) = 0 counts it once.  The coefficients are reduced mod p as
+    Python ints, so any model size is exact, and D = ((4x + b2) x + 2 b4) x
+    + b6 is evaluated by Horner in int64 with two reductions mod p.  The
+    largest intermediate is below 5 p^2, which must stay below 2^63: it is
+    at most 5 * 10^12 under AP_PRIME_BOUND.
     """
     p = int(p)
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p > AP_PRIME_BOUND:
         raise ValueError(f"p={p} exceeds point-counting bound {AP_PRIME_BOUND}")
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
 
     if p == 2:
+        a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
         return 2 - sum(
             (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0
             for x in range(2) for y in range(2)
         )
 
+    b2, b4, b6, _ = curve.b_invariants()
     x = np.arange(p, dtype=np.int64)
-    rhs = (x * x % p * x + a2 * x * x + a4 * x + a6) % p
-    B = (a1 * x + a3) % p
-    # complete the square: y = (-B +- sqrt(D))/2 with D = B^2 + 4 rhs, so each
-    # x has 2, 1 or 0 points as D is a nonzero square, zero or a non-square
-    D = (B * B + 4 * rhs) % p
-    sq = np.zeros(p, dtype=bool)
-    sq[(x * x) % p] = True  # the squares mod p, 0 included
-    return p - 2 * int(np.count_nonzero(sq[D])) + int(np.count_nonzero(D == 0))
+    D = x * 4  # in place from here on: one length-p buffer
+    D += b2 % p  # < 5p
+    D *= x
+    D += 2 * b4 % p  # < 5p^2 + p
+    D %= p
+    D *= x
+    D += b6 % p
+    D %= p
+    h = np.arange((p + 1) // 2, dtype=np.int64)
+    h *= h
+    h %= p  # h = 0..(p-1)/2 reaches every square
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[h] = 1
+    chi[0] = 0
+    return -int(chi[D].sum())
 
 
 @dataclass(frozen=True)

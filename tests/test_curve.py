@@ -36,32 +36,72 @@ OMEGA2_37A = 2.4513893819867901j
 
 
 def count_points_naive(curve, p):
-    """Brute-force projective point count over F_p. For verification only."""
-    cnt = 1  # point at infinity
-    for x in range(p):
-        for y in range(p):
-            lhs = (y * y + curve.a1 * x * y + curve.a3 * y) % p
-            rhs = (x ** 3 + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
-            if lhs == rhs:
-                cnt += 1
-    return cnt
+    """Brute-force projective point count over F_p. For verification only.
+
+    Tests the Weierstrass equation itself at every (x, y) in F_p^2, with the
+    coefficients reduced mod p; no b-invariants, no completed square.
+    """
+    a1, a2, a3, a4, a6 = (c % p for c in (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6))
+    x = np.arange(p, dtype=np.int64)[:, None]
+    y = np.arange(p, dtype=np.int64)[None, :]
+    lhs = (y * y + a1 * x * y + a3 * y) % p
+    rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
+    return 1 + int(np.count_nonzero(lhs == rhs))  # 1: the point at infinity
 
 
-# Models beyond the presets: 14a (composite level, multiplicative at 2 and 7)
-# and three with additive primes, 27a (3), 36a (2 and 3) and 20a (2).
+# Models beyond the presets: 14a (composite level, multiplicative at 2 and 7),
+# 43a and 389a (ranks 1 and 2), and three with additive primes, 27a (3),
+# 36a (2 and 3) and 20a (2).
 CURVE_14A = "1,0,1,4,-6,14"
 CURVE_27A = "0,0,1,0,-7,27"
 CURVE_36A = "0,0,0,0,1,36"
 CURVE_20A = "0,1,0,4,4,20"
+CURVE_43A = "0,1,1,0,0,43"
+CURVE_389A = "0,1,1,-2,0,389"
 
 
 def test_ap_good_primes_vs_naive_count(curve11):
     # one rule at every prime, bad primes included: a_p = p + 1 - #E~(F_p)
-    for spec in ("11a", "37a", CURVE_14A, CURVE_27A, CURVE_36A, CURVE_20A):
+    specs = ("11a", "37a", CURVE_14A, CURVE_43A, CURVE_389A, CURVE_27A, CURVE_36A, CURVE_20A)
+    for spec in specs:
         crv = resolve_curve(spec)
-        for p in curve_mod.sieve_primes(50).tolist():
+        for p in curve_mod.sieve_primes(400).tolist():
             assert ap_count(crv, p) == p + 1 - count_points_naive(crv, p), (spec, p)
     assert ap_count(curve11, 19) == 0  # #E(F_19) = 20 = p + 1
+
+
+@pytest.mark.parametrize(
+    "spec, sum_ap, sum_p_ap",
+    [
+        ("37a", -4096, -88159106),
+        (CURVE_14A, 1584, 22129705),
+        (CURVE_43A, -5225, -122174157),
+        (CURVE_389A, -6440, -110715054),
+    ],
+)
+def test_ap_fingerprint_to_30000(spec, sum_ap, sum_p_ap):
+    # sum a_p and sum p a_p over p <= 3*10^4, pinned from a count that tested
+    # D(x) for a square pointwise rather than summing its character
+    crv = resolve_curve(spec)
+    primes = curve_mod.sieve_primes(30000).tolist()
+    ap = [ap_count(crv, p) for p in primes]
+    assert (sum(ap), sum(p * a for p, a in zip(primes, ap))) == (sum_ap, sum_p_ap)
+
+
+def _shifted_11a(r):
+    """11a under x -> x + r: the same curve, with coefficients of size r^3."""
+    return CurveSpec(0, 3 * r - 1, 1, 3 * r * r - 2 * r - 10, r ** 3 - r * r - 10 * r - 20, 11)
+
+
+@pytest.mark.parametrize("r", [2 * 10 ** 6, 3 * 10 ** 6])
+def test_ap_large_model_coefficients_exact(curve11, r):
+    # |a6| ~ 8e18 and 2.7e19 > 2^63: products of the raw coefficients overflow
+    # int64, so they must be reduced mod p before any array arithmetic
+    crv = _shifted_11a(r)
+    assert abs(crv.a6) > 10 ** 18
+    for p in curve_mod.sieve_primes(100).tolist():
+        assert ap_count(crv, p) == ap_count(curve11, p), p
+    assert ap_count(crv, 999983) == ap_count(curve11, 999983) == 1194
 
 
 @pytest.mark.parametrize(
@@ -222,7 +262,7 @@ def test_curve_spec_validation():
 
 def test_known_models_pass_conductor_check():
     # the presets, the benchmark's 14a, 43a and 389a, and every model the tests use
-    specs = [*PRESETS, CURVE_14A, "0,1,1,0,0,43", "0,1,1,-2,0,389"]
+    specs = [*PRESETS, CURVE_14A, CURVE_43A, CURVE_389A]
     specs += [CURVE_27A, CURVE_36A, CURVE_20A, "0,-1,1,-10,-20,11"]
     for spec in specs:
         crv = resolve_curve(spec)  # raises if a prime of N were prime to the discriminant
