@@ -15,7 +15,6 @@ from .curve import (
     agm_periods,
     ap_count,
     coefficient_table,
-    hecke_expand,
     resolve_curve,
 )
 from .modsym import (

@@ -172,29 +172,27 @@ def ap_count(curve, p):
 class CoefficientTable:
     """Fourier coefficients a_1..a_n_max with a certified linear tail bound.
 
-    a[0] is unused padding so that a[n] is the n-th coefficient.  The tail
-    constant C is asserted on the table, |a_n| <= C n for every tabulated n,
-    and tail_terms_needed applies it to every n > n_max as well.  That
-    extrapolation rests on Deligne's bound |a_n| <= d(n) sqrt(n) together
-    with two facts about the divisor function: d(n)/sqrt(n) <= sqrt(3) for
-    all n (equality at n = 12), and d(n) < sqrt(n) for n > 1260.  Hence
-    |a_n|/n <= sqrt(3) everywhere and |a_n|/n < 1 beyond 1260.  So
-    certified_tail_constant dominates the tail: it is 1.1 times the
-    measured maximum (at least 1.1, since a_1 = 1), raised to sqrt(3) when
-    n_max < 1260.
+    Built from the array alone.  a[0] is unused padding so that a[n] is the
+    n-th coefficient, n_max = len(a) - 1, and the tail constant C is derived
+    by certified_tail_constant, so |a_n| <= C n holds on the table by
+    construction; tail_terms_needed applies it to every n > n_max as well.
+    That rests on Deligne's bound |a_n| <= d(n) sqrt(n) and two facts about
+    the divisor function: d(n)/sqrt(n) <= sqrt(3) for all n (equality at
+    n = 12), and d(n) < sqrt(n) for n > 1260.  Hence |a_n|/n <= sqrt(3)
+    everywhere and |a_n|/n < 1 beyond 1260, which C covers: it is 1.1 times
+    the measured maximum (at least 1.1, since a_1 = 1), raised to sqrt(3)
+    when n_max < 1260.
     """
 
-    n_max: int
     a: np.ndarray = field(repr=False)
-    tail_constant: float
+    n_max: int = field(init=False)
+    tail_constant: float = field(init=False)
 
     def __post_init__(self):
-        if self.a.shape != (self.n_max + 1,):
-            raise ValueError("coefficient array must have length n_max+1")
-        if self.a[1] != 1:
+        if len(self.a) < 2 or self.a[1] != 1:
             raise ValueError("a_1 must be 1 (newform normalization)")
-        if max_ratio(self.a) > self.tail_constant:
-            raise ValueError("tail_constant does not dominate |a_n|/n on the table")
+        object.__setattr__(self, "n_max", len(self.a) - 1)
+        object.__setattr__(self, "tail_constant", certified_tail_constant(self.a))
 
 
 DIVISOR_BOUND_START = 1260  # d(n) < sqrt(n) for every n > 1260
@@ -225,47 +223,45 @@ def certified_tail_constant(a):
     return measured if len(a) - 1 >= DIVISOR_BOUND_START else max(measured, math.sqrt(3))
 
 
-def hecke_expand(ap, bad_primes, n_max):
-    """Expand prime coefficients to a full CoefficientTable.
-
-    Prime powers follow a_{p^k} = a_p a_{p^{k-1}} - chi(p) p a_{p^{k-2}},
-    with chi(p) = 0 at the bad primes and 1 elsewhere, and coprime indices
-    multiply.  a[0] = 0 stands in for a_{p^{-1}}, so k = 1 gives a_p.
-    """
+def _checked_n_max(n_max):
     n_max = int(n_max)
-    primes = sieve_primes(n_max)
-    for p in primes:
-        if int(p) not in ap:
-            raise ValueError(f"missing prime coefficient a_{int(p)}")
-    a = np.zeros(n_max + 1, dtype=np.float64)
-    if n_max >= 1:
-        a[1] = 1.0
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in primes:
-        sl = spf[p::p]
-        sl[sl == 0] = p  # sl is a view: this writes spf
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        if m > 1:
-            a[n] = a[m] * a[n // m]
-        else:  # n = p^k
-            chi = 0 if p in bad_primes else 1
-            a[n] = ap[p] * a[n // p] - chi * p * a[n // (p * p)]
-    return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max} must be >= 1")
+    return n_max
 
 
 def coefficient_table(curve, n_max):
-    """Point-count a_p for p <= n_max and Hecke-expand."""
+    """Point-count a_p for p <= n_max and Hecke-expand them in one array.
+
+    The primes are taken in increasing order.  Each p sets a_p = ap_count,
+    then its powers by a_{p^k} = a_p a_{p^{k-1}} - chi(p) p a_{p^{k-2}}
+    (chi(p) = 0 if p | N, else 1; a[0] = 0 stands in for a_{p^{-1}}), then
+    sweeps a[q m] = a[q] a[m] over every power q = p^k and every m >= 2
+    prime to p.  Invariant: when p's turn starts, a_m is final for every m
+    whose primes are all below p, and 0 for every other m > 1.  So each n is
+    written last by the sweep of its largest prime, from final factors.
+    """
+    n_max = _checked_n_max(n_max)
     curve = resolve_curve(curve)
-    primes = sieve_primes(n_max)
-    if len(primes) and primes[-1] > AP_PRIME_BOUND:
-        raise ValueError(f"p={int(primes[-1])} exceeds point-counting bound {AP_PRIME_BOUND}")
-    ap = {int(p): ap_count(curve, int(p)) for p in primes}
-    bad = {p for p in ap if curve.N % p == 0}
-    return hecke_expand(ap, bad, n_max)
+    primes = sieve_primes(n_max).tolist()
+    if primes and primes[-1] > AP_PRIME_BOUND:
+        raise ValueError(f"p={primes[-1]} exceeds point-counting bound {AP_PRIME_BOUND}")
+    a = np.zeros(n_max + 1, dtype=np.float64)
+    a[1] = 1.0
+    for p in primes:
+        chi = 0 if curve.N % p == 0 else 1
+        a[p] = ap_count(curve, p)
+        q = p
+        while q * p <= n_max:
+            a[q * p] = a[p] * a[q] - chi * p * a[q // p]
+            q *= p
+        q = p
+        while 2 * q <= n_max:
+            m = np.arange(2, n_max // q + 1)
+            m = m[m % p != 0]
+            a[q * m] = a[q] * a[m]
+            q *= p
+    return CoefficientTable(a)
 
 
 def eta_fft_length(n_max):
@@ -317,7 +313,7 @@ def eta_deep_table_level11(n_max):
     its drawn pairs); this route can, and is cross-validated against the
     point-count/Hecke table in the tests.
     """
-    n_max = int(n_max)
+    n_max = _checked_n_max(n_max)
     L = n_max
     a = np.zeros(n_max + 1, dtype=np.float64)
     E = a[1:]  # E[m] is the coefficient of q^m, first of P^2, then of D^2
@@ -341,7 +337,7 @@ def eta_deep_table_level11(n_max):
         del prod
     if not resid <= 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
-    return CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
+    return CoefficientTable(a)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +360,7 @@ class PeriodLattice:
             raise ValueError("lattice area must be positive")
 
 
-def _agm(a, b, precision, cap=64):
+def _agm(a, b, precision=1e-14, cap=64):
     for _ in range(cap):
         if abs(a - b) <= precision * max(abs(a), 1e-300):
             return a
@@ -375,7 +371,7 @@ def _agm(a, b, precision, cap=64):
     raise ArithmeticError(f"AGM did not converge within {cap} iterations")
 
 
-def agm_periods(curve, precision=1e-14):
+def agm_periods(curve):
     """Period lattice of the model differential dx/(2y + a1 x + a3) via AGM.
 
     Roots e_i of 4x^3 + b2 x^2 + 2 b4 x + b6 give, for positive discriminant
@@ -399,14 +395,14 @@ def agm_periods(curve, precision=1e-14):
     disc = curve.discriminant()
     if disc > 0:
         e1, e2, e3 = sorted(roots.real, reverse=True)
-        om1 = math.pi / abs(_agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2), precision))
-        om2 = 1j * math.pi / abs(_agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3), precision))
+        om1 = math.pi / abs(_agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)))
+        om2 = 1j * math.pi / abs(_agm(math.sqrt(e1 - e3), math.sqrt(e2 - e3)))
     else:
         e1 = max(r.real for r in roots if abs(r.imag) < 1e-9 * (1 + abs(r)))
         e3 = min((r for r in roots if r.imag < 0), key=lambda r: r.imag)
         e2 = np.conj(e3)
-        om1 = math.pi / abs(_agm(np.sqrt(complex(e1 - e3)), np.sqrt(complex(e1 - e2)), precision))
-        om2 = math.pi / _agm(np.sqrt(complex(e3 - e1)), np.sqrt(complex(e3 - e2)), precision)
+        om1 = math.pi / abs(_agm(np.sqrt(complex(e1 - e3)), np.sqrt(complex(e1 - e2))))
+        om2 = math.pi / _agm(np.sqrt(complex(e3 - e1)), np.sqrt(complex(e3 - e2)))
     om1 = complex(om1)
     om2 = complex(om2)
     if (om2 / om1).imag < 0:

@@ -268,13 +268,21 @@ class SymbolBatch:
         """Enumeration count at T including the identity coset."""
         return len(self.cs) + 1
 
-    def restricted(self, T):
-        """View of the batch restricted to norms <= T (identity still implied)."""
+    def norm_bound(self, T=None):
+        """T (default self.T) as a float in [1, self.T]; the identity coset has norm 1."""
+        T = self.T if T is None else float(T)
+        if not T >= 1:  # NaN too
+            raise ValueError("T must be >= 1")
         if T > self.T:
             raise ValueError(f"batch only covers norms <= {self.T}")
+        return T
+
+    def restricted(self, T):
+        """View of the batch restricted to norms <= T (identity still implied)."""
+        T = self.norm_bound(T)
         m = self.norms <= T
         return SymbolBatch(
-            self.N, float(T), self.z, self.tol,
+            self.N, T, self.z, self.tol,
             self.cs[m], self.ds[m], self.norms[m], self.values[m], self.err_bounds[m],
         )
 

@@ -221,9 +221,7 @@ def sharp_sum(batch, weight, T=None):
     symbol factor is present.  A warning flag is set when the propagated
     truncation budget exceeds 1e-6 of the result.
     """
-    T = batch.T if T is None else float(T)
-    if T > batch.T:
-        raise ValueError(f"batch only covers norms <= {batch.T}")
+    T = batch.norm_bound(T)
     mask = batch.norms <= T
     value = _weighted_sum(batch, weight, mask)
     budget = _error_budget(batch, weight, mask)
@@ -247,7 +245,7 @@ def smoothed_sum(batch, weight, T, U):
     """
     if U < 2:
         raise ValueError("U must be >= 2")
-    T = float(T)
+    T = batch.norm_bound(T)
     if T * (1 + 1.0 / U) > batch.T:
         raise ValueError(f"batch covers norms <= {batch.T}, need {T * (1 + 1/U)}")
     mask = batch.norms <= T * (1 + 1.0 / U)
@@ -292,9 +290,7 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     s = complex(s)
     if s.real <= 1:
         raise ValueError("Re(s) must exceed 1 (absolute convergence region)")
-    T_max = batch.T if T_max is None else float(T_max)
-    if T_max > batch.T:
-        raise ValueError(f"batch only covers norms <= {batch.T}")
+    T_max = batch.norm_bound(T_max)
     y = batch.z.imag
     mask = batch.norms <= T_max
     v = batch.values[mask]

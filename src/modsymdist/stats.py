@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _exact_sum
+from .series import _double_half_factorial, _exact_sum
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def gaussian_moment(n, m):
         raise ValueError("moment indices must be nonnegative")
     if n % 2 or m % 2:
         return 0.0
-    half = lambda j: math.factorial(j) / (math.factorial(j // 2) * 2 ** (j // 2))
-    return half(n) * half(m)
+    return float(_double_half_factorial(n) * _double_half_factorial(m))
 
 
 def moments_from_arrays(x, y, n_max, m_max, T=None):

@@ -44,19 +44,17 @@ class CriterionResult:
 class Resources:
     """Lazily built shared inputs for the acceptance criteria (curve 11a)."""
 
-    def __init__(self, threads=1, seed=11, tol=1e-10):
+    def __init__(self, threads=1, seed=11):
         self.curve = curve_mod.PRESETS["11a"]
         self.threads = threads
         self.seed = seed
-        self.tol = tol
         self.vol = cosets.volume(self.curve.N)
         self._cache = {}
 
-    def table(self, n_max=30000):
-        key = ("table", n_max)
-        if key not in self._cache:
-            self._cache[key] = curve_mod.coefficient_table(self.curve, n_max)
-        return self._cache[key]
+    def table(self):
+        if "table" not in self._cache:
+            self._cache["table"] = curve_mod.coefficient_table(self.curve, 30000)
+        return self._cache["table"]
 
     def deep_table_size(self):
         """(c_max, n_max) of criterion 01's deep table, from its drawn pairs alone.
@@ -92,7 +90,7 @@ class Resources:
         key = ("batch", T)
         if key not in self._cache:
             self._cache[key] = modsym.symbols_up_to(
-                self.table(), self.curve.N, T, z=1j, tol=self.tol, threads=self.threads
+                self.table(), self.curve.N, T, z=1j, tol=1e-10, threads=self.threads
             )
         return self._cache[key]
 

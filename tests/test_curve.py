@@ -20,7 +20,6 @@ from modsymdist.curve import (
     coefficient_table,
     eta_deep_table_level11,
     eta_fft_length,
-    hecke_expand,
     lattice_distance,
     max_ratio,
     resolve_curve,
@@ -58,6 +57,33 @@ CURVE_36A = "0,0,0,0,1,36"
 CURVE_20A = "0,1,0,4,4,20"
 CURVE_43A = "0,1,1,0,0,43"
 CURVE_389A = "0,1,1,-2,0,389"
+CURVE_50A = "1,0,1,-1,-2,50"
+
+
+def hecke_expand_reference(curve, n_max):
+    """a_1..a_n_max one n at a time via its smallest prime. For verification only.
+
+    n = p^k m with p the smallest prime of n and p not dividing m: a_n = a_m a_{p^k}
+    if m > 1, else a_{p^k} = a_p a_{p^{k-1}} - chi(p) p a_{p^{k-2}}.
+    """
+    curve = resolve_curve(curve)
+    a = np.zeros(n_max + 1, dtype=np.float64)
+    a[1] = 1.0
+    spf = np.zeros(n_max + 1, dtype=np.int64)
+    for p in curve_mod.sieve_primes(n_max):
+        sl = spf[p::p]
+        sl[sl == 0] = p
+    for n in range(2, n_max + 1):
+        p = int(spf[n])
+        m = n
+        while m % p == 0:
+            m //= p
+        if m > 1:
+            a[n] = a[m] * a[n // m]
+        else:
+            chi = 0 if curve.N % p == 0 else 1
+            a[n] = ap_count(curve, p) * a[n // p] - chi * p * a[n // (p * p)]
+    return a
 
 
 def test_ap_good_primes_vs_naive_count(curve11):
@@ -215,10 +241,22 @@ def test_divisor_bounds_behind_certified_tail():
     assert int(n[ratio >= 1].max()) == DIVISOR_BOUND_START
 
 
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(spec, 3000) for spec in ("11a", "37a", CURVE_14A, CURVE_43A, CURVE_389A,
+                               CURVE_27A, CURVE_36A, CURVE_20A, CURVE_50A)]
+    + [("11a", n_max) for n_max in (1, 2, 10, 1259, 1260)],
+)
+def test_coefficient_table_matches_reference_expansion(spec, n_max):
+    # bit for bit, so the sign of every zero agrees too
+    table = coefficient_table(spec, n_max)
+    assert table.a.tobytes() == hecke_expand_reference(spec, n_max).tobytes()
+    assert table.n_max == n_max
+
+
 def test_short_table_tail_constant_is_deligne_bound(curve11):
     # 10 terms cannot see |a_n|/n beyond n = 10, so the Deligne bound sqrt(3) applies
-    ap = {p: ap_count(curve11, p) for p in (2, 3, 5, 7)}
-    short = hecke_expand(ap, set(), 10)
+    short = coefficient_table(curve11, 10)
     assert short.tail_constant == math.sqrt(3)
     assert 1.1 * float(np.max(np.abs(short.a[1:]) / np.arange(1, 11))) < math.sqrt(3)
 
@@ -234,16 +272,27 @@ def test_long_table_tail_constant_unchanged(table11):
     assert table11.tail_constant == 1.1 * float(np.max(np.abs(table11.a[1:]) / n)) == 1.1
 
 
-def test_hecke_expand_missing_prime_named():
-    with pytest.raises(ValueError, match="a_3"):
-        hecke_expand({2: -2}, set(), 5)
-
-
 def test_table_invariant_validation():
     a = np.zeros(4)
     a[1] = 2.0  # violates a_1 = 1
     with pytest.raises(ValueError):
-        CoefficientTable(n_max=3, a=a, tail_constant=5.0)
+        CoefficientTable(a)
+    for short in (np.zeros(0), np.ones(1)):
+        with pytest.raises(ValueError, match="a_1 must be 1"):
+            CoefficientTable(short)
+    # n_max and the tail constant are derived from the array, never passed in
+    t = CoefficientTable(np.array([0.0, 1.0, -2.0, 3.0]))
+    assert (t.n_max, t.tail_constant) == (3, math.sqrt(3))
+    with pytest.raises(TypeError):
+        CoefficientTable(np.array([0.0, 1.0]), tail_constant=5.0)
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_table_builders_refuse_n_max_below_1(n_max):
+    with pytest.raises(ValueError, match=f"n_max={n_max} must be >= 1"):
+        coefficient_table("11a", n_max)
+    with pytest.raises(ValueError, match=f"n_max={n_max} must be >= 1"):
+        eta_deep_table_level11(n_max)
 
 
 def test_curve_spec_validation():
@@ -397,9 +446,7 @@ def test_coefficient_table_checks_in_chunks():
     a = np.zeros(n_max + 1)
     a[1] = 1.0
     a[2::7] = -2.0
-    peak = _traced_peak(
-        lambda: CoefficientTable(n_max=n_max, a=a, tail_constant=certified_tail_constant(a))
-    )
+    peak = _traced_peak(lambda: CoefficientTable(a))
     assert peak <= 8 * 8 * RATIO_CHUNK  # a few chunk-sized buffers, not length-n_max ones
 
 

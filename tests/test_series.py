@@ -160,6 +160,23 @@ def test_smoothed_requires_coverage(batch11_1e4):
         smoothed_sum(batch11_1e4, WeightSpec("one"), 10 ** 4, 10)
 
 
+def test_norm_bound_below_identity_refused(batch11_1e4):
+    # the identity coset has norm 1, so no sum or view exists below T = 1
+    for T in (0.5, 0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            sharp_sum(batch11_1e4, WeightSpec("one"), T)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            smoothed_sum(batch11_1e4, WeightSpec("one"), T, 10)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            eisenstein_twisted(batch11_1e4, 2, 0, 0, T)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            batch11_1e4.restricted(T)
+    # T = 1 holds the identity alone
+    assert sharp_sum(batch11_1e4, WeightSpec("one"), 1).count == 1
+    assert batch11_1e4.restricted(1).count == 1
+    assert eisenstein_twisted(batch11_1e4, 2, 0, 0, 1).value == 1
+
+
 def test_eisenstein_dominant_identity_term(batch11_1e5):
     # m=n=0, z=i, s=10: the identity term is 1, the rest is tiny
     rep = eisenstein_twisted(batch11_1e5, 10.0, 0, 0, 10 ** 4)
