@@ -8,10 +8,13 @@ config and seed produce byte-identical output for any --threads value.
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import cosets, curve as curve_mod, modsym, petersson, series, stats, verify
 
@@ -75,19 +78,24 @@ def _cfg_from_args(args):
     )
 
 
+@contextlib.contextmanager
 def _out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", newline="\n")
-    return sys.stdout
+    """The --out file, closed on exit even if writing fails, or stdout."""
+    if not getattr(args, "out", None):
+        yield sys.stdout
+        return
+    f = open(args.out, "w", newline="\n")
+    try:
+        yield f
+    finally:
+        f.close()
 
 
 def _emit(args, text):
-    f = _out(args)
-    f.write(text)
-    if not text.endswith("\n"):
-        f.write("\n")
-    if f is not sys.stdout:
-        f.close()
+    with _out(args) as f:
+        f.write(text)
+        if not text.endswith("\n"):
+            f.write("\n")
 
 
 def _csv_cell(v):
@@ -95,14 +103,18 @@ def _csv_cell(v):
 
 
 def _emit_rows(args, header, rows):
-    """Tabular output: CSV by default, records under --format json."""
+    """Tabular output: CSV by default, records under --format json.
+
+    `rows` may be any iterable; CSV lines are written as each row is
+    formatted, so no list of lines is held.
+    """
     if getattr(args, "format", "csv") == "json":
         recs = [dict(zip(header, row)) for row in rows]
         _emit(args, json.dumps(recs, sort_keys=True))
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_csv_cell(v) for v in row) for row in rows]
-        _emit(args, "\n".join(lines))
+        return
+    with _out(args) as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def _require(ok, message):
@@ -140,7 +152,7 @@ def cmd_coeffs(args):
     crv = curve_mod.resolve_curve(cfg.curve)
     _require(args.n_max >= 1, "n-max must be >= 1")
     table = curve_mod.coefficient_table(crv, int(args.n_max))
-    rows = [(n, int(table.a[n])) for n in range(1, table.n_max + 1)]
+    rows = zip(range(1, table.n_max + 1), table.a[1:].astype(np.int64).tolist())
     _emit_rows(args, ["n", "a_n"], rows)
     return 0
 

@@ -114,7 +114,22 @@ def is_prime(p):
     return True
 
 
-def ap_count(curve, p):
+class CountScratch:
+    """Work arrays that ap_count reuses at every prime p <= size.
+
+    x = 0..size-1, the int64 buffers D and q, and the int8 character table
+    chi.  One scratch serves a whole coefficient table, so no prime
+    allocates (and page-faults in) an O(p) array of its own.
+    """
+
+    def __init__(self, size):
+        self.x = np.arange(size, dtype=np.int64)
+        self.D = np.empty(size, dtype=np.int64)
+        self.q = np.empty(size, dtype=np.int64)
+        self.chi = np.empty(size, dtype=np.int8)
+
+
+def ap_count(curve, p, work=None):
     """a_p = p + 1 - #E~(F_p), the projective points of the reduction mod p.
 
     One rule for every prime.  At good p this is the trace of Frobenius.  At
@@ -130,11 +145,15 @@ def ap_count(curve, p):
         a_p = -sum_{x in F_p} chi(D(x)).
 
     This holds at bad p too: the singular point is a root of D with one y,
-    and chi(0) = 0 counts it once.  The coefficients are reduced mod p as
-    Python ints, so any model size is exact, and D = ((4x + b2) x + 2 b4) x
-    + b6 is evaluated by Horner in int64 with two reductions mod p.  The
-    largest intermediate is below 5 p^2, which must stay below 2^63: it is
-    at most 5 * 10^12 under AP_PRIME_BOUND.
+    and chi(0) = 0 counts it once.  b2, 2 b4 and b6 are reduced mod p as
+    Python ints, so any model size is exact.  Then D = ((4x + b2) x + 2 b4) x
+    + b6 is evaluated by Horner in int64 and reduced mod p once, at the end,
+    by a floor division: every intermediate is below 5 p^3, which must stay
+    below 2^63, and 5 * AP_PRIME_BOUND^3 = 5 * 10^18 does.
+
+    `work` is a CountScratch of size >= p; the squares table, D and the
+    gathered characters all live in it.  Without one, a scratch of size p is
+    built for this call.
     """
     p = int(p)
     if not is_prime(p):
@@ -149,23 +168,33 @@ def ap_count(curve, p):
             for x in range(2) for y in range(2)
         )
 
+    if work is None:
+        work = CountScratch(p)
+    if len(work.x) < p:
+        raise ValueError(f"scratch of size {len(work.x)} is too short for p={p}")
     b2, b4, b6, _ = curve.b_invariants()
-    x = np.arange(p, dtype=np.int64)
-    D = x * 4  # in place from here on: one length-p buffer
+    x, D, q, chi = work.x[:p], work.D[:p], work.q[:p], work.chi[:p]
+    h = (p + 1) // 2  # h = 0..(p-1)/2 reaches every square
+    sq, quot = D[:h], q[:h]
+    np.multiply(x[:h], x[:h], out=sq)
+    np.floor_divide(sq, p, out=quot)
+    quot *= p
+    sq -= quot
+    chi.fill(-1)
+    chi[sq] = 1
+    chi[0] = 0
+    np.multiply(x, 4, out=D)
     D += b2 % p  # < 5p
     D *= x
-    D += 2 * b4 % p  # < 5p^2 + p
-    D %= p
+    D += 2 * b4 % p  # < 5p^2
     D *= x
-    D += b6 % p
-    D %= p
-    h = np.arange((p + 1) // 2, dtype=np.int64)
-    h *= h
-    h %= p  # h = 0..(p-1)/2 reaches every square
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[h] = 1
-    chi[0] = 0
-    return -int(chi[D].sum())
+    D += b6 % p  # < 5p^3
+    np.floor_divide(D, p, out=q)
+    q *= p
+    D -= q
+    hits = work.q.view(np.int8)[:p]  # the quotients are spent: gather into their bytes
+    np.take(chi, D, out=hits, mode="clip")  # D is in [0, p): "clip" only skips buffering
+    return -int(hits.sum())
 
 
 @dataclass(frozen=True)
@@ -240,17 +269,21 @@ def coefficient_table(curve, n_max):
     prime to p.  Invariant: when p's turn starts, a_m is final for every m
     whose primes are all below p, and 0 for every other m > 1.  So each n is
     written last by the sweep of its largest prime, from final factors.
+
+    Every count shares one CountScratch sized for the largest prime, so the
+    loop allocates no O(p) array per prime.
     """
     n_max = _checked_n_max(n_max)
     curve = resolve_curve(curve)
     primes = sieve_primes(n_max).tolist()
     if primes and primes[-1] > AP_PRIME_BOUND:
         raise ValueError(f"p={primes[-1]} exceeds point-counting bound {AP_PRIME_BOUND}")
+    work = CountScratch(primes[-1] if primes else 0)
     a = np.zeros(n_max + 1, dtype=np.float64)
     a[1] = 1.0
     for p in primes:
         chi = 0 if curve.N % p == 0 else 1
-        a[p] = ap_count(curve, p)
+        a[p] = ap_count(curve, p, work)
         q = p
         while q * p <= n_max:
             a[q * p] = a[p] * a[q] - chi * p * a[q // p]

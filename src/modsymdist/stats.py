@@ -88,13 +88,21 @@ def normal_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def _normal_cdf_values(v):
+    """normal_cdf at every entry of the float64 array v, bit for bit.
+
+    The division is one array pass; only math.erf runs per value.
+    """
+    return 0.5 * (1.0 + np.fromiter(map(math.erf, (v / math.sqrt(2.0)).tolist()), float, len(v)))
+
+
 def ks_distance(values):
     """sup |F_empirical - Phi| against the standard normal CDF."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     if len(v) == 0:
         raise ValueError("empty sample")
     n = len(v)
-    cdf = 0.5 * (1.0 + np.array([math.erf(t / math.sqrt(2.0)) for t in v]))
+    cdf = _normal_cdf_values(v)
     i = np.arange(1, n + 1)
     return float(max(np.max(cdf - (i - 1) / n), np.max(i / n - cdf)))
 

@@ -5,7 +5,9 @@ Also checks that the README's library quickstart names only API that exists.
 
 import json
 import math
+import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,42 @@ def test_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("c,d,norm\n")
     assert text.endswith("\n")
+
+
+def test_coeffs_streams_its_csv(capsys):
+    # rows are formatted as they are written: no list of 2*10^4 lines or row tuples
+    tracemalloc.start()
+    try:
+        code = main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20001
+    assert peak <= 2.5e6, peak
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["coeffs", "--curve", "11a", "--n-max", "20000"],
+         "5b6e34b31c0567022d87dad46e7ba6705995361d266a86e0c11123d209089b55"),
+        (["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "3000", "--format", "json"],
+         "e96f3f8f3e89b33a252517b6c1d42d65350071fb219ee6bfe5807b31bc5c2657"),
+        (["symbols", "--curve", "11a", "--T", "2000"],
+         "43ae1f6eb53107321f5065cbd2fbb814ca5f28694a7c1f7363acd2d66ee938d2"),
+        (["symbols", "--curve", "37a", "--T", "1000", "--format", "json"],
+         "5e2f54c2754dca29febc25f5718940a4c78084c16f394640a243cc04661258cd"),
+    ],
+    ids=["coeffs-csv", "coeffs-json", "symbols-csv", "symbols-json"],
+)
+def test_tabular_output_pinned(tmp_path, capsys, argv, sha256):
+    # stdout and --out FILE carry the same bytes, pinned from the list-built writer
+    code, out = run_cli(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == code == 0
+    assert target.read_bytes() == out.encode()
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_readme_quickstart_names_resolve():

@@ -9,7 +9,9 @@ import pytest
 
 from modsymdist import curve as curve_mod
 from modsymdist.curve import (
+    AP_PRIME_BOUND,
     CoefficientTable,
+    CountScratch,
     CurveSpec,
     PRESETS,
     agm_periods,
@@ -86,6 +88,31 @@ def hecke_expand_reference(curve, n_max):
     return a
 
 
+def ap_count_reference(curve, p):
+    """Odd-p a_p with fresh arrays and D reduced mod p twice. For verification only.
+
+    Every intermediate stays below 5 p^2, so this needs no overflow argument
+    at all; ap_count's single reduction must give the same a_p.
+    """
+    b2, b4, b6, _ = curve.b_invariants()
+    x = np.arange(p, dtype=np.int64)
+    D = x * 4
+    D += b2 % p
+    D *= x
+    D += 2 * b4 % p
+    D %= p
+    D *= x
+    D += b6 % p
+    D %= p
+    h = np.arange((p + 1) // 2, dtype=np.int64)
+    h *= h
+    h %= p
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[h] = 1
+    chi[0] = 0
+    return -int(chi[D].sum())
+
+
 def test_ap_good_primes_vs_naive_count(curve11):
     # one rule at every prime, bad primes included: a_p = p + 1 - #E~(F_p)
     specs = ("11a", "37a", CURVE_14A, CURVE_43A, CURVE_389A, CURVE_27A, CURVE_36A, CURVE_20A)
@@ -128,6 +155,43 @@ def test_ap_large_model_coefficients_exact(curve11, r):
     for p in curve_mod.sieve_primes(100).tolist():
         assert ap_count(crv, p) == ap_count(curve11, p), p
     assert ap_count(crv, 999983) == ap_count(curve11, 999983) == 1194
+
+
+def test_single_reduction_cannot_overflow():
+    # D = ((4x + b2) x + 2 b4) x + b6 < 5 p^3 is reduced once, in int64
+    assert 5 * AP_PRIME_BOUND ** 3 < 2 ** 63
+
+
+@pytest.mark.parametrize("spec", ["11a", "37a", CURVE_14A, CURVE_43A, CURVE_389A])
+def test_ap_matches_two_reduction_reference(spec):
+    crv = resolve_curve(spec)
+    for p in curve_mod.sieve_primes(5000).tolist()[1:]:
+        assert ap_count(crv, p) == ap_count_reference(crv, p), (spec, p)
+
+
+@pytest.mark.parametrize("crv", [PRESETS["11a"], _shifted_11a(3 * 10 ** 6)], ids=["11a", "11a+3e6"])
+def test_ap_matches_reference_where_D_nears_5p3(crv):
+    # the five largest primes under the bound, where D reaches ~5 * 10^18
+    top = [999983, 999979, 999961, 999959, 999953]
+    assert [ap_count(crv, p) for p in top] == [ap_count_reference(crv, p) for p in top]
+
+
+@pytest.mark.parametrize("spec", ["11a", "37a", CURVE_389A])
+def test_one_scratch_reused_matches_fresh(spec):
+    # large primes before small: stale entries past p must never be read
+    crv = resolve_curve(spec)
+    primes = curve_mod.sieve_primes(3000).tolist() + [29989, 39989]
+    random.Random(3).shuffle(primes)
+    primes.sort(key=lambda p: p < 29989)
+    work = CountScratch(39989)
+    assert [ap_count(crv, p, work) for p in primes] == [ap_count(crv, p) for p in primes]
+
+
+def test_short_scratch_refused(curve11):
+    work = CountScratch(100)
+    assert ap_count(curve11, 97, work) == ap_count(curve11, 97)
+    with pytest.raises(ValueError, match="scratch of size 100 is too short for p=101"):
+        ap_count(curve11, 101, work)
 
 
 @pytest.mark.parametrize(
@@ -177,9 +241,9 @@ def test_coefficient_table_checks_bound_before_counting(monkeypatch):
     # primes up to 103 pass 100: refuse before the first count, not at p = 101
     calls = []
 
-    def counting(curve, p):
+    def counting(curve, p, work=None):
         calls.append(p)
-        return ap_count(curve, p)
+        return ap_count(curve, p, work)
 
     monkeypatch.setattr(curve_mod, "AP_PRIME_BOUND", 100)
     monkeypatch.setattr(curve_mod, "ap_count", counting)

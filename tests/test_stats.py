@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from modsymdist import stats
 from modsymdist.cosets import volume
 from modsymdist.stats import (
     gaussian_moment,
@@ -90,6 +91,13 @@ def test_ks_distance_seeded_normal_below_002():
 def test_ks_distance_shifted_to_one():
     draws = np.random.default_rng(0).normal(size=2000) + 10.0
     assert ks_distance(draws) > 0.999
+
+
+def test_ks_cdf_bit_identical_to_per_value_division():
+    edge = [0.0, -0.0, 5e-324, 40.0, -40.0, math.inf, -math.inf]
+    v = np.sort(np.concatenate([np.random.default_rng(4).normal(size=5000), edge]))
+    per_value = 0.5 * (1.0 + np.array([math.erf(t / math.sqrt(2.0)) for t in v]))
+    assert stats._normal_cdf_values(v).tobytes() == per_value.tobytes()
 
 
 def test_normal_cdf_symmetry():
