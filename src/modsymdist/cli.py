@@ -105,12 +105,17 @@ def _csv_cell(v):
 def _emit_rows(args, header, rows):
     """Tabular output: CSV by default, records under --format json.
 
-    `rows` may be any iterable; CSV lines are written as each row is
-    formatted, so no list of lines is held.
+    `rows` may be any iterable; CSV lines and JSON records are written as
+    each row is formatted, so no list of lines or records is held.  The JSON
+    bytes are those of json.dumps on the whole list: "[", the records joined
+    by ", ", "]".
     """
     if getattr(args, "format", "csv") == "json":
-        recs = [dict(zip(header, row)) for row in rows]
-        _emit(args, json.dumps(recs, sort_keys=True))
+        with _out(args) as f:
+            f.write("[")
+            for i, row in enumerate(rows):
+                f.write((", " if i else "") + json.dumps(dict(zip(header, row)), sort_keys=True))
+            f.write("]\n")
         return
     with _out(args) as f:
         f.write(",".join(header) + "\n")

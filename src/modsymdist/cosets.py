@@ -55,22 +55,39 @@ class GammaMatrix:
         return GammaMatrix(self.d, -self.b, -self.c, self.a)
 
 
+def _prime_factors(c):
+    """Prime factorization of c >= 1 as ascending (p, e) pairs, by trial division."""
+    factors = []
+    p = 2
+    while p * p <= c:
+        if c % p == 0:
+            e = 0
+            while c % p == 0:
+                c //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if c > 1:
+        factors.append((c, 1))
+    return factors
+
+
+def _unit_mask(c):
+    """unit[r] is True iff gcd(r, c) = 1, for 0 <= r < c: clear [::p] for each p | c."""
+    unit = np.ones(c, dtype=bool)
+    for p, _ in _prime_factors(c):
+        unit[::p] = False
+    return unit
+
+
 def volume(N):
     """Hyperbolic volume of Gamma_0(N) \\ H: (pi/3) * N * prod_{p|N} (1 + 1/p)."""
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     index = N
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            index = index // p * (p + 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        index = index // m * (m + 1)
+    for p, _ in _prime_factors(N):
+        index = index // p * (p + 1)
     return (math.pi / 3) * index
 
 
@@ -78,7 +95,10 @@ def coset_arrays(N, T, z=1j):
     """Per-c arrays (c, ds, norms) of all non-identity cosets with |cz+d|^2 <= T.
 
     Yields tuples in ascending c; within each c the d values are ascending.
-    The identity coset (0, 1) with norm 1 is *not* included here.
+    The identity coset (0, 1) with norm 1 is *not* included here.  For each
+    c the candidate d range is cut by the norm check and by coprimality,
+    read off the unit mask of c at d mod c: one bool array of length c with
+    the multiples of each prime p | c cleared, so no gcd is taken.
     """
     N = int(N)
     z = complex(z)
@@ -96,7 +116,7 @@ def coset_arrays(N, T, z=1j):
         hi = math.ceil(-c * x + half) + 1
         ds = np.arange(lo, hi + 1, dtype=np.int64)
         norms = (c * x + ds) ** 2 + (c * y) ** 2
-        keep = (norms <= T) & (np.gcd(ds % c, c) == 1)
+        keep = (norms <= T) & _unit_mask(c)[ds % c]
         if np.any(keep):
             yield c, ds[keep], norms[keep]
         c += N

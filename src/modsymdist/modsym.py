@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import coset_arrays
+from .cosets import _prime_factors, _unit_mask, coset_arrays
 
 
 def tail_terms_needed(y, tail_constant, tol, two_sided=True):
@@ -287,26 +287,40 @@ class SymbolBatch:
         )
 
 
-def _inverse_table(c):
-    """inv[r] = r^{-1} mod c for units r, 0 at non-units (Euler: r^{phi(c)-1}).
+def _carmichael(factors):
+    """lambda(c) from c's (p, e) factorization: the exponent of (Z/cZ)^*."""
+    lam = 1
+    for p, e in factors:
+        lam_pe = 1 << (e - 2) if p == 2 and e >= 3 else p ** (e - 1) * (p - 1)
+        lam = lam * lam_pe // math.gcd(lam, lam_pe)
+    return lam
 
-    Vectorized square-and-multiply over the units; every product of two
-    residues stays below c^2, so c is capped where c^2 would overflow int64.
+
+def _inverse_table(c):
+    """inv[r] = r^{-1} mod c for units r, 0 at non-units.
+
+    The units come from cosets' unit mask of c (multiples of each p | c
+    cleared).  Each unit r <= c/2 is raised to lambda(c) - 1, lambda the
+    Carmichael function (the exponent of the unit group, so r^{lambda} = 1;
+    lambda(2^e) = 2^{e-2} for e >= 3), by vectorized square-and-multiply;
+    the upper half follows from (c - r)^{-1} = c - r^{-1}.  Every product is
+    of two residues below c, hence below c^2, so c is capped where c^2
+    would overflow int64.
     """
     if c * c >= 1 << 63:
         raise ValueError(f"c={c} too large for the int64 inverse table")
-    r = np.arange(c, dtype=np.int64)
-    unit = np.gcd(r, c) == 1
-    base = r[unit]
+    rs = np.flatnonzero(_unit_mask(c)[1 : c // 2 + 1]) + 1
+    base = rs.astype(np.int64)
     power = np.ones(len(base), dtype=np.int64)
-    e = len(base) - 1  # phi(c) - 1
+    e = _carmichael(_prime_factors(c)) - 1
     while e:
         if e & 1:
             power = power * base % c
         base = base * base % c
         e >>= 1
     inv = np.zeros(c, dtype=np.int64)
-    inv[unit] = power % c
+    inv[rs] = power
+    inv[c - rs] = c - power
     return inv
 
 
@@ -314,7 +328,8 @@ def _symbols_for_c(table, c, ds, norms, tol):
     """Symbol values for one c: residue fold + one DFT + inverse lookups."""
     n_used, err = _terms_for_c(table, c, tol)
     hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c  # hvals[k] = H((k+i)/c)
-    values = hvals[(-ds) % c] - hvals[_inverse_table(c)[ds % c]]
+    r = ds % c
+    values = hvals[-r] - hvals[_inverse_table(c)[r]]  # index -r is (-d) mod c
     return values, np.full(len(ds), err)
 
 

@@ -50,6 +50,7 @@ class Resources:
         self.seed = seed
         self.vol = cosets.volume(self.curve.N)
         self._cache = {}
+        self._batches = {}  # symbol batches at z = i, keyed by their norm bound T
 
     def table(self):
         if "table" not in self._cache:
@@ -87,12 +88,21 @@ class Resources:
         return self._cache["lattice"]
 
     def batch(self, T):
-        key = ("batch", T)
-        if key not in self._cache:
-            self._cache[key] = modsym.symbols_up_to(
-                self.table(), self.curve.N, T, z=1j, tol=1e-10, threads=self.threads
-            )
-        return self._cache[key]
+        """Symbols at z = i up to norm T, restricted from the smallest cached batch that covers T.
+
+        A batch's values depend only on (c, d) and the tolerance, so the
+        restriction equals a fresh build; a new batch is built only when no
+        cached one reaches T.
+        """
+        if T not in self._batches:
+            covering = [t for t in self._batches if t >= T]
+            if covering:
+                self._batches[T] = self._batches[min(covering)].restricted(T)
+            else:
+                self._batches[T] = modsym.symbols_up_to(
+                    self.table(), self.curve.N, T, z=1j, tol=1e-10, threads=self.threads
+                )
+        return self._batches[T]
 
     def h_at_i(self):
         if "h_i" not in self._cache:
@@ -488,7 +498,6 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
         c_max, n_max = res.deep_table_size()
         res.deep_table()
         res.batch(10 ** 7)
-        res.batch(10 ** 6)
         deep = (f"; deep table c_max={c_max} n_max={n_max} "
                 f"fft_len={curve_mod.eta_fft_length(n_max)}")
     log(f"shared resources (tables, lattice, symbol batches) in "

@@ -93,6 +93,23 @@ def test_criterion_01_homomorphism(acceptance):
     _check(acceptance, "01")
 
 
+def test_resources_batch_restricts_the_covering_batch(monkeypatch):
+    # one build at 1e7; every smaller T is its restriction, equal to a fresh build
+    res = verify.Resources()
+    builds = []
+    build = modsym.symbols_up_to
+    monkeypatch.setattr(modsym, "symbols_up_to", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
+    res.batch(10 ** 7)
+    for T in (10 ** 6, 12000, 10 ** 4):
+        got = res.batch(T)
+        assert res.batch(T) is got
+        fresh = build(res.table(), 11, T, z=1j, tol=1e-10)
+        assert (got.N, got.T, got.z, got.tol) == (fresh.N, fresh.T, fresh.z, fresh.tol)
+        for name in ("cs", "ds", "norms", "values", "err_bounds"):
+            assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), (T, name)
+    assert builds == [10 ** 7]
+
+
 def test_deep_table_size_covers_drawn_pairs():
     # draws the pairs only; the table itself is never built here
     for seed in range(1, 21):

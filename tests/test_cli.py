@@ -3,6 +3,7 @@
 Also checks that the README's library quickstart names only API that exists.
 """
 
+import argparse
 import json
 import math
 import hashlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import modsymdist
-from modsymdist.cli import RunConfig, main
+from modsymdist.cli import RunConfig, _emit_rows, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -286,6 +287,26 @@ def test_coeffs_streams_its_csv(capsys):
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 20001
     assert peak <= 2.5e6, peak
+
+
+def test_coeffs_streams_its_json(capsys):
+    # records are dumped as they are written: no list of 2*10^4 dicts or one whole string
+    tracemalloc.start()
+    try:
+        code = main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    recs = json.loads(capsys.readouterr().out)
+    assert len(recs) == 20000 and recs[0] == {"n": 1, "a_n": 1}
+    assert peak <= 2.5e6, peak
+
+
+def test_json_rows_empty_table(capsys):
+    # the streamed writer still prints json.dumps([]) when no row comes
+    _emit_rows(argparse.Namespace(format="json", out=None), ["n", "a_n"], iter(()))
+    assert capsys.readouterr().out == "[]\n"
 
 
 @pytest.mark.parametrize(

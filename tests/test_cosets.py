@@ -8,6 +8,8 @@ import pytest
 from modsymdist.cosets import (
     Coset,
     GammaMatrix,
+    _prime_factors,
+    _unit_mask,
     coset_arrays,
     coset_count,
     lift,
@@ -21,6 +23,77 @@ def _all_cosets(N, T, z=1j):
     for c, ds, norms in coset_arrays(N, T, z):
         out += [Coset(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
     return out
+
+
+def _coset_arrays_gcd(N, T, z):
+    """coset_arrays with coprimality by np.gcd, as before the unit mask. Reference only."""
+    x, y = z.real, z.imag
+    c = N
+    while (c * y) ** 2 <= T:
+        half = math.sqrt(max(T - (c * y) ** 2, 0.0))
+        lo = math.floor(-c * x - half) - 1
+        hi = math.ceil(-c * x + half) + 1
+        ds = np.arange(lo, hi + 1, dtype=np.int64)
+        norms = (c * x + ds) ** 2 + (c * y) ** 2
+        keep = (norms <= T) & (np.gcd(ds % c, c) == 1)
+        if np.any(keep):
+            yield c, ds[keep], norms[keep]
+        c += N
+
+
+def _volume_trial_division(N):
+    """volume with its own trial-division loop, as before _prime_factors. Reference only."""
+    index = m = N
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            index = index // p * (p + 1)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        index = index // m * (m + 1)
+    return (math.pi / 3) * index
+
+
+@pytest.mark.parametrize(
+    "N, T, z",
+    [
+        (11, 10 ** 6, 1j),
+        (11, 10 ** 5, 0.25 + 0.9j),
+        (37, 10 ** 6, 1j),
+        (37, 10 ** 6, 0.25 + 0.9j),
+        (14, 10 ** 6, 1j),  # composite N; c = 56, 252, ... repeat small primes
+        (43, 10 ** 5, -0.3 + 1.7j),
+        (11, 33 ** 2 + 4 ** 2, 1j),  # T is the norm of the coset (33, 4)
+    ],
+)
+def test_coset_arrays_match_gcd_reference(N, T, z):
+    got = list(coset_arrays(N, T, z))
+    want = list(_coset_arrays_gcd(N, T, z))
+    assert len(got) == len(want)
+    for (c, ds, norms), (c0, ds0, norms0) in zip(got, want):
+        assert c == c0
+        assert ds.tobytes() == ds0.tobytes() and norms.tobytes() == norms0.tobytes(), c
+
+
+def test_coset_on_the_norm_bound_is_kept():
+    T = 33 ** 2 + 4 ** 2
+    assert Coset(33, 4, float(T)) in _all_cosets(11, T, 1j)
+
+
+def test_volume_matches_trial_division_reference():
+    for N in range(1, 501):
+        assert volume(N) == _volume_trial_division(N), N
+
+
+def test_prime_factors_and_unit_mask():
+    for c in range(1, 2001):
+        factors = _prime_factors(c)
+        assert math.prod(p ** e for p, e in factors) == c
+        assert all(e >= 1 and all(p % q for q in range(2, math.isqrt(p) + 1)) for p, e in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert _unit_mask(c).tolist() == [math.gcd(r, c) == 1 for r in range(c)], c
 
 
 def test_volume_values():

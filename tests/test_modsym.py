@@ -7,10 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from modsymdist.cosets import Coset, GammaMatrix, lift
-from modsymdist.curve import eta_deep_table_level11, lattice_distance
+from modsymdist.cosets import Coset, GammaMatrix, _prime_factors, coset_arrays, lift
+from modsymdist.curve import coefficient_table, eta_deep_table_level11, lattice_distance
 from modsymdist.modsym import (
+    _carmichael,
+    _fold,
     _inverse_table,
+    _terms_for_c,
     antiderivative,
     oracle_pairing,
     pairing,
@@ -274,9 +277,69 @@ def test_pairing_vs_direct_series_row_edges(eta_table_1e5, c, rows):
 
 
 def test_inverse_table_matches_pow():
-    for c in list(range(1, 401)) + [3157, 11 * 1009, 1 << 16, 99991]:
+    # lambda(c) < phi(c) at 2^k (k >= 3), 8 p and 27720; lambda = phi at 2 p^e (cyclic units)
+    extra = [1 << k for k in range(3, 17)] + [8 * 101, 8 * 1009, 2 * 3 ** 5, 2 * 7 ** 4, 2 * 5 ** 3]
+    for c in list(range(1, 401)) + extra + [3157, 11 * 1009, 99991, 27720]:
         want = [pow(r, -1, c) if math.gcd(r, c) == 1 else 0 for r in range(c)]
         assert _inverse_table(c).tolist() == want, c
+
+
+def test_carmichael_is_the_unit_group_exponent():
+    # the least m >= 1 with r^m = 1 (mod c) for every unit r
+    for c in list(range(1, 301)) + [1 << 10, 8 * 101, 27720]:
+        units = [r for r in range(c) if math.gcd(r, c) == 1]
+        lam = _carmichael(_prime_factors(c))
+        assert all(pow(r, lam, c) == 1 % c for r in units), c
+        assert all(any(pow(r, m, c) != 1 % c for r in units) for m in range(1, lam) if lam % m == 0), c
+
+
+def _inverse_table_euler(c):
+    """r^{phi(c)-1} mod c over the np.gcd units, as before the unit mask. Reference only."""
+    r = np.arange(c, dtype=np.int64)
+    unit = np.gcd(r, c) == 1
+    base = r[unit]
+    power = np.ones(len(base), dtype=np.int64)
+    e = len(base) - 1
+    while e:
+        if e & 1:
+            power = power * base % c
+        base = base * base % c
+        e >>= 1
+    inv = np.zeros(c, dtype=np.int64)
+    inv[unit] = power % c
+    return inv
+
+
+def _batch_reference(table, N, T, z, tol):
+    """The five SymbolBatch arrays from the per-c kernel as it was before the unit mask."""
+    cols = [[], [], [], [], []]
+    for c, ds, norms in coset_arrays(N, T, z):
+        n_used, err = _terms_for_c(table, c, tol)
+        hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c
+        values = hvals[(-ds) % c] - hvals[_inverse_table_euler(c)[ds % c]]
+        arrays = (np.full(len(ds), c, dtype=np.int64), ds, norms, values, np.full(len(ds), err))
+        for col, arr in zip(cols, arrays):
+            col.append(arr)
+    return [np.concatenate(col) for col in cols]
+
+
+@pytest.fixture(scope="module")
+def table14():
+    return coefficient_table("1,0,1,4,-6,14", 8000)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "name, N, T, z",
+    [("table11", 11, 10 ** 6, 1j), ("table37", 37, 10 ** 6, 0.25 + 0.9j), ("table14", 14, 10 ** 6, 1j)],
+)
+def test_batch_matches_euler_kernel_reference(request, name, N, T, z, threads):
+    table = request.getfixturevalue(name)
+    batch = symbols_up_to(table, N, T, z, tol=1e-10, threads=threads)
+    want = _batch_reference(table, N, T, z, 1e-10)
+    got = [batch.cs, batch.ds, batch.norms, batch.values, batch.err_bounds]
+    for field, g, w in zip(("cs", "ds", "norms", "values", "err_bounds"), got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
 def test_inverse_table_rejects_int64_overflow():
