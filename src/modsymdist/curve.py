@@ -334,7 +334,8 @@ def eta_deep_table_level11(n_max):
         E_r[v] = E[11v + r],
 
     eleven convolutions of length ~L/11 replace one of length L.  E is built
-    exactly in a[1:] from the sparse pentagonal series; R is transformed
+    exactly in a[1:] from the sparse pentagonal series, as the diagonal plus
+    twice the upper triangle of its square; R is transformed
     once, before any class is overwritten (class 0 overlaps R), and each
     class is convolved with an eta_fft_length(n_max)-point real FFT and
     rounded back into its own slots a[1+r::11].  Zeros are stored as +0.0,
@@ -351,9 +352,14 @@ def eta_deep_table_level11(n_max):
     a = np.zeros(n_max + 1, dtype=np.float64)
     E = a[1:]  # E[m] is the coefficient of q^m, first of P^2, then of D^2
     exps, signs = _pentagonal(L)
-    for e2, s2 in zip(exps.tolist(), signs.tolist()):
-        cut = int(np.searchsorted(exps, L - e2))
-        E[exps[:cut] + e2] += signs[:cut] * s2  # distinct indices: no np.add.at
+    # P^2 = sum_i q^(2 e_i) + 2 sum_{i<j} s_i s_j q^(e_i + e_j): the upper triangle
+    # twice, the diagonal (s_i^2 = 1) once
+    for i, (e, s) in enumerate(zip(exps.tolist(), signs.tolist())):
+        cut = int(np.searchsorted(exps, L - e))
+        if cut <= i:
+            break
+        E[exps[i:cut] + e] += signs[i:cut] * (2.0 * s)  # distinct indices: no np.add.at
+        E[2 * e] -= 1.0
     M = eta_fft_length(L)
     R = np.fft.rfft(E[: -(-L // 11)], M)
     resid = 0.0

@@ -13,7 +13,10 @@ variant replaces the sharp cutoff by a C^2 quintic ramp supported on
 
 All reductions are exact sums rounded once (_exact_sum, a vectorized
 superaccumulator that returns math.fsum's result bit for bit), so results
-are bit-identical regardless of thread count or sample permutation.
+are bit-identical regardless of thread count or sample permutation.  Sums
+over nested prefixes of one array take a single pass
+(_exact_prefix_sums): the integer bins are read off at each cut, so
+samples sorted by norm shell give the sums at every norm bound at once.
 """
 
 import math
@@ -151,32 +154,63 @@ _SUM_OFFSET = 1073 + 53  # bin i holds multiples of 2^(i - _SUM_OFFSET)
 def _exact_sum(values):
     """Correctly rounded sum of a real array, bit-identical to math.fsum.
 
-    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
-    53-bit integer.  m splits into a high half (m >> 26) and a low half in
-    [0, 2^26); np.bincount sums each half by exponent e over chunks of 2^16
-    values, so every partial bin sum is an integer below 2^53 and exact in
-    any order.  The int64 bin totals are combined as one Python integer and
-    rounded once by int/int true division, which is correctly rounded (half
-    to even), the same rounding math.fsum applies to the exact sum.
-
-    Non-finite input, and input large enough that math.fsum could overflow
-    on the way, is handed to math.fsum so that inf, nan, ValueError and
-    OverflowError behave exactly as there.
+    The one-cut case of _exact_prefix_sums.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = len(v)
-    if n == 0:
-        return 0.0
-    if not (n < 1 << 35 and max(float(v.max()), -float(v.min())) * n < 2.0 ** 1020):
-        return math.fsum(v)
+    return _exact_prefix_sums(v, [len(v)])[0]
+
+
+def _exact_prefix_sums(values, cuts):
+    """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass.
+
+    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
+    53-bit integer.  m splits into a high half (m >> 26) and a low half in
+    [0, 2^26); np.bincount sums each half by exponent e over segments of at
+    most 2^16 values, so every partial bin sum is an integer below 2^53 and
+    exact in any order.  A segment ends at every chunk boundary and at every
+    cut, so the int64 bins hold the exact sum of values[:n] when the pass
+    reaches n.  That snapshot is combined as one Python integer and rounded
+    once by int/int true division, which is correctly rounded (half to
+    even), the same rounding math.fsum applies to the exact sum.
+
+    A prefix with a non-finite value, or large enough that math.fsum could
+    overflow on the way, is handed to math.fsum (the prefix is a view, not a
+    copy), so inf, nan, ValueError and OverflowError behave exactly as
+    there.  Both conditions only grow with n, so the pass stops at the first
+    segment that trips them and every later cut falls back as well.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    cuts = [int(n) for n in cuts]
+    if any(n < 0 or n > len(v) for n in cuts):
+        raise ValueError(f"cuts must lie in [0, {len(v)}]")
+    stops = sorted(set(cuts))
+    sums = {0: 0.0}
     hi_bins = np.zeros(_SUM_BINS, dtype=np.int64)
     lo_bins = np.zeros(_SUM_BINS, dtype=np.int64)
-    for s in range(0, n, _SUM_CHUNK):
-        mant, exp = np.frexp(v[s : s + _SUM_CHUNK])
-        m = np.ldexp(mant, 53).astype(np.int64)
-        idx = exp + 1073
-        hi_bins += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
-        lo_bins += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
+    amax = 0.0
+    s = 0
+    exact = True
+    for n in stops:
+        while exact and s < n:
+            e = min(n, (s // _SUM_CHUNK + 1) * _SUM_CHUNK)
+            seg = v[s:e]
+            amax = max(max(float(seg.max()), -float(seg.min())), amax)  # a nan stays
+            exact = e < 1 << 35 and amax * e < 2.0 ** 1020
+            if not exact:
+                break
+            mant, exp = np.frexp(seg)
+            m = np.ldexp(mant, 53).astype(np.int64)
+            idx = exp + 1073
+            hi_bins += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
+            lo_bins += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
+            s = e
+        if n:
+            sums[n] = _round_bins(hi_bins, lo_bins) if s == n else math.fsum(v[:n])
+    return [sums[n] for n in cuts]
+
+
+def _round_bins(hi_bins, lo_bins):
+    """The exact sum held in the bins, rounded once."""
     used = np.nonzero(hi_bins | lo_bins)[0].tolist()
     if not used:
         return 0.0

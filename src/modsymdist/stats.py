@@ -61,6 +61,21 @@ def gaussian_moment(n, m):
     return float(_double_half_factorial(n) * _double_half_factorial(m))
 
 
+def _power_chain(x, k):
+    """Yield x, x^2, ..., x^k, each power the previous one times x.
+
+    The moments are sums of x^n y^m over these powers, so every caller that
+    must agree with moments_from_arrays bit for bit takes its powers from
+    here: x^4 is ((x x) x) x, not (x^2)^2.  A generator, so a caller that
+    needs a few powers holds only those.
+    """
+    p = x
+    for n in range(k):
+        if n:
+            p = p * x
+        yield p
+
+
 def moments_from_arrays(x, y, n_max, m_max, T=None):
     """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max."""
     x = np.asarray(x, dtype=np.float64)
@@ -69,10 +84,8 @@ def moments_from_arrays(x, y, n_max, m_max, T=None):
         raise ValueError("empty sample stream")
     xp = [np.ones_like(x)]
     yp = [np.ones_like(y)]
-    for _ in range(n_max):
-        xp.append(xp[-1] * x)
-    for _ in range(m_max):
-        yp.append(yp[-1] * y)
+    xp += _power_chain(x, n_max)
+    yp += _power_chain(y, m_max)
     k = len(x)
     pairs = {}
     for i in range(n_max + 1):

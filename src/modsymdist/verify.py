@@ -25,6 +25,7 @@ EICHLER_RECORDED_BOUND = 0.75  # observed max 0.496 at T=1e6; 1.5x headroom, pin
 EISENSTEIN_STABLE_TOL = 1e-3   # "stable to 3 digits" fallback relative tolerance
 HOMOMORPHISM_TOL = 2e-9        # per-symbol truncation tolerance of criterion 01
 ETA11_TAIL_CONSTANT = 1.1      # 1.1 * max |a_n|/n for 11a: the max is 1, at n = 1 and 2
+TABLE_TERMS = 30000            # the shared 11a table of every criterion but 01's deep one
 
 
 @dataclass
@@ -53,8 +54,18 @@ class Resources:
         self._batches = {}  # symbol batches at z = i, keyed by their norm bound T
 
     def table(self):
+        """11a's 30000-term table, from the eta product.
+
+        eta_deep_table_level11 gives the same a_n as coefficient_table (the
+        point count and Hecke expansion), which test_eta_deep_table_matches_hecke
+        pins, in milliseconds instead of ~0.4 s.  The two arrays differ only
+        in the sign of zero: the eta table stores +0.0, the point count keeps
+        some -0.0, and no symbol, antiderivative or Rankin sum built here
+        tells them apart.  The point count stays the route for every other
+        curve and for the CLI.
+        """
         if "table" not in self._cache:
-            self._cache["table"] = curve_mod.coefficient_table(self.curve, 30000)
+            self._cache["table"] = curve_mod.eta_deep_table_level11(TABLE_TERMS)
         return self._cache["table"]
 
     def deep_table_size(self):
@@ -293,10 +304,47 @@ def crit_first_moment(res, quick):
     return ok, detail, None
 
 
-def _moment_arrays(res, batch, T, nfsq):
-    b = batch.restricted(T)
-    x, y, _, _ = stats.normalize_arrays(b.values, b.norms, nfsq, res.vol)
-    return x, y
+def _gaussian_free_moments(x, y, norms, decades):
+    """Criterion 08's numbers from one normalized sample: (kx_list, ky_list, corr, odd).
+
+    kx_list and ky_list hold M40/M20^2 and M04/M02^2 over the samples with
+    norm <= T for each T in decades (ascending, the last covering every
+    norm); corr is |M11|/sqrt(M20 M02) and odd maps each (n, m) with
+    n + m <= 3 and n or m odd to M_{n,m}, both over all samples.  A
+    sample's normalized value does not depend on T, so a stable sort by
+    decade shell turns every T into a prefix, and each even moment is one
+    _exact_prefix_sums pass.  M_{n,m} sums x^n y^m from the chain
+    moments_from_arrays uses (which multiplies by an exact 1 when n or m is
+    0), and every sum is exact and rounded once, so each number is
+    bit-identical to moments_from_arrays on the samples with norm <= T.
+    The powers are walked one at a time, so a few are held at once.
+    """
+    shell = np.searchsorted(decades, norms).astype(np.uint8)  # (decades[k-1], decades[k]] -> k
+    cuts = np.cumsum(np.bincount(shell, minlength=len(decades))).tolist()
+    if cuts[0] == 0:
+        raise ValueError("empty sample stream")
+    order = np.argsort(shell, kind="stable")
+    x, y = x[order], y[order]
+    del shell, order
+
+    def moment(p):
+        return series._exact_sum(p) / cuts[-1]
+
+    def prefix_moments(p):
+        return [s / n for s, n in zip(series._exact_prefix_sums(p, cuts), cuts)]
+
+    xs, ys = stats._power_chain(x, 4), stats._power_chain(y, 4)
+    x1, x2, y1, y2 = next(xs), next(xs), next(ys), next(ys)
+    m20, m02 = prefix_moments(x2), prefix_moments(y2)
+    odd = {(1, 0): moment(x1), (0, 1): moment(y1), (1, 1): moment(x1 * y1),
+           (1, 2): moment(x1 * y2), (2, 1): moment(x2 * y1)}
+    del x2, y2
+    odd[(3, 0)], odd[(0, 3)] = moment(next(xs)), moment(next(ys))
+    m40, m04 = prefix_moments(next(xs)), prefix_moments(next(ys))
+    kx_list = [a / b ** 2 for a, b in zip(m40, m20)]
+    ky_list = [a / b ** 2 for a, b in zip(m04, m02)]
+    corr = abs(odd[(1, 1)]) / math.sqrt(m20[-1] * m02[-1])
+    return kx_list, ky_list, corr, odd
 
 
 def crit_gaussian_free(res, quick):
@@ -305,23 +353,8 @@ def crit_gaussian_free(res, quick):
     band = (2.3, 3.7) if quick else (2.4, 3.6)
     batch = res.batch(T_top)
     nfsq = petersson.lattice_norm(res.lattice(), 1).value  # any positive scale: ratios are free of it
-    kx_list, ky_list = [], []
-    for T in decades:
-        x, y = _moment_arrays(res, batch, T, nfsq)
-        rep = stats.moments_from_arrays(x, y, 4, 4, T=T)
-        M = rep.pairs
-        kx_list.append(M[(4, 0)] / M[(2, 0)] ** 2)
-        ky_list.append(M[(0, 4)] / M[(0, 2)] ** 2)
-    x, y = _moment_arrays(res, batch, T_top, nfsq)
-    rep = stats.moments_from_arrays(x, y, 4, 4, T=T_top)
-    M = rep.pairs
-    corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
-    odd = {
-        (n, m): M[(n, m)]
-        for n in range(4)
-        for m in range(4)
-        if n + m <= 3 and (n % 2 or m % 2)
-    }
+    x, y, norms, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    kx_list, ky_list, corr, odd = _gaussian_free_moments(x, y, norms, decades)
     odd_max = max(abs(v) for v in odd.values())
     kx, ky = kx_list[-1], ky_list[-1]
     trend = abs(kx - 3) < abs(kx_list[0] - 3) and abs(ky - 3) < abs(ky_list[0] - 3)
@@ -346,7 +379,7 @@ def crit_gaussian_normalized(res, quick):
     ks_tol = 0.09 if quick else 0.08
     batch = res.batch(T_top)
     nfsq = res.rankin().value
-    x, y = _moment_arrays(res, batch, T_top, nfsq)
+    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
     m20 = series._exact_sum(x * x) / len(x)
     m02 = series._exact_sum(y * y) / len(y)
     ks = stats.ks_distance(x)
@@ -501,7 +534,7 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
         deep = (f"; deep table c_max={c_max} n_max={n_max} "
                 f"fft_len={curve_mod.eta_fft_length(n_max)}")
     log(f"shared resources (tables, lattice, symbol batches) in "
-        f"{time.perf_counter()-t0:.1f}s{deep}")
+        f"{time.perf_counter()-t0:.1f}s; table=eta {TABLE_TERMS} terms{deep}")
     results = []
     for key, name, fn, defect in CRITERIA:
         if quick and defect:

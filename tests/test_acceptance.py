@@ -18,12 +18,13 @@ then check the law each one stands for in a form that holds at desk scale:
 The analysis is in the repository README under "Known red acceptance checks".
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
-from modsymdist import cosets, curve, modsym, series, verify
+from modsymdist import cosets, curve, modsym, petersson, series, stats, verify
 
 Z0 = 0.45 + 0.1j
 # same coset counts at z0 (792, 7955, 79571) as criterion 05's grid at z = i
@@ -108,6 +109,90 @@ def test_resources_batch_restricts_the_covering_batch(monkeypatch):
         for name in ("cs", "ds", "norms", "values", "err_bounds"):
             assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes(), (T, name)
     assert builds == [10 ** 7]
+
+
+def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify's 11a table must not point-count")
+
+    monkeypatch.setattr(curve, "ap_count", refuse)
+    table = verify.Resources().table()
+    assert table.n_max == verify.TABLE_TERMS
+    assert table.a.tobytes() == curve.eta_deep_table_level11(verify.TABLE_TERMS).a.tobytes()
+
+
+def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5):
+    # the point-count table keeps some -0.0 that the eta table stores as +0.0;
+    # the symbols, H(i) and the Rankin sums that verify builds cannot see it
+    eta = curve.eta_deep_table_level11(30000)
+    assert np.array_equal(eta.a, table11.a)
+    assert np.signbit(table11.a[table11.a == 0]).any()
+    fresh = modsym.symbols_up_to(eta, 11, 10 ** 5, z=1j, tol=1e-10)
+    for name in ("cs", "ds", "norms", "values", "err_bounds"):
+        assert getattr(fresh, name).tobytes() == getattr(batch11_1e5, name).tobytes(), name
+    assert modsym.antiderivative(eta, 1j, tol=1e-14) == modsym.antiderivative(table11, 1j, tol=1e-14)
+    for X in (10000, 20000):
+        assert petersson.rankin_estimate(eta, 11, X) == petersson.rankin_estimate(table11, 11, X)
+
+
+def _moment_arrays(res, batch, T, nfsq):
+    b = batch.restricted(T)
+    x, y, _, _ = stats.normalize_arrays(b.values, b.norms, nfsq, res.vol)
+    return x, y
+
+
+def _moment_loop_reference(res, batch, decades, nfsq):
+    """Criterion 08's moments as they were taken before the prefix pass: all 25 per decade."""
+    kx_list, ky_list = [], []
+    for T in decades:
+        x, y = _moment_arrays(res, batch, T, nfsq)
+        M = stats.moments_from_arrays(x, y, 4, 4, T=T).pairs
+        kx_list.append(M[(4, 0)] / M[(2, 0)] ** 2)
+        ky_list.append(M[(0, 4)] / M[(0, 2)] ** 2)
+    x, y = _moment_arrays(res, batch, decades[-1], nfsq)
+    M = stats.moments_from_arrays(x, y, 4, 4, T=decades[-1]).pairs
+    corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
+    odd = {
+        (n, m): M[(n, m)]
+        for n in range(4)
+        for m in range(4)
+        if n + m <= 3 and (n % 2 or m % 2)
+    }
+    return kx_list, ky_list, corr, odd
+
+
+def _hexed(kx_list, ky_list, corr, odd):
+    return ([k.hex() for k in kx_list], [k.hex() for k in ky_list], corr.hex(),
+            {key: v.hex() for key, v in odd.items()})
+
+
+def test_gaussian_free_moments_match_the_per_decade_loop():
+    # quick scale: decades 1e4..1e6 from one normalization at 1e6
+    res = verify.Resources()
+    decades = [10 ** 4, 10 ** 5, 10 ** 6]
+    batch = res.batch(decades[-1])
+    nfsq = petersson.lattice_norm(res.lattice(), 1).value
+    want = _hexed(*_moment_loop_reference(res, batch, decades, nfsq))
+    x, y, norms, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    assert _hexed(*verify._gaussian_free_moments(x, y, norms, decades)) == want
+    perm = np.random.default_rng(8).permutation(len(x))
+    assert _hexed(*verify._gaussian_free_moments(x[perm], y[perm], norms[perm], decades)) == want
+
+
+def test_gaussian_free_moments_on_decade_boundaries():
+    # integer norms that hit every decade exactly: norm == T belongs to T's sample
+    rng = np.random.default_rng(21)
+    decades = [10, 100, 1000]
+    norms = np.concatenate([rng.integers(2, 1001, 3000), [10, 100, 1000] * 5]).astype(float)
+    x, y = rng.standard_normal((2, len(norms)))
+    kx_list, ky_list, corr, odd = verify._gaussian_free_moments(x, y, norms, decades)
+    for T, kx, ky in zip(decades, kx_list, ky_list):
+        M = stats.moments_from_arrays(x[norms <= T], y[norms <= T], 4, 4).pairs
+        assert (kx, ky) == (M[(4, 0)] / M[(2, 0)] ** 2, M[(0, 4)] / M[(0, 2)] ** 2), T
+    assert corr == abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
+    assert odd == {(n, m): M[(n, m)] for n, m in M if n + m <= 3 and (n % 2 or m % 2)}
+    with pytest.raises(ValueError):
+        verify._gaussian_free_moments(x, y, norms, [1, 10, 1000])
 
 
 def test_deep_table_size_covers_drawn_pairs():

@@ -10,6 +10,8 @@ from modsymdist.modsym import antiderivative, symbols_up_to
 from modsymdist.series import (
     AsymptoticConstant,
     WeightSpec,
+    _SUM_CHUNK,
+    _exact_prefix_sums,
     _exact_sum,
     cfsum,
     asymptotic_constants,
@@ -97,6 +99,68 @@ def test_exact_sum_non_finite_as_fsum():
     assert math.isnan(_exact_sum(np.array([math.nan, 1.0])))
     with pytest.raises(OverflowError):  # math.fsum's intermediate overflow
         _exact_sum(np.array([1e308, 1e308, -1e308]))
+
+
+def _assert_prefixes_are_fsum(v, cuts):
+    got = _exact_prefix_sums(v, cuts)
+    assert [g.hex() for g in got] == [math.fsum(v[:n]).hex() for n in cuts], (len(v), cuts)
+
+
+def test_exact_prefix_sums_are_fsum_of_each_prefix(monkeypatch):
+    rng = np.random.default_rng(13)
+    for v in _adversarial_sums():
+        n = len(v)
+        _assert_prefixes_are_fsum(v, [0, n, n // 3, 0, n // 2, n // 3, n])
+    n = 3 * _SUM_CHUNK + 11
+    cases = []
+    for trial in range(3):
+        v = rng.permutation(rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n))
+        cuts = sorted(rng.integers(0, n + 1, 6).tolist())
+        cuts += [0, n, 5, 7, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3]
+        cases.append((v, cuts, [math.fsum(v[:c]).hex() for c in cuts]))
+    # finite data never falls back: every cut is a snapshot of the bins
+    monkeypatch.setattr(math, "fsum", lambda v: pytest.fail("fell back to math.fsum"))
+    for v, cuts, want in cases:
+        assert [g.hex() for g in _exact_prefix_sums(v, cuts)] == want
+        # any order, results in the order asked
+        assert [g.hex() for g in _exact_prefix_sums(v, cuts[::-1])] == want[::-1]
+
+
+def test_exact_prefix_sums_one_cut_is_exact_sum():
+    v = np.random.default_rng(3).standard_normal(1000)
+    assert _exact_prefix_sums(v, [1000])[0].hex() == _exact_sum(v).hex()
+    assert _exact_prefix_sums(v, []) == []
+    assert _exact_prefix_sums(np.zeros(0), [0]) == [0.0]
+    for bad in (-1, 1001):
+        with pytest.raises(ValueError):
+            _exact_prefix_sums(v, [bad])
+
+
+@pytest.mark.parametrize("at", [3, _SUM_CHUNK + 5])
+def test_exact_prefix_sums_non_finite_per_prefix(at):
+    # a prefix before the offending value sums exactly; from it on, fsum decides
+    n = 2 * _SUM_CHUNK + 7
+    base = np.random.default_rng(at).standard_normal(n)
+    cases = [
+        ([math.inf], math.inf),
+        ([math.nan], "nan"),
+        ([math.inf, -math.inf], ValueError),
+        ([1e308, 1e308, -1e308], OverflowError),
+    ]
+    for bad, expect in cases:
+        v = base.copy()
+        v[at : at + len(bad)] = bad
+        end = at + len(bad)
+        before = [0, at - 1, at]
+        _assert_prefixes_are_fsum(v, before)
+        if isinstance(expect, type):
+            for cut in (end, n):
+                with pytest.raises(expect):
+                    _exact_prefix_sums(v, before + [cut])
+        else:
+            got = _exact_prefix_sums(v, before + [end, n])
+            assert [g.hex() for g in got[:3]] == [math.fsum(v[:c]).hex() for c in before]
+            assert all(math.isnan(g) if expect == "nan" else g == expect for g in got[3:])
 
 
 def test_cfsum_parts_are_exact(batch11_1e4):

@@ -63,6 +63,18 @@ def test_moments_basics_and_permutation_invariance():
     assert rep.pairs[(2, 0)] == pytest.approx(1.0, abs=0.1)
 
 
+def test_power_chain_is_the_moment_chain():
+    # x^4 is ((x x) x) x, which can differ from (x^2)^2 in the last bit
+    x = np.random.default_rng(4).standard_normal(5000)
+    p = list(stats._power_chain(x, 4))
+    assert len(p) == 4 and p[0] is x
+    assert p[3].tobytes() == (((x * x) * x) * x).tobytes()
+    assert p[3].tobytes() != ((x * x) * (x * x)).tobytes()
+    assert list(stats._power_chain(x, 0)) == []
+    rep = moments_from_arrays(x, x[::-1], 4, 0)
+    assert rep.pairs[(4, 0)] == math.fsum(((x * x) * x) * x) / len(x)
+
+
 def test_moments_empty_stream_rejected():
     with pytest.raises(ValueError):
         moments_from_arrays(np.zeros(0), np.zeros(0), 2, 2)
