@@ -298,13 +298,34 @@ def coefficient_table(curve, n_max):
 
 
 def eta_fft_length(n_max):
-    """FFT length of each residue-class convolution in eta_deep_table_level11(n_max).
+    """Power-of-two FFT length of one whole class product in eta_deep_table_level11(n_max).
 
     The power of two >= 2K - 1, K = ceil(n_max / 11): a class of at most K
-    terms times the K-term prefix R, without wrap-around.
+    terms times the K-term prefix R, without wrap-around.  The build itself
+    splits each product into half products of at most K terms and
+    transforms them at _eta_half_length(n_max) >= K points.
     """
     K = -(-int(n_max) // 11)
     return 1 << (2 * K - 2).bit_length()
+
+
+def _eta_half_length(n_max):
+    """FFT length of eta_deep_table_level11's half products: least 2^a 3^b 5^c >= K.
+
+    numpy's FFT runs as fast per point at these lengths as at powers of
+    two, and the least one is within a few percent of K = ceil(n_max / 11),
+    where the power of two can be up to twice K.
+    """
+    K = -(-int(n_max) // 11)
+    best = 1 << (K - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-K // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _pentagonal(L):
@@ -335,12 +356,21 @@ def eta_deep_table_level11(n_max):
 
     eleven convolutions of length ~L/11 replace one of length L.  E is built
     exactly in a[1:] from the sparse pentagonal series, as the diagonal plus
-    twice the upper triangle of its square; R is transformed
-    once, before any class is overwritten (class 0 overlaps R), and each
-    class is convolved with an eta_fft_length(n_max)-point real FFT and
-    rounded back into its own slots a[1+r::11].  Zeros are stored as +0.0,
-    so the table depends only on its integer values.  Every class must be
-    integer to ~1e-6, else we raise rather than ship noise.
+    twice the upper triangle of its square.  Only the first K terms of each
+    product are kept, so with h = ceil(K/2), R = R0 + q^h R1 and
+    E_r = A0 + q^h A1 (halves at h),
+
+        (E_r * R) mod q^K = A0 R0 + q^h (A0 R1 + A1 R0)   (A1 R1 starts at q^2h),
+
+    and every product on the right has at most K terms: real FFTs of
+    length N = _eta_half_length(n_max) >= K give them without wrap-around,
+    at about half the working memory of one eta_fft_length(n_max)-point
+    product, and at lengths N close to K.  R0 and R1 are
+    transformed once, before any class is overwritten (class 0 overlaps R),
+    and each class is rounded back into its own slots a[1+r::11].  Zeros
+    are stored as +0.0, so the table depends only on its integer values.
+    Every class must be integer to ~1e-6, else we raise rather than ship
+    noise.
 
     Point counting is O(p) per prime and cannot reach the ~6*10^6
     coefficients the homomorphism suite needs (verify sizes the table from
@@ -360,15 +390,25 @@ def eta_deep_table_level11(n_max):
             break
         E[exps[i:cut] + e] += signs[i:cut] * (2.0 * s)  # distinct indices: no np.add.at
         E[2 * e] -= 1.0
-    M = eta_fft_length(L)
-    R = np.fft.rfft(E[: -(-L // 11)], M)
+    K = -(-L // 11)
+    N = _eta_half_length(L)
+    h = -(-K // 2)
+    R0 = np.fft.rfft(E[:h], N)
+    R1 = np.fft.rfft(E[h:K], N)
     resid = 0.0
     for r in range(min(11, L)):
         cls = E[r::11]
-        F = np.fft.rfft(cls, M)
-        F *= R
-        prod = np.fft.irfft(F, M)[: len(cls)]
-        del F
+        n = len(cls)
+        P = np.fft.rfft(cls[:h], N)
+        T = np.fft.rfft(cls[h:], N)
+        T *= R0
+        T += P * R1  # A0 R1 + A1 R0
+        P *= R0  # A0 R0
+        prod = np.fft.irfft(P, N)[:n]
+        del P
+        if n > h:
+            prod[h:] += np.fft.irfft(T, N)[: n - h]
+        del T
         np.round(prod, out=cls)
         cls += 0.0  # -0.0 + 0.0 is +0.0
         prod -= cls

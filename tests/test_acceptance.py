@@ -121,6 +121,45 @@ def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
     assert table.a.tobytes() == curve.eta_deep_table_level11(verify.TABLE_TERMS).a.tobytes()
 
 
+def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatch):
+    # criteria stubbed: 01 takes the deep table, 02 reads a batch; the 1e7 batch is
+    # built in between, with no deep table cached, and the heap is trimmed at the end
+    events = []
+    state = {}
+
+    def crit01(res, quick):
+        state["res"] = res
+        events.append(("01", res.take_deep_table().n_max))
+        return True, "", None
+
+    def crit02(res, quick):
+        events.append(("02", res.batch(10 ** 6).T))
+        return True, "", None
+
+    build = modsym.symbols_up_to
+
+    def spy(table, N, T, **kwargs):
+        events.append(("build", T, "deep" in state["res"]._cache))
+        return build(table, N, T, **kwargs)
+
+    monkeypatch.setattr(verify, "CRITERIA", [("01", "a", crit01, False), ("02", "b", crit02, False)])
+    monkeypatch.setattr(modsym, "symbols_up_to", spy)
+    monkeypatch.setattr(verify, "_release_free_heap", lambda: events.append(("trim",)))
+    logs = []
+    results = verify.run_acceptance("11a", quick=False, seed=11, log=logs.append)
+    n_max = verify.Resources(seed=11).deep_table_size()[1]
+    assert events == [("01", n_max), ("build", 10 ** 7, False), ("02", 10 ** 6), ("trim",)]
+    assert [r.status for r in results] == ["PASS", "PASS"]
+    assert logs[0].startswith("shared resources (tables, lattice, deep table)")
+    assert logs[2].startswith("shared symbol batch T=1e7")
+
+
+def test_release_free_heap_without_malloc_trim(monkeypatch):
+    verify._release_free_heap()  # glibc trims; any other libc is left alone
+    monkeypatch.setattr(verify.ctypes, "CDLL", lambda name: object())
+    assert verify._release_free_heap() is None
+
+
 def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5):
     # the point-count table keeps some -0.0 that the eta table stores as +0.0;
     # the symbols, H(i) and the Rankin sums that verify builds cannot see it

@@ -470,6 +470,42 @@ def test_eta_deep_table_is_exact_eta_product(n_max):
     assert not np.signbit(a[a == 0]).any()  # zeros are +0.0 whatever the FFT layout
 
 
+def _one_transform_eta_table(n_max):
+    """The deep table with each class product as one eta_fft_length(n_max)-point FFT."""
+    a = np.zeros(n_max + 1)
+    E = a[1:]
+    exps, signs = curve_mod._pentagonal(n_max)
+    for e, s in zip(exps.tolist(), signs.tolist()):
+        cut = int(np.searchsorted(exps, n_max - e))
+        E[exps[:cut] + e] += signs[:cut] * s
+    M = eta_fft_length(n_max)
+    R = np.fft.rfft(E[: -(-n_max // 11)], M)
+    for r in range(min(11, n_max)):
+        cls = E[r::11]
+        cls[:] = np.round(np.fft.irfft(np.fft.rfft(cls, M) * R, M)[: len(cls)]) + 0.0
+    return a
+
+
+@pytest.mark.parametrize("n_max", [1, 13, 30000, 11 << 14, (11 << 14) + 1, 200003])
+def test_eta_deep_table_halves_match_one_transform(n_max):
+    # at 11 << 14, K = 2^14 is its own half-product length: the transforms are full
+    assert eta_deep_table_level11(n_max).a.tobytes() == _one_transform_eta_table(n_max).tobytes()
+
+
+def test_eta_half_length_is_least_5_smooth_cover():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in list(range(1, 2500)) + [11 << 14, (11 << 14) + 1, 5692306, 8681058]:
+        K = -(-n // 11)
+        N = curve_mod._eta_half_length(n)
+        assert N >= K and smooth(N) and not any(smooth(m) for m in range(K, N)), n
+    assert curve_mod._eta_half_length(5692306) == 518400  # 2^8 3^4 5^2; 2^19 = 524288
+
+
 def test_eta_fft_length_is_power_of_two_cover():
     # a class of K = ceil(n/11) terms times the K-term prefix: 2K - 1 points, no wrap
     assert [eta_fft_length(n) for n in (1, 11, 12, 22, 23, 44, 45)] == [1, 1, 4, 4, 8, 8, 16]
