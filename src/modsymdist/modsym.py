@@ -324,39 +324,44 @@ def _inverse_table(c):
     return inv
 
 
-def _symbols_for_c(table, c, ds, norms, tol):
-    """Symbol values for one c: residue fold + one DFT + inverse lookups."""
+def _symbols_for_c(table, c, ds, tol, out):
+    """Symbol values for one c into out: residue fold + one DFT + inverse lookups.
+
+    Returns the truncation bound shared by every symbol at this c.
+    """
     n_used, err = _terms_for_c(table, c, tol)
     hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c  # hvals[k] = H((k+i)/c)
     r = ds % c
-    values = hvals[-r] - hvals[_inverse_table(c)[r]]  # index -r is (-d) mod c
-    return values, np.full(len(ds), err)
+    np.subtract(hvals[-r], hvals[_inverse_table(c)[r]], out=out)  # index -r is (-d) mod c
+    return err
 
 
 def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     """SymbolBatch of every coset with N_z(gamma) <= T (identity excluded).
 
-    Work is partitioned by c; per-c results are merged in ascending c no
-    matter the thread count, so output is bit-identical for any `threads`.
+    Work is partitioned by c.  The five arrays are allocated once, sized
+    from the coset groups, and each c fills its own slice, ascending in c
+    whatever the thread count, so output is bit-identical for any `threads`.
     """
     groups = list(coset_arrays(N, T, z))
+    starts = np.cumsum([0] + [len(ds) for _, ds, _ in groups]).tolist()
+    size = starts[-1]
+    cs = np.empty(size, dtype=np.int64)
+    ds = np.empty(size, dtype=np.int64)
+    norms = np.empty(size, dtype=np.float64)
+    values = np.empty(size, dtype=np.complex128)
+    errs = np.empty(size, dtype=np.float64)
+
+    def fill(i):
+        c, c_ds, c_norms = groups[i]
+        out = slice(starts[i], starts[i + 1])
+        cs[out], ds[out], norms[out] = c, c_ds, c_norms
+        errs[out] = _symbols_for_c(table, c, c_ds, tol, values[out])
+
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda g: _symbols_for_c(table, g[0], g[1], g[2], tol), groups)
-            )
+            list(pool.map(fill, range(len(groups))))
     else:
-        results = [_symbols_for_c(table, c, ds, norms, tol) for c, ds, norms in groups]
-    if groups:
-        cs = np.concatenate([np.full(len(ds), c, dtype=np.int64) for c, ds, _ in groups])
-        ds = np.concatenate([g[1] for g in groups])
-        norms = np.concatenate([g[2] for g in groups]).astype(np.float64)
-        values = np.concatenate([r[0] for r in results])
-        errs = np.concatenate([r[1] for r in results])
-    else:
-        cs = np.zeros(0, dtype=np.int64)
-        ds = np.zeros(0, dtype=np.int64)
-        norms = np.zeros(0, dtype=np.float64)
-        values = np.zeros(0, dtype=np.complex128)
-        errs = np.zeros(0, dtype=np.float64)
+        for i in range(len(groups)):
+            fill(i)
     return SymbolBatch(int(N), float(T), complex(z), float(tol), cs, ds, norms, values, errs)

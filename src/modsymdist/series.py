@@ -11,16 +11,23 @@ residue constants; asymptotic_constants() tabulates them.  The smoothed
 variant replaces the sharp cutoff by a C^2 quintic ramp supported on
 [1 - 1/U, 1 + 1/U], which sandwiches the sharp sum for nonnegative weights.
 
-All reductions are exact sums rounded once (_exact_sum, a vectorized
+All reductions are exact sums rounded once (_ExactSum, a vectorized
 superaccumulator that returns math.fsum's result bit for bit), so results
-are bit-identical regardless of thread count or sample permutation.  Sums
-over nested prefixes of one array take a single pass
-(_exact_prefix_sums): the integer bins are read off at each cut, so
-samples sorted by norm shell give the sums at every norm bound at once.
+are bit-identical regardless of thread count or sample permutation.
+
+Block-size invariant: every reduction over symbol arrays runs over blocks
+of at most _SUM_CHUNK positions (_blocks, _block_sums).  The weight, the
+cutoff and every other temporary exist one block at a time, so memory
+beyond the batch itself is O(_SUM_CHUNK) whatever its length, and since
+the integer bins persist across blocks and are exact, the blocking never
+moves a bit of any result.  Sums over nested prefixes take a single pass
+(_exact_prefix_sums): the bins are read off at each cut, so samples sorted
+by norm shell give the sums at every norm bound at once.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -151,6 +158,115 @@ _SUM_BINS = 2098  # frexp exponents -1073..1024, offset by 1073
 _SUM_OFFSET = 1073 + 53  # bin i holds multiples of 2^(i - _SUM_OFFSET)
 
 
+class _ExactSum:
+    """Exact sum of float64 values fed block by block, rounded on demand.
+
+    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
+    53-bit integer.  m splits into a high half (m >> 26) and a low half in
+    [0, 2^26); np.bincount sums each half by exponent e over segments of at
+    most _SUM_CHUNK values, so every partial bin sum is an integer below
+    2^53 and exact in any order.  The int64 bins therefore hold the exact
+    sum of everything fed so far, however it was split into blocks.
+
+    `exact` turns False, and binning stops, once a value is non-finite or
+    the sum is large enough that math.fsum could overflow on the way; both
+    conditions only grow with what is fed.  `count` keeps counting, so the
+    caller can hand the same values to math.fsum instead.
+    """
+
+    def __init__(self):
+        self.hi = np.zeros(_SUM_BINS, dtype=np.int64)
+        self.lo = np.zeros(_SUM_BINS, dtype=np.int64)
+        self.amax = 0.0
+        self.count = 0
+        self.exact = True
+
+    def add(self, block):
+        """Fold in a float64 array of any length."""
+        for s in range(0, len(block), _SUM_CHUNK):
+            seg = block[s : s + _SUM_CHUNK]
+            self.count += len(seg)
+            if self.exact:
+                self.amax = max(max(float(seg.max()), -float(seg.min())), self.amax)  # a nan stays
+                self.exact = self.count < 1 << 35 and self.amax * self.count < 2.0 ** 1020
+            if self.exact:
+                mant, exp = np.frexp(seg)
+                m = np.ldexp(mant, 53).astype(np.int64)
+                idx = exp + 1073
+                self.hi += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
+                self.lo += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
+
+    def value(self):
+        """The exact sum, rounded once.
+
+        The bins are combined as one Python integer and divided by a power
+        of two: int/int true division is correctly rounded (half to even),
+        the same rounding math.fsum applies to the exact sum.
+        """
+        used = np.nonzero(self.hi | self.lo)[0].tolist()
+        if not used:
+            return 0.0
+        base = used[0]
+        total = 0
+        for i in used:
+            total += ((int(self.hi[i]) << 26) + int(self.lo[i])) << (i - base)
+        shift = base - _SUM_OFFSET
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+def _block_sums(blocks, k):
+    """Exact sums of k float64 streams from one pass over their blocks.
+
+    blocks() iterates the blocks: each item is an iterable of k float64
+    arrays, the next values of each stream (the streams may differ in
+    length), or None, which takes a snapshot of the running sums there.
+    Returns the snapshots in order and, last, the sums of the whole
+    streams, each a list of k floats that are math.fsum of their stream so
+    far, bit for bit.  A sum whose _ExactSum gave up is math.fsum of its
+    values read again from a new blocks() iterator, so inf, nan,
+    ValueError and OverflowError come out exactly as math.fsum gives them;
+    blocks() must yield the same values on every call.
+    """
+    accs = [_ExactSum() for _ in range(k)]
+    snaps = []
+
+    def snapshot():
+        snaps.append([
+            acc.value() if acc.exact else math.fsum(islice(_stream(blocks, j), acc.count))
+            for j, acc in enumerate(accs)
+        ])
+
+    for parts in blocks():
+        if parts is None:
+            snapshot()
+        else:
+            for acc, part in zip(accs, parts, strict=True):
+                acc.add(part)
+    snapshot()
+    return snaps
+
+
+def _stream(blocks, j):
+    """The values of stream j of blocks() (see _block_sums), one at a time."""
+    for parts in blocks():
+        if parts is not None:
+            yield from next(islice(parts, j, None))
+
+
+def _blocks(*arrays, mask=None):
+    """Per run of _SUM_CHUNK positions, a tuple of each array's entries there.
+
+    With a boolean mask, only the masked entries: the blocks then
+    concatenate to a[mask] for each array a, without building it.
+    """
+    for s in range(0, len(arrays[0]), _SUM_CHUNK):
+        if mask is None:
+            yield tuple(a[s : s + _SUM_CHUNK] for a in arrays)
+        else:
+            m = mask[s : s + _SUM_CHUNK]
+            yield tuple(a[s : s + _SUM_CHUNK][m] for a in arrays)
+
+
 def _exact_sum(values):
     """Correctly rounded sum of a real array, bit-identical to math.fsum.
 
@@ -163,63 +279,27 @@ def _exact_sum(values):
 def _exact_prefix_sums(values, cuts):
     """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass.
 
-    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
-    53-bit integer.  m splits into a high half (m >> 26) and a low half in
-    [0, 2^26); np.bincount sums each half by exponent e over segments of at
-    most 2^16 values, so every partial bin sum is an integer below 2^53 and
-    exact in any order.  A segment ends at every chunk boundary and at every
-    cut, so the int64 bins hold the exact sum of values[:n] when the pass
-    reaches n.  That snapshot is combined as one Python integer and rounded
-    once by int/int true division, which is correctly rounded (half to
-    even), the same rounding math.fsum applies to the exact sum.
-
-    A prefix with a non-finite value, or large enough that math.fsum could
-    overflow on the way, is handed to math.fsum (the prefix is a view, not a
-    copy), so inf, nan, ValueError and OverflowError behave exactly as
-    there.  Both conditions only grow with n, so the pass stops at the first
-    segment that trips them and every later cut falls back as well.
+    The array is fed to one _ExactSum in views of at most _SUM_CHUNK values
+    that also end at every cut, and the bins are read at each cut.  Past
+    the first prefix that trips the guard, each cut is math.fsum of the
+    prefix.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     cuts = [int(n) for n in cuts]
     if any(n < 0 or n > len(v) for n in cuts):
         raise ValueError(f"cuts must lie in [0, {len(v)}]")
     stops = sorted(set(cuts))
-    sums = {0: 0.0}
-    hi_bins = np.zeros(_SUM_BINS, dtype=np.int64)
-    lo_bins = np.zeros(_SUM_BINS, dtype=np.int64)
-    amax = 0.0
-    s = 0
-    exact = True
-    for n in stops:
-        while exact and s < n:
-            e = min(n, (s // _SUM_CHUNK + 1) * _SUM_CHUNK)
-            seg = v[s:e]
-            amax = max(max(float(seg.max()), -float(seg.min())), amax)  # a nan stays
-            exact = e < 1 << 35 and amax * e < 2.0 ** 1020
-            if not exact:
-                break
-            mant, exp = np.frexp(seg)
-            m = np.ldexp(mant, 53).astype(np.int64)
-            idx = exp + 1073
-            hi_bins += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
-            lo_bins += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
-            s = e
-        if n:
-            sums[n] = _round_bins(hi_bins, lo_bins) if s == n else math.fsum(v[:n])
+
+    def blocks():
+        s = 0
+        for n in stops:
+            for b in range(s, n, _SUM_CHUNK):
+                yield (v[b : min(b + _SUM_CHUNK, n)],)
+            s = n
+            yield None
+
+    sums = {n: snap[0] for n, snap in zip(stops, _block_sums(blocks, 1))}
     return [sums[n] for n in cuts]
-
-
-def _round_bins(hi_bins, lo_bins):
-    """The exact sum held in the bins, rounded once."""
-    used = np.nonzero(hi_bins | lo_bins)[0].tolist()
-    if not used:
-        return 0.0
-    base = used[0]
-    total = 0
-    for i in used:
-        total += ((int(hi_bins[i]) << 26) + int(lo_bins[i])) << (i - base)
-    shift = base - _SUM_OFFSET
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def cfsum(values):
@@ -227,15 +307,23 @@ def cfsum(values):
     v = np.asarray(values)
     if v.dtype.kind != "c":
         return complex(_exact_sum(v), 0.0)
-    return complex(_exact_sum(v.real), _exact_sum(v.imag))
+    v = v.astype(np.complex128, copy=False).reshape(-1)
+    return complex(*_block_sums(lambda: ((b.real, b.imag) for (b,) in _blocks(v)), 2)[-1])
 
 
-def _weighted_sum(batch, weight, mask, extra=None, identity_factor=1.0):
-    """Exact sum of weight(values[mask]) plus the identity-coset term."""
-    terms = weight.apply(batch.values[mask])
-    if extra is not None:
-        terms = terms * extra
-    return cfsum(terms) + weight.at_zero() * identity_factor
+def _weighted_sum(batch, weight, mask, cutoff=None, identity_factor=1.0):
+    """Exact sum of weight(values[mask]) plus the identity-coset term.
+
+    cutoff, if given, maps a block of norms[mask] to factors for its terms.
+    """
+    def blocks():
+        for v, norms in _blocks(batch.values, batch.norms, mask=mask):
+            terms = weight.apply(v)
+            if cutoff is not None:
+                terms = terms * cutoff(norms)
+            yield terms.real, terms.imag
+
+    return complex(*_block_sums(blocks, 2)[-1]) + weight.at_zero() * identity_factor
 
 
 def _error_budget(batch, weight, mask):
@@ -243,9 +331,12 @@ def _error_budget(batch, weight, mask):
     deg = weight.total_degree
     if deg == 0:
         return 0.0
-    v = np.abs(batch.values[mask])
-    scale = np.maximum(v, 1.0) ** (deg - 1)
-    return float(deg * _exact_sum(scale * batch.err_bounds[mask]))
+
+    def blocks():
+        for v, err in _blocks(batch.values, batch.err_bounds, mask=mask):
+            yield (np.maximum(np.abs(v), 1.0) ** (deg - 1) * err,)
+
+    return float(deg * _block_sums(blocks, 1)[-1][0])
 
 
 def sharp_sum(batch, weight, T=None):
@@ -276,6 +367,7 @@ def smoothed_sum(batch, weight, T, U):
 
     Requires the batch to cover norms up to T(1+1/U); for nonnegative
     weights the result sits between sharp(T(1-1/U)) and sharp(T(1+1/U)).
+    phi is taken block by block with the weight.
     """
     if U < 2:
         raise ValueError("U must be >= 2")
@@ -283,8 +375,7 @@ def smoothed_sum(batch, weight, T, U):
     if T * (1 + 1.0 / U) > batch.T:
         raise ValueError(f"batch covers norms <= {batch.T}, need {T * (1 + 1/U)}")
     mask = batch.norms <= T * (1 + 1.0 / U)
-    phi = smooth_cutoff(batch.norms[mask] / T, U)
-    value = _weighted_sum(batch, weight, mask, extra=phi,
+    value = _weighted_sum(batch, weight, mask, cutoff=lambda norms: smooth_cutoff(norms / T, U),
                           identity_factor=smooth_cutoff(1.0 / T, U))
     budget = _error_budget(batch, weight, mask)
     return SumReport(
@@ -317,7 +408,8 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     v^m conj(v)^n (y / norm)^s; the identity coset contributes y^s (m=n=0
     only).  Negative m or n, and Re(s) <= 1 (outside absolute convergence),
     are refused.  The tail estimate extrapolates the last decade's shell of
-    |terms| geometrically and is reported separately, never folded in.
+    |terms| geometrically and is reported separately, never folded in.  The
+    value and both shells come from one pass over blocks of the terms.
     """
     if m < 0 or n < 0:
         raise ValueError(f"exponents m={m}, n={n} must be >= 0")
@@ -327,15 +419,18 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     T_max = batch.norm_bound(T_max)
     y = batch.z.imag
     mask = batch.norms <= T_max
-    v = batch.values[mask]
-    norms = batch.norms[mask]
-    terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
-    value = cfsum(terms)
+
+    def blocks():
+        for v, norms in _blocks(batch.values, batch.norms, mask=mask):
+            terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
+            mags = np.abs(terms)
+            yield (terms.real, terms.imag, mags[norms > T_max / 10],
+                   mags[(norms > T_max / 100) & (norms <= T_max / 10)])
+
+    re, im, last, prev = _block_sums(blocks, 4)[-1]
+    value = complex(re, im)
     if m == 0 and n == 0:
         value += complex(y) ** s
-    mags = np.abs(terms)
-    last = _exact_sum(mags[norms > T_max / 10])
-    prev = _exact_sum(mags[(norms > T_max / 100) & (norms <= T_max / 10)])
     if prev > 0 and last < prev:
         ratio = last / prev
         tail = last * ratio / (1 - ratio)

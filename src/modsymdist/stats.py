@@ -11,8 +11,10 @@ z = i just the identity).  The empirical moments
 
 converge to the moments of the standard bivariate Gaussian with correlation
 zero: n!/((n/2)! 2^{n/2}) * m!/((m/2)! 2^{m/2}) for even n, m and 0 otherwise.
-Moment accumulation uses exact summation rounded once (series._exact_sum),
-so the reported values are permutation-invariant bit for bit.
+Moment accumulation uses exact summation rounded once (series._ExactSum),
+so the reported values are permutation-invariant bit for bit.  Like the
+sums in series, every pass over the samples runs in blocks of
+series._SUM_CHUNK positions, which bounds its temporaries and moves no bit.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _double_half_factorial, _exact_sum
+from .series import _SUM_CHUNK, _block_sums, _blocks, _double_half_factorial
 
 
 @dataclass(frozen=True)
@@ -40,16 +42,26 @@ def normalize_arrays(values, norms, norm_f_sq, vol):
     """Normalized symbols (x, y, kept_norms, dropped_count).
 
     Samples with norm <= 1 are dropped and counted; a non-finite normalized
-    value raises ValueError.
+    value raises ValueError.  The three output arrays are allocated once and
+    filled one block of _SUM_CHUNK positions at a time.
     """
     values = np.asarray(values, dtype=np.complex128)
     norms = np.asarray(norms, dtype=np.float64)
     keep = norms > 1.0
-    dropped = int(len(norms) - keep.sum())
-    w = tilde_factor(norm_f_sq, vol) * values[keep] / np.sqrt(np.log(norms[keep]))
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite normalized sample")
-    return w.real, w.imag, norms[keep], dropped
+    kept = int(keep.sum())
+    scale = tilde_factor(norm_f_sq, vol)
+    x, y, kept_norms = np.empty(kept), np.empty(kept), np.empty(kept)
+    k = 0
+    for v, nrm in _blocks(values, norms, mask=keep):  # masked blocks are copies: work in place
+        out = slice(k, k + len(v))
+        kept_norms[out] = nrm
+        v *= scale
+        v /= np.sqrt(np.log(nrm, out=nrm), out=nrm)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite normalized sample")
+        x[out], y[out] = v.real, v.imag
+        k = out.stop
+    return x, y, kept_norms, len(norms) - kept
 
 
 def gaussian_moment(n, m):
@@ -77,20 +89,27 @@ def _power_chain(x, k):
 
 
 def moments_from_arrays(x, y, n_max, m_max, T=None):
-    """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max."""
+    """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max.
+
+    One pass over blocks of _SUM_CHUNK samples: each block's power chains
+    feed (n_max + 1)(m_max + 1) running exact sums, one product at a time.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) == 0:
         raise ValueError("empty sample stream")
-    xp = [np.ones_like(x)]
-    yp = [np.ones_like(y)]
-    xp += _power_chain(x, n_max)
-    yp += _power_chain(y, m_max)
-    k = len(x)
-    pairs = {}
-    for i in range(n_max + 1):
-        for j in range(m_max + 1):
-            pairs[(i, j)] = _exact_sum(xp[i] * yp[j]) / k
+    if len(y) != len(x):
+        raise ValueError("x and y must have the same length")
+    keys = [(i, j) for i in range(n_max + 1) for j in range(m_max + 1)]
+
+    def blocks():
+        for xb, yb in _blocks(x, y):
+            xp = [np.ones_like(xb), *_power_chain(xb, n_max)]
+            yp = [np.ones_like(yb), *_power_chain(yb, m_max)]
+            yield (xp[i] * yp[j] for i, j in keys)
+
+    sums = _block_sums(blocks, len(keys))[-1]
+    pairs = {key: s / len(x) for key, s in zip(keys, sums)}
     limits = {key: gaussian_moment(*key) for key in pairs}
     return MomentReport(T=float(T) if T is not None else math.inf, pairs=pairs,
                         gaussian_limit=limits)
@@ -110,14 +129,22 @@ def _normal_cdf_values(v):
 
 
 def ks_distance(values):
-    """sup |F_empirical - Phi| against the standard normal CDF."""
+    """sup |F_empirical - Phi| against the standard normal CDF.
+
+    The sorted sample is walked in blocks of _SUM_CHUNK values, so only one
+    block is ever turned into Python floats for math.erf.
+    """
     v = np.sort(np.asarray(values, dtype=np.float64))
     if len(v) == 0:
         raise ValueError("empty sample")
     n = len(v)
-    cdf = _normal_cdf_values(v)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(cdf - (i - 1) / n), np.max(i / n - cdf)))
+    above, below = [], []
+    for s in range(0, n, _SUM_CHUNK):
+        cdf = _normal_cdf_values(v[s : s + _SUM_CHUNK])
+        i = np.arange(s + 1, s + len(cdf) + 1)
+        above.append(np.max(cdf - (i - 1) / n))
+        below.append(np.max(i / n - cdf))
+    return float(max(np.max(above), np.max(below)))
 
 
 def histogram(values, bin_count, value_range):

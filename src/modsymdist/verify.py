@@ -312,36 +312,32 @@ def _gaussian_free_moments(x, y, norms, decades):
     norm <= T for each T in decades (ascending, the last covering every
     norm); corr is |M11|/sqrt(M20 M02) and odd maps each (n, m) with
     n + m <= 3 and n or m odd to M_{n,m}, both over all samples.  A
-    sample's normalized value does not depend on T, so a stable sort by
-    decade shell turns every T into a prefix, and each even moment is one
-    _exact_prefix_sums pass.  M_{n,m} sums x^n y^m from the chain
+    sample's normalized value does not depend on T, so taking the samples
+    decade shell by decade shell turns every T into a prefix, and every
+    moment is one running exact sum read at each shell's end.  The shells
+    are walked in blocks of at most _SUM_CHUNK positions, so only a block's
+    powers are ever held.  M_{n,m} sums x^n y^m from the chain
     moments_from_arrays uses (which multiplies by an exact 1 when n or m is
     0), and every sum is exact and rounded once, so each number is
     bit-identical to moments_from_arrays on the samples with norm <= T.
-    The powers are walked one at a time, so a few are held at once.
     """
     shell = np.searchsorted(decades, norms).astype(np.uint8)  # (decades[k-1], decades[k]] -> k
     cuts = np.cumsum(np.bincount(shell, minlength=len(decades))).tolist()
     if cuts[0] == 0:
         raise ValueError("empty sample stream")
-    order = np.argsort(shell, kind="stable")
-    x, y = x[order], y[order]
-    del shell, order
 
-    def moment(p):
-        return series._exact_sum(p) / cuts[-1]
+    def blocks():
+        for k in range(len(cuts)):
+            for xb, yb in series._blocks(x, y, mask=shell == k):
+                x1, x2, x3, x4 = stats._power_chain(xb, 4)
+                y1, y2, y3, y4 = stats._power_chain(yb, 4)
+                yield x2, y2, x4, y4, x1, y1, x1 * y1, x1 * y2, x2 * y1, x3, y3
+            yield None
 
-    def prefix_moments(p):
-        return [s / n for s, n in zip(series._exact_prefix_sums(p, cuts), cuts)]
-
-    xs, ys = stats._power_chain(x, 4), stats._power_chain(y, 4)
-    x1, x2, y1, y2 = next(xs), next(xs), next(ys), next(ys)
-    m20, m02 = prefix_moments(x2), prefix_moments(y2)
-    odd = {(1, 0): moment(x1), (0, 1): moment(y1), (1, 1): moment(x1 * y1),
-           (1, 2): moment(x1 * y2), (2, 1): moment(x2 * y1)}
-    del x2, y2
-    odd[(3, 0)], odd[(0, 3)] = moment(next(xs)), moment(next(ys))
-    m40, m04 = prefix_moments(next(xs)), prefix_moments(next(ys))
+    snaps = series._block_sums(blocks, 11)[:-1]  # one per decade; the last is every sample
+    m20, m02, m40, m04 = ([snap[i] / n for snap, n in zip(snaps, cuts)] for i in range(4))
+    odd = dict(zip([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 0), (0, 3)],
+                   (s / cuts[-1] for s in snaps[-1][4:])))
     kx_list = [a / b ** 2 for a, b in zip(m40, m20)]
     ky_list = [a / b ** 2 for a, b in zip(m04, m02)]
     corr = abs(odd[(1, 1)]) / math.sqrt(m20[-1] * m02[-1])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from modsymdist import curve as curve_mod
@@ -37,3 +39,23 @@ def batch11_1e4(table11):
 @pytest.fixture(scope="session")
 def batch11_1e5(table11):
     return modsym.symbols_up_to(table11, 11, 10 ** 5, z=1j, tol=1e-10)
+
+
+@pytest.fixture(scope="session")
+def batch11_1e7(table11):
+    return modsym.symbols_up_to(table11, 11, 10 ** 7, z=1j, tol=1e-10)
+
+
+def _traced_peak(fn):
+    """(peak bytes tracemalloc sees while fn() runs, fn's result); numpy's buffers count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return _traced_peak

@@ -8,7 +8,6 @@ import json
 import math
 import hashlib
 import re
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -276,27 +275,19 @@ def test_out_file(tmp_path, capsys):
     assert text.endswith("\n")
 
 
-def test_coeffs_streams_its_csv(capsys):
+def test_coeffs_streams_its_csv(capsys, traced_peak):
     # rows are formatted as they are written: no list of 2*10^4 lines or row tuples
-    tracemalloc.start()
-    try:
-        code = main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, code = traced_peak(lambda: main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000"]))
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 20001
     assert peak <= 2.5e6, peak
 
 
-def test_coeffs_streams_its_json(capsys):
+def test_coeffs_streams_its_json(capsys, traced_peak):
     # records are dumped as they are written: no list of 2*10^4 dicts or one whole string
-    tracemalloc.start()
-    try:
-        code = main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, code = traced_peak(
+        lambda: main(["coeffs", "--curve", "0,1,1,-2,0,389", "--n-max", "20000", "--format", "json"])
+    )
     assert code == 0
     recs = json.loads(capsys.readouterr().out)
     assert len(recs) == 20000 and recs[0] == {"n": 1, "a_n": 1}

@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,19 +512,10 @@ def test_eta_fft_length_is_power_of_two_cover():
     assert eta_fft_length((11 << 19) + 1) == 1 << 21
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_eta_deep_table_peak_memory():
+def test_eta_deep_table_peak_memory(traced_peak):
     # tracemalloc sees numpy's buffers: the build holds the table plus O(n/11) scratch
     n_max = 10 ** 6
-    peak = _traced_peak(lambda: eta_deep_table_level11(n_max))
+    peak, _ = traced_peak(lambda: eta_deep_table_level11(n_max))
     assert peak <= 2.5 * 8 * (n_max + 1)
 
 
@@ -541,12 +531,12 @@ def test_max_ratio_matches_full_expression():
         max_ratio(np.zeros(1))
 
 
-def test_coefficient_table_checks_in_chunks():
+def test_coefficient_table_checks_in_chunks(traced_peak):
     n_max = 4 * 10 ** 6
     a = np.zeros(n_max + 1)
     a[1] = 1.0
     a[2::7] = -2.0
-    peak = _traced_peak(lambda: CoefficientTable(a))
+    peak, _ = traced_peak(lambda: CoefficientTable(a))
     assert peak <= 8 * 8 * RATIO_CHUNK  # a few chunk-sized buffers, not length-n_max ones
 
 

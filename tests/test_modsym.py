@@ -320,7 +320,8 @@ def _batch_reference(table, N, T, z, tol):
         arrays = (np.full(len(ds), c, dtype=np.int64), ds, norms, values, np.full(len(ds), err))
         for col, arr in zip(cols, arrays):
             col.append(arr)
-    return [np.concatenate(col) for col in cols]
+    dtypes = (np.int64, np.int64, np.float64, np.complex128, np.float64)
+    return [np.concatenate(col) if col else np.zeros(0, dt) for col, dt in zip(cols, dtypes)]
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +332,8 @@ def table14():
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "name, N, T, z",
-    [("table11", 11, 10 ** 6, 1j), ("table37", 37, 10 ** 6, 0.25 + 0.9j), ("table14", 14, 10 ** 6, 1j)],
+    [("table11", 11, 10 ** 6, 1j), ("table37", 37, 10 ** 6, 0.25 + 0.9j), ("table14", 14, 10 ** 6, 1j),
+     ("table11", 11, 100, 1j)],  # no coset has norm <= 100 at level 11: an empty batch
 )
 def test_batch_matches_euler_kernel_reference(request, name, N, T, z, threads):
     table = request.getfixturevalue(name)

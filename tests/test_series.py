@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from modsymdist.cosets import volume
-from modsymdist.modsym import antiderivative, symbols_up_to
+from modsymdist.modsym import SymbolBatch, antiderivative, symbols_up_to
 from modsymdist.series import (
     AsymptoticConstant,
     WeightSpec,
     _SUM_CHUNK,
+    _block_sums,
+    _error_budget,
     _exact_prefix_sums,
     _exact_sum,
+    _weighted_sum,
     cfsum,
     asymptotic_constants,
     eisenstein_twisted,
@@ -319,3 +322,167 @@ def test_sum_report_error_budget_flag(batch11_1e4):
     rep = sharp_sum(batch11_1e4, WeightSpec("f_power", 1, 0), 10 ** 4)
     assert rep.err_budget >= 0
     assert rep.err_budget < 1e-6  # tol 1e-12 batch: tiny budget
+
+
+# ---------------------------------------------------------------------------
+# Block pipeline against the full-array code it replaced
+# ---------------------------------------------------------------------------
+
+BLOCK_LENGTHS = [_SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 5]
+BLOCK_BYTES = 16 * _SUM_CHUNK  # one block of complex values
+
+
+def _hexed(r):
+    if isinstance(r, (tuple, list)):
+        return [_hexed(t) for t in r]
+    if isinstance(r, complex):
+        return r.real.hex(), r.imag.hex()
+    return r.hex() if isinstance(r, float) else r
+
+
+def _outcome(fn):
+    """fn()'s result in hex, or the type and message of what math.fsum raised."""
+    try:
+        return _hexed(fn())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _fsum_c(terms):
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _weighted_sum_reference(batch, weight, mask, extra=None, identity_factor=1.0):
+    """_weighted_sum over whole masked arrays, math.fsum for the exact sums. Reference only."""
+    terms = weight.apply(batch.values[mask])
+    if extra is not None:
+        terms = terms * extra
+    return _fsum_c(terms) + weight.at_zero() * identity_factor
+
+
+def _error_budget_reference(batch, weight, mask):
+    deg = weight.total_degree
+    if deg == 0:
+        return 0.0
+    v = np.abs(batch.values[mask])
+    scale = np.maximum(v, 1.0) ** (deg - 1)
+    return float(deg * math.fsum(scale * batch.err_bounds[mask]))
+
+
+def _smoothed_reference(batch, weight, T, U):
+    """(value, count, err_budget) of smoothed_sum over whole arrays. Reference only."""
+    mask = batch.norms <= T * (1 + 1.0 / U)
+    phi = smooth_cutoff(batch.norms[mask] / T, U)
+    value = _weighted_sum_reference(batch, weight, mask, extra=phi,
+                                    identity_factor=smooth_cutoff(1.0 / T, U))
+    return value, int((batch.norms <= T).sum()) + 1, _error_budget_reference(batch, weight, mask)
+
+
+def _eisenstein_reference(batch, s, m, n, T_max):
+    """(value, tail_estimate, count) of eisenstein_twisted over whole arrays. Reference only."""
+    y = batch.z.imag
+    mask = batch.norms <= T_max
+    v = batch.values[mask]
+    norms = batch.norms[mask]
+    terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
+    value = _fsum_c(terms)
+    if m == 0 and n == 0:
+        value += complex(y) ** s
+    mags = np.abs(terms)
+    last = math.fsum(mags[norms > T_max / 10])
+    prev = math.fsum(mags[(norms > T_max / 100) & (norms <= T_max / 10)])
+    if prev > 0 and last < prev:
+        ratio = last / prev
+        return value, last * ratio / (1 - ratio), int(mask.sum()) + 1
+    return value, last, int(mask.sum()) + 1
+
+
+def _synthetic_batch(n, seed, T=1e6):
+    """n random symbols with norms in [2, T]; the second block's norms all exceed 0.9 T."""
+    rng = np.random.default_rng(seed)
+    norms = rng.uniform(2.0, T, n)
+    norms[_SUM_CHUNK : 2 * _SUM_CHUNK] = rng.uniform(0.9 * T, T, len(norms[_SUM_CHUNK : 2 * _SUM_CHUNK]))
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    zeros = np.zeros(n, dtype=np.int64)
+    return SymbolBatch(11, T, 1j, 1e-10, zeros, zeros, norms, values, rng.uniform(0, 1e-10, n))
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+def test_blocked_sums_match_full_arrays(n):
+    # T/2 skips the second block whole; 1.5 lies below every norm, so the mask is empty
+    batch = _synthetic_batch(n, seed=n)
+    for wtxt in ("one", "f:2,0", "abs2:1"):
+        w = WeightSpec.parse(wtxt)
+        for T in (batch.T, batch.T / 2, 1.5):
+            mask = batch.norms <= T
+            assert _hexed(_weighted_sum(batch, w, mask)) == _hexed(_weighted_sum_reference(batch, w, mask))
+            assert _error_budget(batch, w, mask).hex() == _error_budget_reference(batch, w, mask).hex()
+            rep = sharp_sum(batch, w, T)
+            assert rep.count == int(mask.sum()) + 1
+        for T, U in ((batch.T / 1.25, 4), (batch.T / 2, 10), (1.5, 10)):
+            rep = smoothed_sum(batch, w, T, U)
+            assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(_smoothed_reference(batch, w, T, U))
+    for s, m, k in ((2.0, 1, 1), (2.0, 0, 0), (1.5 + 2j, 2, 0)):
+        for T in (batch.T, batch.T / 2, 1.5):
+            rep = eisenstein_twisted(batch, s, m, k, T)
+            want = _eisenstein_reference(batch, complex(s), m, k, T)
+            assert _hexed((rep.value, rep.tail_estimate, rep.count)) == _hexed(want)
+
+
+@pytest.mark.parametrize("bad", [[math.inf], [math.nan], [math.inf, -math.inf], [1e308, 1e308, -1e308]])
+def test_blocked_sums_non_finite_as_fsum(bad):
+    # the offending values sit in the second block; every sum behaves as math.fsum
+    batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=5)
+    at = _SUM_CHUNK + 3
+    batch.values[at : at + len(bad)] = bad
+    mask = batch.norms <= batch.T
+    with np.errstate(all="ignore"):
+        v = batch.values
+        assert _outcome(lambda: cfsum(v)) == _outcome(lambda: _fsum_c(v))
+        for w in (WeightSpec("f_power", 1, 0), WeightSpec("f_power", 2, 0)):
+            assert _outcome(lambda: _weighted_sum(batch, w, mask)) == _outcome(
+                lambda: _weighted_sum_reference(batch, w, mask))
+            assert _outcome(lambda: _error_budget(batch, w, mask)) == _outcome(
+                lambda: _error_budget_reference(batch, w, mask))
+
+        def eisenstein():
+            rep = eisenstein_twisted(batch, 2.0, 1, 0)
+            return rep.value, rep.tail_estimate, rep.count
+
+        assert _outcome(eisenstein) == _outcome(lambda: _eisenstein_reference(batch, 2 + 0j, 1, 0, batch.T))
+    assert _outcome(lambda: cfsum(np.array(bad, dtype=complex))) == _outcome(lambda: complex(math.fsum(bad), 0.0))
+
+
+def test_block_sums_any_blocking_and_streams():
+    # exact bins: how a stream is cut into blocks, and what runs beside it, never matters
+    rng = np.random.default_rng(17)
+    for v in _adversarial_sums():
+        cuts = np.sort(rng.integers(0, len(v) + 1, 4))
+        parts = np.split(v, cuts)  # empty parts and parts longer than one chunk included
+        snaps = _block_sums(lambda: ((p, p[::2]) for p in parts), 2)
+        halves = np.concatenate([p[::2] for p in parts])
+        assert [s.hex() for s in snaps[-1]] == [math.fsum(v).hex(), math.fsum(halves).hex()]
+    # a snapshot at every None reads each stream's sum so far
+    v = rng.standard_normal(3 * _SUM_CHUNK)
+    v[2 * _SUM_CHUNK] = math.inf  # both streams trip in their third block
+
+    def blocks():
+        for b in range(0, len(v), _SUM_CHUNK):
+            yield v[b : b + _SUM_CHUNK], -v[b : b + 100]
+            yield None
+
+    snaps = _block_sums(blocks, 2)
+    assert len(snaps) == 4 and snaps[-1] == snaps[-2]
+    for i, (a, b) in enumerate(snaps[:3]):
+        assert a.hex() == math.fsum(v[: (i + 1) * _SUM_CHUNK]).hex()
+        heads = [-v[k : k + 100] for k in range(0, (i + 1) * _SUM_CHUNK, _SUM_CHUNK)]
+        assert b.hex() == math.fsum(np.concatenate(heads)).hex()
+
+
+def test_blocked_sums_peak_memory(batch11_1e7, traced_peak):
+    # the weight, the cutoff and the terms exist one block at a time, not per symbol
+    w = WeightSpec("f_power", 2, 0)
+    peak, _ = traced_peak(lambda: smoothed_sum(batch11_1e7, w, 9e6, 10))
+    assert peak <= 8 * BLOCK_BYTES, peak
+    peak, _ = traced_peak(lambda: eisenstein_twisted(batch11_1e7, 2.0, 1, 1))
+    assert peak <= 10 * BLOCK_BYTES, peak

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from modsymdist import stats
+from modsymdist import series, stats
 from modsymdist.cosets import volume
 from modsymdist.stats import (
     gaussian_moment,
@@ -148,3 +148,80 @@ def test_normalized_sample_validation():
     for bad in (complex(math.nan, 0.0), complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="non-finite"):
             normalize_arrays([bad], [2.0], 1.0, VOL11)
+
+
+# ---------------------------------------------------------------------------
+# Block pipeline against the full-array code it replaced
+# ---------------------------------------------------------------------------
+
+CHUNK = series._SUM_CHUNK
+BLOCK_BYTES = 16 * CHUNK  # one block of complex values
+
+
+def _normalize_reference(values, norms, norm_f_sq, vol):
+    """normalize_arrays over whole arrays. Reference only."""
+    keep = norms > 1.0
+    w = stats.tilde_factor(norm_f_sq, vol) * values[keep] / np.sqrt(np.log(norms[keep]))
+    return w.real, w.imag, norms[keep], int(len(norms) - keep.sum())
+
+
+def _moments_reference(x, y, n_max, m_max):
+    """moments_from_arrays' pairs over whole power arrays, math.fsum for the sums. Reference only."""
+    xp = [np.ones_like(x), *stats._power_chain(x, n_max)]
+    yp = [np.ones_like(y), *stats._power_chain(y, m_max)]
+    return {(i, j): math.fsum(xp[i] * yp[j]) / len(x) for i in range(n_max + 1) for j in range(m_max + 1)}
+
+
+def _ks_reference(values):
+    """ks_distance with one whole-array erf pass. Reference only."""
+    v = np.sort(values)
+    n = len(v)
+    cdf = stats._normal_cdf_values(v)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(cdf - (i - 1) / n), np.max(i / n - cdf)))
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_blocked_stats_match_full_arrays(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    norms = rng.uniform(0.5, 1e6, n)
+    norms[CHUNK : 2 * CHUNK] = 0.75  # the second block is dropped whole
+    got = normalize_arrays(values, norms, 0.05, VOL11)
+    want = _normalize_reference(values, norms, 0.05, VOL11)
+    assert got[3] == want[3]
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
+    x, y = got[:2]
+    pairs = moments_from_arrays(x, y, 4, 4).pairs
+    assert {k: v.hex() for k, v in pairs.items()} == {
+        k: v.hex() for k, v in _moments_reference(x, y, 4, 4).items()
+    }
+    assert ks_distance(x).hex() == _ks_reference(x).hex()
+    # every sample dropped: empty outputs, and no moments
+    x, y, kept, dropped = normalize_arrays(values, np.full(n, 0.75), 0.05, VOL11)
+    assert (len(x), len(y), len(kept), dropped) == (0, 0, 0, n)
+    with pytest.raises(ValueError):
+        moments_from_arrays(x, y, 4, 4)
+
+
+def test_normalize_non_finite_in_a_later_block():
+    values = np.ones(CHUNK + 10, dtype=complex)
+    values[CHUNK + 5] = complex(math.nan, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11)
+
+
+def test_moments_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="same length"):
+        moments_from_arrays(np.ones(CHUNK + 1), np.ones(1), 2, 2)
+
+
+def test_blocked_stats_peak_memory(batch11_1e7, traced_peak):
+    # beyond its three outputs (24 bytes a kept sample) and the keep mask, the
+    # normalization holds a few blocks; the moments hold a block's powers only
+    b = batch11_1e7
+    peak, (x, y, _, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
+    assert peak <= 24 * len(x) + len(b.norms) + 4 * BLOCK_BYTES, peak
+    peak, _ = traced_peak(lambda: moments_from_arrays(x, y, 4, 4))
+    assert peak <= 12 * BLOCK_BYTES, peak
