@@ -401,7 +401,8 @@ def _synthetic_batch(n, seed, T=1e6):
     """n random symbols with norms in [2, T]; the second block's norms all exceed 0.9 T."""
     rng = np.random.default_rng(seed)
     norms = rng.uniform(2.0, T, n)
-    norms[_SUM_CHUNK : 2 * _SUM_CHUNK] = rng.uniform(0.9 * T, T, len(norms[_SUM_CHUNK : 2 * _SUM_CHUNK]))
+    second = slice(_SUM_CHUNK, 2 * _SUM_CHUNK)
+    norms[second] = rng.uniform(0.9 * T, T, len(norms[second]))
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     zeros = np.zeros(n, dtype=np.int64)
     return SymbolBatch(11, T, 1j, 1e-10, zeros, zeros, norms, values, rng.uniform(0, 1e-10, n))
