@@ -377,46 +377,71 @@ def eta_deep_table_level11(n_max):
     its drawn pairs); this route can, and is cross-validated against the
     point-count/Hecke table in the tests.
     """
+    return CoefficientTable(_eta_coefficients_level11(n_max, np.float64))
+
+
+def _eta_coefficients_level11(n_max, dtype):
+    """a[0..n_max] of eta_deep_table_level11(n_max), stored as dtype.
+
+    dtype is float64 or a signed integer type; the integers are the same
+    either way, and an integer table takes int32's 4 bytes a term where
+    float64 takes 8 (pairing reads either exactly).  E is built in the table
+    itself; the transforms run in float64 through five spectra of
+    N // 2 + 1 points: R0, R1, a class's two halves and one scratch, which
+    also takes each zero-padded input and the inverse transforms.  A class
+    value that its integer dtype cannot hold raises OverflowError.
+    """
     n_max = _checked_n_max(n_max)
     L = n_max
-    a = np.zeros(n_max + 1, dtype=np.float64)
+    a = np.zeros(n_max + 1, dtype=dtype)
     E = a[1:]  # E[m] is the coefficient of q^m, first of P^2, then of D^2
     exps, signs = _pentagonal(L)
+    signs = signs.astype(dtype)
     # P^2 = sum_i q^(2 e_i) + 2 sum_{i<j} s_i s_j q^(e_i + e_j): the upper triangle
     # twice, the diagonal (s_i^2 = 1) once
     for i, (e, s) in enumerate(zip(exps.tolist(), signs.tolist())):
         cut = int(np.searchsorted(exps, L - e))
         if cut <= i:
             break
-        E[exps[i:cut] + e] += signs[i:cut] * (2.0 * s)  # distinct indices: no np.add.at
-        E[2 * e] -= 1.0
+        E[exps[i:cut] + e] += signs[i:cut] * (2 * s)  # distinct indices: no np.add.at
+        E[2 * e] -= 1
     K = -(-L // 11)
     N = _eta_half_length(L)
     h = -(-K // 2)
-    R0 = np.fft.rfft(E[:h], N)
-    R1 = np.fft.rfft(E[h:K], N)
+    R0, R1, P, T, W = (np.empty(N // 2 + 1, dtype=np.complex128) for _ in range(5))
+    w = W.view(np.float64)  # N + 1 or N + 2 reals
+    Pr = P.view(np.float64)
+
+    def rfft(x, out):
+        w[: len(x)] = x
+        w[len(x) : N] = 0.0
+        return np.fft.rfft(w[:N], out=out)
+
+    rfft(E[:h], R0)
+    rfft(E[h:K], R1)
+    limit = np.iinfo(dtype).max if np.issubdtype(dtype, np.integer) else None
     resid = 0.0
     for r in range(min(11, L)):
         cls = E[r::11]
         n = len(cls)
-        P = np.fft.rfft(cls[:h], N)
-        T = np.fft.rfft(cls[h:], N)
+        rfft(cls[:h], P)
+        rfft(cls[h:], T)
         T *= R0
-        T += P * R1  # A0 R1 + A1 R0
+        T += np.multiply(P, R1, out=W)  # A0 R1 + A1 R0
         P *= R0  # A0 R0
-        prod = np.fft.irfft(P, N)[:n]
-        del P
+        prod = np.fft.irfft(P, N, out=w[:N])[:n]
         if n > h:
-            prod[h:] += np.fft.irfft(T, N)[: n - h]
-        del T
-        np.round(prod, out=cls)
-        cls += 0.0  # -0.0 + 0.0 is +0.0
-        prod -= cls
+            prod[h:] += np.fft.irfft(T, N, out=Pr[:N])[: n - h]
+        rounded = np.round(prod, out=Pr[:n])
+        rounded += 0.0  # -0.0 + 0.0 is +0.0
+        if limit is not None and max(rounded.max(), -rounded.min()) > limit:
+            raise OverflowError(f"eta-product coefficient beyond {np.dtype(dtype).name}")
+        cls[:] = rounded
+        prod -= rounded
         resid = max(resid, float(np.max(np.abs(prod, out=prod))))
-        del prod
     if not resid <= 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
-    return CoefficientTable(a)
+    return a
 
 
 # ---------------------------------------------------------------------------

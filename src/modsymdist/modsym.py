@@ -78,51 +78,56 @@ def _terms_for_c(table, c, tol):
     return n_used, 2 * table.tail_constant * r ** (n_used + 1) / (1 - r)
 
 
-def _fold(a, c, n_used):
+_FOLD_BLOCK = 1 << 16  # residues per block of _fold: its scratch memory is O(block)
+
+
+def _fold(a, c, n_used, size=None):
     """folded[k] = sum_{n = k (mod c), 1 <= n <= n_used} (a_n / n) e^{-2 pi n / c}.
 
+    Returned in an array of `size` (default c) entries, zero from k = c on.
     Row j of the index range holds n = j c + k, whose weight is
-    e^{-2 pi j} r^k with r = e^{-2 pi / c}.  Each row's a_n / n is formed in
-    one length-c scratch buffer, scaled by e^{-2 pi j} and added in place;
-    the common factor r^k is applied once at the end.  Memory is O(c)
-    however long the series.
+    e^{-2 pi j} r^k with r = e^{-2 pi / c}.  The residues are taken in
+    blocks of at most _FOLD_BLOCK: in each, every row's a_n / n is formed in
+    one block-length scratch buffer, scaled by e^{-2 pi j} and added in
+    place, and the common factor r^k is applied once at the end.  Each entry
+    sees the same operations in the same order whatever the block, and the
+    scratch memory is O(_FOLD_BLOCK) however large c or long the series.
     """
-    acc = np.zeros(c)
-    buf = np.empty(c)
-    k = np.arange(c, dtype=np.float64)
-    for j in range(n_used // c + 1):
-        lo = 1 if j == 0 else 0  # n = 0 is not a term
-        hi = min(c, n_used - j * c + 1)
-        row = buf[lo:hi]
-        np.add(k[lo:hi], j * c, out=row)
-        np.divide(a[j * c + lo : j * c + hi], row, out=row)
-        row *= math.exp(-2 * math.pi * j)
-        acc[lo:hi] += row
-    np.multiply(k, -2 * math.pi / c, out=buf)
-    acc *= np.exp(buf, out=buf)
+    acc = np.zeros(c if size is None else size)
+    buf = np.empty(min(c, _FOLD_BLOCK))
+    for k0 in range(0, c, _FOLD_BLOCK):
+        k1 = min(c, k0 + _FOLD_BLOCK)
+        k = np.arange(k0, k1, dtype=np.float64)
+        for j in range(n_used // c + 1):
+            lo = max(k0, 1) if j == 0 else k0  # n = 0 is not a term
+            hi = max(lo, min(k1, n_used - j * c + 1))
+            row = buf[lo - k0 : hi - k0]
+            np.add(k[lo - k0 : hi - k0], j * c, out=row)
+            np.divide(a[j * c + lo : j * c + hi], row, out=row)
+            row *= math.exp(-2 * math.pi * j)
+            acc[lo:hi] += row
+        scale = buf[: k1 - k0]
+        np.multiply(k, -2 * math.pi / c, out=scale)
+        acc[k0:k1] *= np.exp(scale, out=scale)
     return acc
 
 
-def _twisted_sums(folded, us):
-    """sum_k folded[k] e^{2 pi i u k / c} for each residue u in us (c = len(folded)).
+def _twisted_sums(grid, c, us):
+    """sum_k folded[k] e^{2 pi i u k / c} for each residue u in us.
 
-    With B = ceil(sqrt c) and k = q B + s, the phase of u k is the product of
-    a giant-step factor at (u B q) mod c and a baby-step factor at
-    (u s) mod c.  Both angles are exact integers mod c, so the rounding of
+    grid is the fold at c in Q rows of B = ceil(sqrt c), zero past its c
+    entries.  With k = q B + s, the phase of u k is the product of a
+    giant-step factor at (u B q) mod c and a baby-step factor at (u s) mod c.  Both angles are exact integers mod c, so the rounding of
     each phase is a few ulp whatever k, and only O(sqrt c) exponentials are
     taken per residue; the O(c) work is plain multiply-adds in einsum.
     """
-    c = len(folded)
-    B = math.isqrt(c - 1) + 1
-    Q = -(-c // B)
-    grid = np.zeros(Q * B)
-    grid[:c] = folded
+    Q, B = grid.shape
     u = np.asarray(us, dtype=np.int64)[:, None]
     baby = (2 * math.pi / c) * ((u * np.arange(B)) % c)
     giant = (2 * math.pi / c) * ((u * B % c) * np.arange(Q) % c)
     # real row sums against cos and sin of every baby angle, all residues at once
     trig = np.concatenate([np.cos(baby), np.sin(baby)])
-    rows = np.einsum("qs,ks->kq", grid.reshape(Q, B), trig)
+    rows = np.einsum("qs,ks->kq", grid, trig)
     return np.einsum("uq,uq->u", np.exp(1j * giant), rows[: len(us)] + 1j * rows[len(us) :])
 
 
@@ -138,7 +143,10 @@ def pairing(table, m, tol=1e-10):
     if c == 0:
         return 0j, 0.0
     n_used, err = _terms_for_c(table, c, tol)
-    h1, h2 = _twisted_sums(_fold(table.a, c, n_used), [(-d) % c, a_top % c])
+    B = math.isqrt(c - 1) + 1  # baby steps, and Q giant steps with Q B >= c
+    Q = -(-c // B)
+    grid = _fold(table.a, c, n_used, size=Q * B).reshape(Q, B)
+    h1, h2 = _twisted_sums(grid, c, [(-d) % c, a_top % c])
     return complex(h1 - h2), err
 
 

@@ -83,9 +83,18 @@ class Resources:
         return c_max, modsym.tail_terms_needed(1.0 / c_max, ETA11_TAIL_CONSTANT, HOMOMORPHISM_TOL)
 
     def deep_table(self):
+        """Criterion 01's table: eta_deep_table_level11(n_max)'s integers, stored as int32.
+
+        pairing, its only reader, converts each a_n to float64 exactly, so
+        its values are bit-identical to the float64 table's, in half the
+        memory.  The table is the largest array of the run and its size
+        follows the seed, so halving it keeps criterion 01 below the
+        seed-independent peak of the 1e7 batch's criteria.
+        """
         if "deep" not in self._cache:
             _, n_max = self.deep_table_size()
-            self._cache["deep"] = curve_mod.eta_deep_table_level11(n_max)
+            a = curve_mod._eta_coefficients_level11(n_max, np.int32)
+            self._cache["deep"] = curve_mod.CoefficientTable(a)
         return self._cache["deep"]
 
     def take_deep_table(self):
@@ -519,7 +528,9 @@ def _release_free_heap():
     last run's free heap stays resident, in pieces too small for the next
     deep table's transforms, which land on top of it.  malloc_trim(0) hands
     those pages back, so a process that runs the suite again does not start
-    the next run on top of them.
+    the next run on top of them.  run_acceptance also trims once the deep
+    table is built, so criterion 01 does not run on top of the build's FFT
+    scratch.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -547,6 +558,7 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
     else:
         c_max, n_max = res.deep_table_size()
         res.deep_table()
+        _release_free_heap()  # the build's FFT scratch, before criterion 01 allocates on top
         deep = (f"; deep table c_max={c_max} n_max={n_max} "
                 f"fft_len={curve_mod._eta_half_length(n_max)}")
     log(f"shared resources (tables, lattice, {'symbol batch' if quick else 'deep table'}) in "

@@ -123,7 +123,8 @@ def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
 
 def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatch):
     # criteria stubbed: 01 takes the deep table, 02 reads a batch; the 1e7 batch is
-    # built in between, with no deep table cached, and the heap is trimmed at the end
+    # built in between, with no deep table cached, and the heap is trimmed once the
+    # deep table is built and again at the end
     events = []
     state = {}
 
@@ -148,7 +149,9 @@ def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatc
     logs = []
     results = verify.run_acceptance("11a", quick=False, seed=11, log=logs.append)
     n_max = verify.Resources(seed=11).deep_table_size()[1]
-    assert events == [("01", n_max), ("build", 10 ** 7, False), ("02", 10 ** 6), ("trim",)]
+    assert events == [
+        ("trim",), ("01", n_max), ("build", 10 ** 7, False), ("02", 10 ** 6), ("trim",)
+    ]
     assert [r.status for r in results] == ["PASS", "PASS"]
     assert logs[0].startswith("shared resources (tables, lattice, deep table)")
     assert logs[2].startswith("shared symbol batch T=1e7")
@@ -250,6 +253,21 @@ def test_deep_table_size_covers_drawn_pairs():
             assert curve.eta_fft_length(n_max) == 1 << 20
     # the sizing constant is the one the built table certifies (max at n = 1, 2)
     assert curve.eta_deep_table_level11(30000).tail_constant == verify.ETA11_TAIL_CONSTANT
+
+
+def test_deep_table_is_int32_eta_table(monkeypatch):
+    # a short table stands in for criterion 01's; pairing reads it bit for bit as float64
+    monkeypatch.setattr(verify.Resources, "deep_table_size", lambda self: (11 * 9091, 600000))
+    res = verify.Resources(seed=11)
+    deep = res.take_deep_table()
+    wide = curve.eta_deep_table_level11(600000)
+    assert deep.a.dtype == np.int32 and "deep" not in res._cache
+    assert np.array_equal(deep.a, wide.a) and deep.tail_constant == wide.tail_constant
+    for g1, g2 in verify.homomorphism_pairs(11, quick=False)[:5]:
+        for g in (g1, g2):
+            assert modsym.pairing(deep, g, verify.HOMOMORPHISM_TOL) == modsym.pairing(
+                wide, g, verify.HOMOMORPHISM_TOL
+            )
 
 
 def test_criterion_02_eichler_shimura_lattice(acceptance):

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from modsymdist.cosets import Coset, GammaMatrix, _prime_factors, coset_arrays, lift
-from modsymdist.curve import coefficient_table, eta_deep_table_level11, lattice_distance
+from modsymdist.curve import (
+    CoefficientTable,
+    coefficient_table,
+    eta_deep_table_level11,
+    lattice_distance,
+)
 from modsymdist.modsym import (
+    _FOLD_BLOCK,
     _carmichael,
     _fold,
     _inverse_table,
@@ -274,6 +280,64 @@ def test_pairing_vs_direct_series_row_edges(eta_table_1e5, c, rows):
         m = lift(Coset(c, d, float(c * c + d * d)))
         ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
         assert abs(pairing(eta_table_1e5, m, tol)[0] - ref) < 1e-11
+
+
+def _fold_one_pass(a, c, n_used):
+    """_fold over all c residues at once, with length-c scratch (its form before the blocks)."""
+    acc = np.zeros(c)
+    buf = np.empty(c)
+    k = np.arange(c, dtype=np.float64)
+    for j in range(n_used // c + 1):
+        lo = 1 if j == 0 else 0
+        hi = min(c, n_used - j * c + 1)
+        row = buf[lo:hi]
+        np.add(k[lo:hi], j * c, out=row)
+        np.divide(a[j * c + lo : j * c + hi], row, out=row)
+        row *= math.exp(-2 * math.pi * j)
+        acc[lo:hi] += row
+    np.multiply(k, -2 * math.pi / c, out=buf)
+    acc *= np.exp(buf, out=buf)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "c", [1, 2, 11, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 3 * _FOLD_BLOCK + 5]
+)
+def test_fold_blocks_match_one_pass(c):
+    # every residue block sees the one-pass operations: bit-identical, float64 or int32 a_n
+    rng = np.random.default_rng(c)
+    n_top = 2 * c + _FOLD_BLOCK // 2
+    a = rng.integers(-3000, 3000, size=n_top + 1).astype(np.float64)
+    for n_used in sorted({max(1, c // 2), max(1, c - 1), c, c + 1, 2 * c - 1, n_top}):
+        ref = _fold_one_pass(a, c, n_used).tobytes()
+        assert _fold(a, c, n_used).tobytes() == ref, n_used
+        assert _fold(a.astype(np.int32), c, n_used).tobytes() == ref, n_used
+        padded = _fold(a, c, n_used, size=c + 7)
+        assert padded[:c].tobytes() == ref and not padded[c:].any(), n_used
+
+
+def test_pairing_int32_table_is_bit_identical(eta_table_1e5):
+    # pairing converts each a_n to float64 exactly, so the int32 table gives the same bits
+    narrow = CoefficientTable(eta_table_1e5.a.astype(np.int32))
+    assert narrow.tail_constant == eta_table_1e5.tail_constant
+    rng = random.Random(9)
+    for c in (11, 121, 1331, 11 * 9091):  # 11 * 9091 > _FOLD_BLOCK: several residue blocks
+        for _ in range(3):
+            d = _coprime_d(rng, c, -c, c)
+            m = lift(Coset(c, d, float(c * c + d * d)))
+            assert pairing(narrow, m, 1e-10) == pairing(eta_table_1e5, m, 1e-10)
+
+
+def test_pairing_peak_memory(traced_peak):
+    # one fold-sized array plus block scratch, not several length-c temporaries
+    c = 11 * 95326  # > 2^20
+    a = np.zeros(6 * 10 ** 6, dtype=np.int32)
+    a[1] = 1  # H(z) = e^{2 pi i z}: the symbol is H((-1 + i)/c) - H((1 + i)/c)
+    table = CoefficientTable(a)
+    peak, (value, _) = traced_peak(lambda: pairing(table, GammaMatrix(1, 0, c, 1), 1e-9))
+    assert peak <= 1.5 * 8 * c
+    expected = -2j * math.exp(-2 * math.pi / c) * math.sin(2 * math.pi / c)
+    assert value == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_inverse_table_matches_pow():
