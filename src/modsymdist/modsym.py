@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosets import _prime_factors, _unit_mask, coset_arrays
+from .series import _SUM_CHUNK
 
 
 def tail_terms_needed(y, tail_constant, tol, two_sided=True):
@@ -78,25 +79,23 @@ def _terms_for_c(table, c, tol):
     return n_used, 2 * table.tail_constant * r ** (n_used + 1) / (1 - r)
 
 
-_FOLD_BLOCK = 1 << 16  # residues per block of _fold: its scratch memory is O(block)
-
-
 def _fold(a, c, n_used, size=None):
     """folded[k] = sum_{n = k (mod c), 1 <= n <= n_used} (a_n / n) e^{-2 pi n / c}.
 
     Returned in an array of `size` (default c) entries, zero from k = c on.
     Row j of the index range holds n = j c + k, whose weight is
     e^{-2 pi j} r^k with r = e^{-2 pi / c}.  The residues are taken in
-    blocks of at most _FOLD_BLOCK: in each, every row's a_n / n is formed in
-    one block-length scratch buffer, scaled by e^{-2 pi j} and added in
-    place, and the common factor r^k is applied once at the end.  Each entry
-    sees the same operations in the same order whatever the block, and the
-    scratch memory is O(_FOLD_BLOCK) however large c or long the series.
+    blocks of at most _SUM_CHUNK, the symbol pipeline's block size: in each,
+    every row's a_n / n is formed in one block-length scratch buffer,
+    scaled by e^{-2 pi j} and added in place, and the common factor r^k is
+    applied once at the end.  Each entry sees the same operations in the
+    same order whatever the block, and the scratch memory is O(_SUM_CHUNK)
+    however large c or long the series.
     """
     acc = np.zeros(c if size is None else size)
-    buf = np.empty(min(c, _FOLD_BLOCK))
-    for k0 in range(0, c, _FOLD_BLOCK):
-        k1 = min(c, k0 + _FOLD_BLOCK)
+    buf = np.empty(min(c, _SUM_CHUNK))
+    for k0 in range(0, c, _SUM_CHUNK):
+        k1 = min(c, k0 + _SUM_CHUNK)
         k = np.arange(k0, k1, dtype=np.float64)
         for j in range(n_used // c + 1):
             lo = max(k0, 1) if j == 0 else k0  # n = 0 is not a term

@@ -15,7 +15,6 @@ from modsymdist.curve import (
     lattice_distance,
 )
 from modsymdist.modsym import (
-    _FOLD_BLOCK,
     _carmichael,
     _fold,
     _inverse_table,
@@ -26,7 +25,7 @@ from modsymdist.modsym import (
     symbols_up_to,
     tail_terms_needed,
 )
-from modsymdist.series import WeightSpec
+from modsymdist.series import _SUM_CHUNK, WeightSpec
 
 # H(i) = sum (a_n/n) e^{-2 pi n} for 11a, pinned before the build by direct
 # quadrature of f along the vertical ray (2 pi * Int_1^inf f(iy) dy).
@@ -301,12 +300,12 @@ def _fold_one_pass(a, c, n_used):
 
 
 @pytest.mark.parametrize(
-    "c", [1, 2, 11, _FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1, 3 * _FOLD_BLOCK + 5]
+    "c", [1, 2, 11, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 5]
 )
 def test_fold_blocks_match_one_pass(c):
     # every residue block sees the one-pass operations: bit-identical, float64 or int32 a_n
     rng = np.random.default_rng(c)
-    n_top = 2 * c + _FOLD_BLOCK // 2
+    n_top = 2 * c + _SUM_CHUNK // 2
     a = rng.integers(-3000, 3000, size=n_top + 1).astype(np.float64)
     for n_used in sorted({max(1, c // 2), max(1, c - 1), c, c + 1, 2 * c - 1, n_top}):
         ref = _fold_one_pass(a, c, n_used).tobytes()
@@ -321,7 +320,7 @@ def test_pairing_int32_table_is_bit_identical(eta_table_1e5):
     narrow = CoefficientTable(eta_table_1e5.a.astype(np.int32))
     assert narrow.tail_constant == eta_table_1e5.tail_constant
     rng = random.Random(9)
-    for c in (11, 121, 1331, 11 * 9091):  # 11 * 9091 > _FOLD_BLOCK: several residue blocks
+    for c in (11, 121, 1331, 11 * 9091):  # 11 * 9091 > _SUM_CHUNK: several residue blocks
         for _ in range(3):
             d = _coprime_d(rng, c, -c, c)
             m = lift(Coset(c, d, float(c * c + d * d)))
