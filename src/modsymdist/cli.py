@@ -9,6 +9,7 @@ config and seed produce byte-identical output for any --threads value.
 import argparse
 import cmath
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -146,8 +147,9 @@ def _norm_f_sq(crv, table):
 def _normalized(cfg):
     """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= cfg.T; never empty."""
     crv, table, batch = _batch_for(cfg, cfg.T)
-    vol = cosets.volume(crv.N)
-    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, _norm_f_sq(crv, table), vol)
+    values, norms = batch.values, batch.norms
+    del batch  # the rest of the batch goes before the normalized arrays are allocated
+    x, y, _ = stats.normalize_arrays(values, norms, _norm_f_sq(crv, table), cosets.volume(crv.N))
     _require(len(x) > 0, "no samples with N_z(gamma) > 1 at this T")
     return x, y
 
@@ -165,25 +167,34 @@ def cmd_coeffs(args):
 def cmd_enumerate(args):
     cfg = _cfg_from_args(args)
     N = int(args.N) if args.N is not None else curve_mod.resolve_curve(cfg.curve).N
-    rows = [(0, 1, 1.0)]  # the identity coset
-    for c, ds, norms in cosets.coset_arrays(N, cfg.T, cfg.zc):
-        rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
-    _emit_rows(args, ["c", "d", "norm"], rows)
+    _require(N >= 1, "N must be a positive integer")
+
+    def rows():
+        yield 0, 1, 1.0  # the identity coset
+        for c, ds, norms in cosets.coset_arrays(N, cfg.T, cfg.zc):
+            yield from zip(itertools.repeat(c), ds.tolist(), norms.tolist())
+
+    _emit_rows(args, ["c", "d", "norm"], rows())
     return 0
 
 
 def cmd_symbols(args):
     cfg = _cfg_from_args(args)
     _, _, batch = _batch_for(cfg, cfg.T)
-    rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
-    rows += [
-        (c, d, nrm, v.real, v.imag, e)
-        for c, d, nrm, v, e in zip(
-            batch.cs.tolist(), batch.ds.tolist(), batch.norms.tolist(),
-            batch.values.tolist(), batch.err_bounds.tolist(),
-        )
-    ]
-    _emit_rows(args, ["c", "d", "norm", "re_symbol", "im_symbol", "err_bound"], rows)
+
+    def rows():  # a block of rows at a time; the per-c columns are spelled out per block
+        yield 0, 1, 1.0, 0.0, 0.0, 0.0  # the identity coset
+        for s in range(0, len(batch.ds), series._SUM_CHUNK):
+            cut = slice(s, s + series._SUM_CHUNK)
+            values = batch.values[cut]
+            cols = (
+                batch.per_symbol(batch.group_cs, cut.start, cut.stop), batch.ds[cut],
+                batch.norms[cut], values.real, values.imag,
+                batch.per_symbol(batch.group_err_bounds, cut.start, cut.stop),
+            )
+            yield from zip(*(col.tolist() for col in cols))
+
+    _emit_rows(args, ["c", "d", "norm", "re_symbol", "im_symbol", "err_bound"], rows())
     return 0
 
 

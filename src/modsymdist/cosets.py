@@ -91,14 +91,32 @@ def volume(N):
     return (math.pi / 3) * index
 
 
+def _candidates(c, T, x, y):
+    """One c's candidate range at z = x + iy: (lo, norms, keep), entry k for d = lo + k.
+
+    The range covers every d with |cz+d|^2 <= T, with a margin of one on
+    each side; norms[k] = |cz+d|^2, and keep[k] holds when that norm is
+    <= T and gcd(c, d) = 1.  Coprimality is read off the range itself: for
+    each prime p | c the entries with p | d, every p-th one from (-lo) mod p,
+    are cleared, so no gcd or residue is taken.
+    """
+    half = math.sqrt(max(T - (c * y) ** 2, 0.0))
+    lo = math.floor(-c * x - half) - 1
+    hi = math.ceil(-c * x + half) + 1
+    norms = (c * x + np.arange(lo, hi + 1, dtype=np.float64)) ** 2 + (c * y) ** 2
+    keep = norms <= T
+    for p, _ in _prime_factors(c):
+        keep[(-lo) % p :: p] = False
+    return lo, norms, keep
+
+
 def coset_arrays(N, T, z=1j):
     """Per-c arrays (c, ds, norms) of all non-identity cosets with |cz+d|^2 <= T.
 
     Yields tuples in ascending c; within each c the d values are ascending.
-    The identity coset (0, 1) with norm 1 is *not* included here.  For each
-    c the candidate d range is cut by the norm check and by coprimality,
-    read off the unit mask of c at d mod c: one bool array of length c with
-    the multiples of each prime p | c cleared, so no gcd is taken.
+    The identity coset (0, 1) with norm 1 is *not* included here.  Each c's
+    group is its candidate range (_candidates) cut by the norm check and by
+    coprimality.
     """
     N = int(N)
     z = complex(z)
@@ -111,15 +129,23 @@ def coset_arrays(N, T, z=1j):
         raise ValueError("T must be >= 1")
     c = N
     while (c * y) ** 2 <= T:
-        half = math.sqrt(max(T - (c * y) ** 2, 0.0))
-        lo = math.floor(-c * x - half) - 1
-        hi = math.ceil(-c * x + half) + 1
-        ds = np.arange(lo, hi + 1, dtype=np.int64)
-        norms = (c * x + ds) ** 2 + (c * y) ** 2
-        keep = (norms <= T) & _unit_mask(c)[ds % c]
-        if np.any(keep):
-            yield c, ds[keep], norms[keep]
+        lo, norms, keep = _candidates(c, T, x, y)
+        kept = np.flatnonzero(keep)
+        if len(kept):
+            yield c, kept + lo, norms[kept]
         c += N
+
+
+def _group_into(c, T, z, ds, norms):
+    """Write coset_arrays' group for c into ds and norms, bit for bit.
+
+    ds and norms must have exactly the group's length, which np.compress
+    checks.  The values come from the same _candidates call, so a caller
+    that counted the groups in one pass can fill them in place in another.
+    """
+    lo, cand, keep = _candidates(c, T, z.real, z.imag)
+    np.compress(keep, cand, out=norms)
+    np.add(np.flatnonzero(keep), lo, out=ds)
 
 
 def coset_count(N, T, z=1j):

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .series import _SUM_CHUNK
+
 AP_PRIME_BOUND = 10 ** 6  # cost guard: point counting is O(p) per prime
 
 
@@ -225,19 +227,18 @@ class CoefficientTable:
 
 
 DIVISOR_BOUND_START = 1260  # d(n) < sqrt(n) for every n > 1260
-RATIO_CHUNK = 1 << 16  # entries per slice of max_ratio: O(chunk) scratch memory
 
 
 def max_ratio(a):
-    """max |a_n|/n over n = 1..len(a)-1, taken in slices of RATIO_CHUNK entries.
+    """max |a_n|/n over n = 1..len(a)-1, taken in slices of series._SUM_CHUNK entries.
 
     Equal to np.max(np.abs(a[1:]) / np.arange(1, len(a))), NaN included,
     without that expression's three length-n temporaries.
     """
     peaks = []
-    for lo in range(1, len(a), RATIO_CHUNK):
-        n = np.arange(lo, min(lo + RATIO_CHUNK, len(a)))
-        peaks.append(np.max(np.abs(a[lo : lo + RATIO_CHUNK]) / n))
+    for lo in range(1, len(a), _SUM_CHUNK):
+        n = np.arange(lo, min(lo + _SUM_CHUNK, len(a)))
+        peaks.append(np.max(np.abs(a[lo : lo + _SUM_CHUNK]) / n))
     return float(np.max(peaks))
 
 

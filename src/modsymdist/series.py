@@ -267,15 +267,6 @@ def _blocks(*arrays, mask=None):
             yield tuple(a[s : s + _SUM_CHUNK][m] for a in arrays)
 
 
-def _exact_sum(values):
-    """Correctly rounded sum of a real array, bit-identical to math.fsum.
-
-    The one-cut case of _exact_prefix_sums.
-    """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    return _exact_prefix_sums(v, [len(v)])[0]
-
-
 def _exact_prefix_sums(values, cuts):
     """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass.
 
@@ -302,15 +293,6 @@ def _exact_prefix_sums(values, cuts):
     return [sums[n] for n in cuts]
 
 
-def cfsum(values):
-    """Exact sum of a complex array, each part rounded once (see _exact_sum)."""
-    v = np.asarray(values)
-    if v.dtype.kind != "c":
-        return complex(_exact_sum(v), 0.0)
-    v = v.astype(np.complex128, copy=False).reshape(-1)
-    return complex(*_block_sums(lambda: ((b.real, b.imag) for (b,) in _blocks(v)), 2)[-1])
-
-
 def _weighted_sum(batch, weight, mask, cutoff=None, identity_factor=1.0):
     """Exact sum of weight(values[mask]) plus the identity-coset term.
 
@@ -332,8 +314,11 @@ def _error_budget(batch, weight, mask):
     if deg == 0:
         return 0.0
 
-    def blocks():
-        for v, err in _blocks(batch.values, batch.err_bounds, mask=mask):
+    def blocks():  # the per-c bounds are spelled out per symbol one block at a time
+        for s in range(0, len(mask), _SUM_CHUNK):
+            m = mask[s : s + _SUM_CHUNK]
+            v = batch.values[s : s + _SUM_CHUNK][m]
+            err = batch.per_symbol(batch.group_err_bounds, s, s + _SUM_CHUNK)[m]
             yield (np.maximum(np.abs(v), 1.0) ** (deg - 1) * err,)
 
     return float(deg * _block_sums(blocks, 1)[-1][0])

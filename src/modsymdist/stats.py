@@ -39,29 +39,29 @@ def tilde_factor(norm_f_sq, vol):
 
 
 def normalize_arrays(values, norms, norm_f_sq, vol):
-    """Normalized symbols (x, y, kept_norms, dropped_count).
+    """Normalized symbols (x, y, dropped_count).
 
     Samples with norm <= 1 are dropped and counted; a non-finite normalized
-    value raises ValueError.  The three output arrays are allocated once and
-    filled one block of _SUM_CHUNK positions at a time.
+    value raises ValueError.  The two output arrays are allocated once and
+    filled one block of _SUM_CHUNK positions at a time.  A caller that also
+    needs the kept norms takes norms[norms > 1] itself.
     """
     values = np.asarray(values, dtype=np.complex128)
     norms = np.asarray(norms, dtype=np.float64)
     keep = norms > 1.0
     kept = int(keep.sum())
     scale = tilde_factor(norm_f_sq, vol)
-    x, y, kept_norms = np.empty(kept), np.empty(kept), np.empty(kept)
+    x, y = np.empty(kept), np.empty(kept)
     k = 0
     for v, nrm in _blocks(values, norms, mask=keep):  # masked blocks are copies: work in place
         out = slice(k, k + len(v))
-        kept_norms[out] = nrm
         v *= scale
         v /= np.sqrt(np.log(nrm, out=nrm), out=nrm)
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite normalized sample")
         x[out], y[out] = v.real, v.imag
         k = out.stop
-    return x, y, kept_norms, len(norms) - kept
+    return x, y, len(norms) - kept
 
 
 def gaussian_moment(n, m):

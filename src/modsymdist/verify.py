@@ -359,7 +359,8 @@ def crit_gaussian_free(res, quick):
     band = (2.3, 3.7) if quick else (2.4, 3.6)
     batch = res.batch(T_top)
     nfsq = petersson.lattice_norm(res.lattice(), 1).value  # any positive scale: ratios are free of it
-    x, y, norms, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    norms = batch.norms[batch.norms > 1]
     kx_list, ky_list, corr, odd = _gaussian_free_moments(x, y, norms, decades)
     odd_max = max(abs(v) for v in odd.values())
     kx, ky = kx_list[-1], ky_list[-1]
@@ -385,9 +386,14 @@ def crit_gaussian_normalized(res, quick):
     ks_tol = 0.09 if quick else 0.08
     batch = res.batch(T_top)
     nfsq = res.rankin().value
-    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
-    m20 = series._exact_sum(x * x) / len(x)
-    m02 = series._exact_sum(y * y) / len(y)
+    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+
+    def squares():  # M20 and M02 one block at a time
+        for xb, yb in series._blocks(x, y):
+            yield xb * xb, yb * yb
+
+    s20, s02 = series._block_sums(squares, 2)[-1]
+    m20, m02 = s20 / len(x), s02 / len(y)
     ks = stats.ks_distance(x)
     ok = band[0] <= m20 <= band[1] and band[0] <= m02 <= band[1] and ks <= ks_tol
     detail = (
@@ -482,7 +488,7 @@ def _determinism_transcript(res, threads):
         rep = series.sharp_sum(batch, w)
         lines.append(f"{wtxt} {rep.count} {rep.value.real!r} {rep.value.imag!r}")
     nfsq = petersson.lattice_norm(res.lattice(), 1).value
-    x, y, _, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
     rep = stats.moments_from_arrays(x, y, 4, 4)
     for key in sorted(rep.pairs):
         lines.append(f"M{key[0]}{key[1]} {rep.pairs[key]!r}")

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import modsymdist
-from modsymdist.cli import RunConfig, _emit_rows, main
+from modsymdist.cli import RunConfig, _batch_for, _cfg_from_args, _csv_cell, _emit_rows, build_parser, main
+from modsymdist.cosets import coset_arrays
+from modsymdist.curve import resolve_curve
+from modsymdist.series import _SUM_CHUNK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -298,6 +301,60 @@ def test_json_rows_empty_table(capsys):
     # the streamed writer still prints json.dumps([]) when no row comes
     _emit_rows(argparse.Namespace(format="json", out=None), ["n", "a_n"], iter(()))
     assert capsys.readouterr().out == "[]\n"
+
+
+def _list_built_rows(argv):
+    """(header, rows) of `symbols` or `enumerate` as one list of every row. Reference only."""
+    args = build_parser().parse_args(argv)
+    cfg = _cfg_from_args(args)
+    if args.command == "enumerate":
+        rows = [(0, 1, 1.0)]
+        N = args.N if args.N is not None else resolve_curve(cfg.curve).N
+        for c, ds, norms in coset_arrays(N, cfg.T, cfg.zc):
+            rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
+        return ["c", "d", "norm"], rows
+    _, _, batch = _batch_for(cfg, cfg.T)
+    rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
+    rows += [
+        (c, d, nrm, v.real, v.imag, e)
+        for c, d, nrm, v, e in zip(
+            batch.cs.tolist(), batch.ds.tolist(), batch.norms.tolist(),
+            batch.values.tolist(), batch.err_bounds.tolist(),
+        )
+    ]
+    return ["c", "d", "norm", "re_symbol", "im_symbol", "err_bound"], rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbols", "--T", "9e5"],  # 71,652 symbols: more than one block of rows
+        ["symbols", "--curve", "37a", "--z", "0.25,0.9", "--T", "1e5", "--threads", "2"],
+        ["enumerate", "--N", "11", "--T", "9e5"],
+        ["enumerate", "--curve", "37a", "--z", "0.25,0.9", "--T", "1e5"],
+    ],
+    ids=["symbols-11a", "symbols-37a-z", "enumerate-11a", "enumerate-37a-z"],
+)
+def test_streamed_rows_match_the_list_built_output(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    header, rows = _list_built_rows(argv)
+    if fmt == "json":
+        want = json.dumps([dict(zip(header, row)) for row in rows], sort_keys=True) + "\n"
+    else:
+        want = "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
+def test_moments_holds_only_what_it_reads(capsys, traced_peak):
+    # the build holds the batch's three per-symbol arrays (32 bytes a symbol); the
+    # normalization then holds only the values and norms it reads, the keep mask,
+    # x and y (41 bytes a symbol), plus a few blocks; neither holds the whole batch
+    peak, code = traced_peak(lambda: main(["moments", "--T", "1e7"]))
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 26
+    n = 795910  # symbols with 1 < N_i(gamma) <= 1e7 at level 11
+    assert peak <= 41 * n + 8 * 16 * _SUM_CHUNK, peak
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from modsymdist.curve import (
     PRESETS,
     agm_periods,
     DIVISOR_BOUND_START,
-    RATIO_CHUNK,
     ap_count,
     certified_tail_constant,
     coefficient_table,
@@ -25,6 +24,7 @@ from modsymdist.curve import (
     max_ratio,
     resolve_curve,
 )
+from modsymdist.series import _SUM_CHUNK
 
 # Period values pinned by an independent mpmath oracle (30-digit quadrature of
 # dx/sqrt(4x^3+b2x^2+2b4x+b6) plus Eisenstein-series recovery of g2, g3).
@@ -542,7 +542,7 @@ def test_eta_deep_table_peak_memory(traced_peak):
 
 def test_max_ratio_matches_full_expression():
     rng = np.random.default_rng(5)
-    for length in (2, RATIO_CHUNK, RATIO_CHUNK + 1, RATIO_CHUNK + 2, 3 * RATIO_CHUNK + 7):
+    for length in (2, _SUM_CHUNK, _SUM_CHUNK + 1, _SUM_CHUNK + 2, 3 * _SUM_CHUNK + 7):
         a = rng.integers(-50, 50, size=length).astype(np.float64)
         full = float(np.max(np.abs(a[1:]) / np.arange(1, length)))
         assert max_ratio(a) == full
@@ -558,7 +558,7 @@ def test_coefficient_table_checks_in_chunks(traced_peak):
     a[1] = 1.0
     a[2::7] = -2.0
     peak, _ = traced_peak(lambda: CoefficientTable(a))
-    assert peak <= 8 * 8 * RATIO_CHUNK  # a few chunk-sized buffers, not length-n_max ones
+    assert peak <= 8 * 8 * _SUM_CHUNK  # a few chunk-sized buffers, not length-n_max ones
 
 
 def test_lattice_distance_zero_for_lattice_points(lattice11):

@@ -407,6 +407,51 @@ def test_batch_matches_euler_kernel_reference(request, name, N, T, z, threads):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
+PER_GROUP = ("group_cs", "group_counts", "group_err_bounds")
+PER_SYMBOL = ("cs", "ds", "norms", "values", "err_bounds")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "name, N, T, z",
+    [("table11", 11, 10 ** 6, 1j), ("table11", 11, 10 ** 7, 1j), ("table37", 37, 10 ** 6, 0.25 + 0.9j),
+     ("table11", 11, 100, 1j)],
+)
+def test_per_c_columns_and_restriction_match_fresh_builds(request, name, N, T, z, threads):
+    table = request.getfixturevalue(name)
+    batch = symbols_up_to(table, N, T, z, tol=1e-10, threads=threads)
+    # cs and err_bounds spell the per-c columns out per symbol, in today's dtypes
+    assert batch.cs.dtype == np.int64 and batch.err_bounds.dtype == np.float64
+    assert batch.cs.tobytes() == np.repeat(batch.group_cs, batch.group_counts).tobytes()
+    assert np.all(batch.group_counts > 0) and batch.group_counts.sum() == len(batch.ds)
+    # any window of them, block boundaries and empty windows included
+    n = len(batch.ds)
+    for start, stop in ((0, n), (0, 0), (n, n + 5), (_SUM_CHUNK - 3, 2 * _SUM_CHUNK + 1), (7, 8), (1, n + 9)):
+        for per_group, column in ((batch.group_cs, batch.cs), (batch.group_err_bounds, batch.err_bounds)):
+            got = batch.per_symbol(per_group, start, stop)
+            assert got.dtype == column.dtype and got.tobytes() == column[start:stop].tobytes()
+    # a restriction is a fresh build at the smaller bound, every column and dtype alike
+    for t in (T, T / 10, T / 1000, 1):
+        if t < 1:
+            continue
+        got, fresh = batch.restricted(t), symbols_up_to(table, N, t, z, tol=1e-10, threads=threads)
+        assert (got.N, got.T, got.z, got.tol, got.count) == (fresh.N, fresh.T, fresh.z, fresh.tol, fresh.count)
+        for field in PER_SYMBOL + PER_GROUP:
+            g, f = getattr(got, field), getattr(fresh, field)
+            assert g.dtype == f.dtype and g.tobytes() == f.tobytes(), (t, field)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batch_build_peak_memory(table11, traced_peak, threads):
+    # each c's cosets are rebuilt straight into its slice of the outputs: beyond the
+    # batch's own arrays the build holds only a c's candidates, fold and transform
+    # per thread, and no list of per-c groups
+    peak, batch = traced_peak(lambda: symbols_up_to(table11, 11, 10 ** 7, tol=1e-10, threads=threads))
+    own = sum(getattr(batch, field).nbytes for field in ("ds", "norms", "values") + PER_GROUP)
+    assert len(batch.ds) == 795910
+    assert peak <= own + 2 * 2 ** 20, (peak, own)
+
+
 def test_inverse_table_rejects_int64_overflow():
     # 3037000500^2 > 2^63 - 1; raised before any array is built
     assert 3037000499 ** 2 < 1 << 63 <= 3037000500 ** 2

@@ -12,11 +12,10 @@ from modsymdist.series import (
     WeightSpec,
     _SUM_CHUNK,
     _block_sums,
+    _blocks,
     _error_budget,
     _exact_prefix_sums,
-    _exact_sum,
     _weighted_sum,
-    cfsum,
     asymptotic_constants,
     eisenstein_twisted,
     sharp_sum,
@@ -25,6 +24,24 @@ from modsymdist.series import (
 )
 
 VOL11 = 4 * math.pi
+
+
+def _exact_sum(values):
+    """Correctly rounded sum of a real array: the one-cut case of _exact_prefix_sums."""
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    return _exact_prefix_sums(v, [len(v)])[0]
+
+
+def cfsum(values):
+    """Exact sum of a complex array, each part rounded once. Reference only.
+
+    The real and imaginary parts are two exact streams of _block_sums.
+    """
+    v = np.asarray(values)
+    if v.dtype.kind != "c":
+        return complex(_exact_sum(v), 0.0)
+    v = v.astype(np.complex128, copy=False).reshape(-1)
+    return complex(*_block_sums(lambda: ((b.real, b.imag) for (b,) in _blocks(v)), 2)[-1])
 
 
 def test_weight_parse_roundtrip():
@@ -194,9 +211,7 @@ def test_sharp_sum_permutation_free_reduction(batch11_1e4):
     # the sample order cannot change them
     w = WeightSpec("abs2m", 1)
     fwd = sharp_sum(batch11_1e4, w).value
-    import modsymdist.series as series_mod
-
-    rev = series_mod.cfsum(w.apply(batch11_1e4.values[::-1])) + w.at_zero()
+    rev = cfsum(w.apply(batch11_1e4.values[::-1])) + w.at_zero()
     assert fwd == rev
 
 
@@ -404,8 +419,12 @@ def _synthetic_batch(n, seed, T=1e6):
     second = slice(_SUM_CHUNK, 2 * _SUM_CHUNK)
     norms[second] = rng.uniform(0.9 * T, T, len(norms[second]))
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    zeros = np.zeros(n, dtype=np.int64)
-    return SymbolBatch(11, T, 1j, 1e-10, zeros, zeros, norms, values, rng.uniform(0, 1e-10, n))
+    # c groups of up to half a block, so some of them straddle block boundaries
+    ends = np.unique(np.append(np.cumsum(rng.integers(1, _SUM_CHUNK // 2, n // 1000 + 1)), n))
+    counts = np.diff(ends[ends <= n], prepend=0)
+    groups = len(counts)
+    return SymbolBatch(11, T, 1j, 1e-10, np.zeros(n, dtype=np.int64), norms, values,
+                       11 * np.arange(1, groups + 1), counts, rng.uniform(0, 1e-10, groups))
 
 
 @pytest.mark.parametrize("n", BLOCK_LENGTHS)

@@ -24,7 +24,8 @@ def test_normalize_drops_identity(batch11_1e4):
     # the batch implies the identity coset (symbol 0, norm 1); put it back in front
     values = np.concatenate([[0j], batch11_1e4.values])
     norms = np.concatenate([[1.0], batch11_1e4.norms])
-    x, y, kept, dropped = normalize_arrays(values, norms, 0.0469, VOL11)
+    x, y, dropped = normalize_arrays(values, norms, 0.0469, VOL11)
+    kept = norms[norms > 1]
     assert dropped == 1  # only the identity coset has norm <= 1 at z = i
     assert len(x) == len(y) == len(kept) == len(values) - 1
 
@@ -32,9 +33,9 @@ def test_normalize_drops_identity(batch11_1e4):
 def test_normalize_zero_and_scaling():
     vals = np.array([0j, 1 + 1j])
     nrms = np.array([100.0, 100.0])
-    x1, y1, _, _ = normalize_arrays(vals, nrms, 1.0, VOL11)
+    x1, y1, _ = normalize_arrays(vals, nrms, 1.0, VOL11)
     assert x1[0] == 0 and y1[0] == 0
-    x2, y2, _, _ = normalize_arrays(vals, nrms, 4.0, VOL11)  # 4x norm -> halves
+    x2, y2, _ = normalize_arrays(vals, nrms, 4.0, VOL11)  # 4x norm -> halves
     assert x2[1] == pytest.approx(x1[1] / 2, rel=1e-15)
     assert y2[1] == pytest.approx(y1[1] / 2, rel=1e-15)
 
@@ -78,7 +79,7 @@ def test_power_chain_is_the_moment_chain():
 def test_moments_empty_stream_rejected():
     with pytest.raises(ValueError):
         moments_from_arrays(np.zeros(0), np.zeros(0), 2, 2)
-    x, y, _, _ = normalize_arrays([0j], [1.0], 0.0469, VOL11)  # the identity alone
+    x, y, _ = normalize_arrays([0j], [1.0], 0.0469, VOL11)  # the identity alone
     with pytest.raises(ValueError):
         moments_from_arrays(x, y, 2, 2)
 
@@ -143,8 +144,8 @@ def test_histogram_validation():
 
 
 def test_normalized_sample_validation():
-    x, y, kept, dropped = normalize_arrays([0j], [1.0], 1.0, VOL11)
-    assert len(x) == len(y) == len(kept) == 0 and dropped == 1  # norm must exceed 1
+    x, y, dropped = normalize_arrays([0j], [1.0], 1.0, VOL11)
+    assert len(x) == len(y) == 0 and dropped == 1  # norm must exceed 1
     for bad in (complex(math.nan, 0.0), complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="non-finite"):
             normalize_arrays([bad], [2.0], 1.0, VOL11)
@@ -162,7 +163,7 @@ def _normalize_reference(values, norms, norm_f_sq, vol):
     """normalize_arrays over whole arrays. Reference only."""
     keep = norms > 1.0
     w = stats.tilde_factor(norm_f_sq, vol) * values[keep] / np.sqrt(np.log(norms[keep]))
-    return w.real, w.imag, norms[keep], int(len(norms) - keep.sum())
+    return w.real, w.imag, int(len(norms) - keep.sum())
 
 
 def _moments_reference(x, y, n_max, m_max):
@@ -189,8 +190,8 @@ def test_blocked_stats_match_full_arrays(n):
     norms[CHUNK : 2 * CHUNK] = 0.75  # the second block is dropped whole
     got = normalize_arrays(values, norms, 0.05, VOL11)
     want = _normalize_reference(values, norms, 0.05, VOL11)
-    assert got[3] == want[3]
-    for g, w in zip(got[:3], want[:3]):
+    assert got[2] == want[2]
+    for g, w in zip(got[:2], want[:2]):
         assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
     x, y = got[:2]
     pairs = moments_from_arrays(x, y, 4, 4).pairs
@@ -199,8 +200,8 @@ def test_blocked_stats_match_full_arrays(n):
     }
     assert ks_distance(x).hex() == _ks_reference(x).hex()
     # every sample dropped: empty outputs, and no moments
-    x, y, kept, dropped = normalize_arrays(values, np.full(n, 0.75), 0.05, VOL11)
-    assert (len(x), len(y), len(kept), dropped) == (0, 0, 0, n)
+    x, y, dropped = normalize_arrays(values, np.full(n, 0.75), 0.05, VOL11)
+    assert (len(x), len(y), dropped) == (0, 0, n)
     with pytest.raises(ValueError):
         moments_from_arrays(x, y, 4, 4)
 
@@ -218,10 +219,10 @@ def test_moments_length_mismatch_rejected():
 
 
 def test_blocked_stats_peak_memory(batch11_1e7, traced_peak):
-    # beyond its three outputs (24 bytes a kept sample) and the keep mask, the
+    # beyond its two outputs (16 bytes a kept sample) and the keep mask, the
     # normalization holds a few blocks; the moments hold a block's powers only
     b = batch11_1e7
-    peak, (x, y, _, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
-    assert peak <= 24 * len(x) + len(b.norms) + 4 * BLOCK_BYTES, peak
+    peak, (x, y, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
+    assert peak <= 16 * len(x) + len(b.norms) + 4 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: moments_from_arrays(x, y, 4, 4))
     assert peak <= 12 * BLOCK_BYTES, peak
