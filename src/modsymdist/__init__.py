@@ -6,7 +6,7 @@ norm two ways, and compare the normalized values against the bivariate
 Gaussian they converge to.
 """
 
-from .cosets import Coset, GammaMatrix, coset_arrays, lift, volume
+from .cosets import GammaMatrix, coset_arrays, lift, volume
 from .curve import (
     CoefficientTable,
     CurveSpec,

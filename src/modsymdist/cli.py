@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import cosets, curve as curve_mod, modsym, petersson, series, stats, veri
 
 @dataclass
 class RunConfig:
-    """Reproducible run parameters; round-trips losslessly through JSON."""
+    """Reproducible run parameters, validated on construction."""
 
     curve: str = "11a"
     T: float = 1e4
@@ -30,7 +30,6 @@ class RunConfig:
     z: tuple = (0.0, 1.0)
     tol: float = 1e-10
     threads: int = 1
-    fmt: str = "csv"
     seed: int = 11
 
     def __post_init__(self):
@@ -47,17 +46,6 @@ class RunConfig:
             raise ValueError("T must be >= 1")
         if not all(math.isfinite(t) for t in (self.T, *self.T_grid)):
             raise ValueError("T must be finite")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        d["z"] = tuple(d["z"])
-        return cls(**d)
 
     @property
     def zc(self):
@@ -74,7 +62,6 @@ def _cfg_from_args(args):
         z=tuple(float(t) for t in args.z.split(",")),
         tol=args.tol,
         threads=args.threads,
-        fmt=args.format,
         seed=args.seed,
     )
 

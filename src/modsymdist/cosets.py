@@ -16,23 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Coset:
-    """Canonical representative (c, d) of a coset, with its norm at the working point."""
-
-    c: int
-    d: int
-    norm: float
-
-    def __post_init__(self):
-        if self.c < 0 or (self.c == 0 and self.d != 1):
-            raise ValueError(f"non-canonical coset ({self.c},{self.d})")
-        if math.gcd(self.c, self.d) != 1:
-            raise ValueError(f"({self.c},{self.d}) not coprime")
-        if self.norm <= 0:
-            raise ValueError("norm must be positive")
-
-
-@dataclass(frozen=True)
 class GammaMatrix:
     a: int
     b: int
@@ -153,10 +136,14 @@ def coset_count(N, T, z=1j):
     return 1 + sum(len(ds) for _, ds, _ in coset_arrays(N, T, z))
 
 
-def lift(coset):
-    """Canonical lift to Gamma: bottom row (c, d), 0 <= a < c, identity for (0, 1)."""
-    if coset.c == 0:
+def lift(c, d):
+    """Canonical lift to Gamma of the coset with bottom row (c, d): 0 <= a < c, identity for (0, 1)."""
+    if c < 0 or (c == 0 and d != 1):
+        raise ValueError(f"non-canonical coset ({c},{d})")
+    if math.gcd(c, d) != 1:
+        raise ValueError(f"({c},{d}) not coprime")
+    if c == 0:
         return GammaMatrix(1, 0, 0, 1)
-    a = pow(coset.d, -1, coset.c)
-    b = (a * coset.d - 1) // coset.c
-    return GammaMatrix(a, b, coset.c, coset.d)
+    a = pow(d, -1, c)
+    b = (a * d - 1) // c
+    return GammaMatrix(a, b, c, d)

@@ -298,18 +298,6 @@ def coefficient_table(curve, n_max):
     return CoefficientTable(a)
 
 
-def eta_fft_length(n_max):
-    """Power-of-two FFT length of one whole class product in eta_deep_table_level11(n_max).
-
-    The power of two >= 2K - 1, K = ceil(n_max / 11): a class of at most K
-    terms times the K-term prefix R, without wrap-around.  The build itself
-    splits each product into half products of at most K terms and
-    transforms them at _eta_half_length(n_max) >= K points.
-    """
-    K = -(-int(n_max) // 11)
-    return 1 << (2 * K - 2).bit_length()
-
-
 def _eta_half_length(n_max):
     """FFT length of eta_deep_table_level11's half products: least 2^a 3^b 5^c >= K.
 
@@ -365,8 +353,8 @@ def eta_deep_table_level11(n_max):
 
     and every product on the right has at most K terms: real FFTs of
     length N = _eta_half_length(n_max) >= K give them without wrap-around,
-    at about half the working memory of one eta_fft_length(n_max)-point
-    product, and at lengths N close to K.  R0 and R1 are
+    at about half the working memory of one product taken whole at the
+    power-of-two length >= 2K - 1, and at lengths N close to K.  R0 and R1 are
     transformed once, before any class is overwritten (class 0 overlaps R),
     and each class is rounded back into its own slots a[1+r::11].  Zeros
     are stored as +0.0, so the table depends only on its integer values.

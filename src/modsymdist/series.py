@@ -20,11 +20,12 @@ of at most _SUM_CHUNK positions (_blocks, _block_sums).  The weight, the
 cutoff and every other temporary exist one block at a time, so memory
 beyond the batch itself is O(_SUM_CHUNK) whatever its length, and since
 the integer bins persist across blocks and are exact, the blocking never
-moves a bit of any result.  Sums over nested prefixes take a single pass
-(_exact_prefix_sums): the bins are read off at each cut, so samples sorted
+moves a bit of any result.  Sums over nested prefixes take a single pass:
+a snapshot of _block_sums reads the bins off at each cut, so samples sorted
 by norm shell give the sums at every norm bound at once.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -142,8 +143,8 @@ def smooth_cutoff(t, U):
 
     Endpoint values are exact by construction (the clamps fire first).
     """
-    if U < 2:
-        raise ValueError("U must be >= 2")
+    if not 2 <= U < math.inf:
+        raise ValueError("U must be >= 2 and finite")
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     u = np.clip((t - (1.0 - 1.0 / U)) * (U / 2.0), 0.0, 1.0)
@@ -267,61 +268,43 @@ def _blocks(*arrays, mask=None):
             yield tuple(a[s : s + _SUM_CHUNK][m] for a in arrays)
 
 
-def _exact_prefix_sums(values, cuts):
-    """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass.
+def _sum_report(batch, weight, T, mask, mode, cutoff=None, identity_factor=1.0):
+    """SumReport of the weight over batch[mask] plus the identity coset, from one pass.
 
-    The array is fed to one _ExactSum in views of at most _SUM_CHUNK values
-    that also end at every cut, and the bins are read at each cut.  Past
-    the first prefix that trips the guard, each cut is math.fsum of the
-    prefix.
+    The streams are Re and Im of the terms, then the first-order bound
+    max(|v|,1)^(deg-1) * err on |d omega| from the per-symbol truncation
+    errors, spelled out one block at a time; at degree 0 there is no bound
+    and the budget is 0.  cutoff, if given, maps a block of norms[mask] to
+    factors for its terms.  count is every coset with N_z(gamma) <= T.
     """
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    cuts = [int(n) for n in cuts]
-    if any(n < 0 or n > len(v) for n in cuts):
-        raise ValueError(f"cuts must lie in [0, {len(v)}]")
-    stops = sorted(set(cuts))
-
-    def blocks():
-        s = 0
-        for n in stops:
-            for b in range(s, n, _SUM_CHUNK):
-                yield (v[b : min(b + _SUM_CHUNK, n)],)
-            s = n
-            yield None
-
-    sums = {n: snap[0] for n, snap in zip(stops, _block_sums(blocks, 1))}
-    return [sums[n] for n in cuts]
-
-
-def _weighted_sum(batch, weight, mask, cutoff=None, identity_factor=1.0):
-    """Exact sum of weight(values[mask]) plus the identity-coset term.
-
-    cutoff, if given, maps a block of norms[mask] to factors for its terms.
-    """
-    def blocks():
-        for v, norms in _blocks(batch.values, batch.norms, mask=mask):
-            terms = weight.apply(v)
-            if cutoff is not None:
-                terms = terms * cutoff(norms)
-            yield terms.real, terms.imag
-
-    return complex(*_block_sums(blocks, 2)[-1]) + weight.at_zero() * identity_factor
-
-
-def _error_budget(batch, weight, mask):
-    """First-order bound on |d omega| from the per-symbol truncation errors."""
     deg = weight.total_degree
-    if deg == 0:
-        return 0.0
 
-    def blocks():  # the per-c bounds are spelled out per symbol one block at a time
+    def blocks():
         for s in range(0, len(mask), _SUM_CHUNK):
             m = mask[s : s + _SUM_CHUNK]
             v = batch.values[s : s + _SUM_CHUNK][m]
-            err = batch.per_symbol(batch.group_err_bounds, s, s + _SUM_CHUNK)[m]
-            yield (np.maximum(np.abs(v), 1.0) ** (deg - 1) * err,)
+            terms = weight.apply(v)
+            if cutoff is not None:
+                terms = terms * cutoff(batch.norms[s : s + _SUM_CHUNK][m])
+            if deg == 0:
+                yield terms.real, terms.imag
+            else:
+                err = batch.per_symbol(batch.group_err_bounds, s, s + _SUM_CHUNK)[m]
+                yield terms.real, terms.imag, np.maximum(np.abs(v), 1.0) ** (deg - 1) * err
 
-    return float(deg * _block_sums(blocks, 1)[-1][0])
+    re, im, *bound = _block_sums(blocks, 3 if deg else 2)[-1]
+    value = complex(re, im) + weight.at_zero() * identity_factor
+    budget = float(deg * bound[0]) if deg else 0.0
+    return SumReport(
+        T=T,
+        value=value,
+        count=int(np.count_nonzero(batch.norms <= T)) + 1,
+        weight=weight,
+        z=batch.z,
+        mode=mode,
+        err_budget=budget,
+        err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
+    )
 
 
 def sharp_sum(batch, weight, T=None):
@@ -332,19 +315,7 @@ def sharp_sum(batch, weight, T=None):
     truncation budget exceeds 1e-6 of the result.
     """
     T = batch.norm_bound(T)
-    mask = batch.norms <= T
-    value = _weighted_sum(batch, weight, mask)
-    budget = _error_budget(batch, weight, mask)
-    return SumReport(
-        T=T,
-        value=value,
-        count=int(mask.sum()) + 1,
-        weight=weight,
-        z=batch.z,
-        mode="sharp",
-        err_budget=budget,
-        err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
-    )
+    return _sum_report(batch, weight, T, batch.norms <= T, "sharp")
 
 
 def smoothed_sum(batch, weight, T, U):
@@ -354,25 +325,14 @@ def smoothed_sum(batch, weight, T, U):
     weights the result sits between sharp(T(1-1/U)) and sharp(T(1+1/U)).
     phi is taken block by block with the weight.
     """
-    if U < 2:
-        raise ValueError("U must be >= 2")
+    if not 2 <= U < math.inf:
+        raise ValueError("U must be >= 2 and finite")
     T = batch.norm_bound(T)
     if T * (1 + 1.0 / U) > batch.T:
         raise ValueError(f"batch covers norms <= {batch.T}, need {T * (1 + 1/U)}")
-    mask = batch.norms <= T * (1 + 1.0 / U)
-    value = _weighted_sum(batch, weight, mask, cutoff=lambda norms: smooth_cutoff(norms / T, U),
-                          identity_factor=smooth_cutoff(1.0 / T, U))
-    budget = _error_budget(batch, weight, mask)
-    return SumReport(
-        T=T,
-        value=value,
-        count=int((batch.norms <= T).sum()) + 1,
-        weight=weight,
-        z=batch.z,
-        mode=f"smoothed(U={U:g})",
-        err_budget=budget,
-        err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
-    )
+    return _sum_report(batch, weight, T, batch.norms <= T * (1 + 1.0 / U), f"smoothed(U={U:g})",
+                       cutoff=lambda norms: smooth_cutoff(norms / T, U),
+                       identity_factor=smooth_cutoff(1.0 / T, U))
 
 
 @dataclass(frozen=True)
@@ -391,16 +351,17 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
 
     Im(gamma z) = y / N_z(gamma), so the general term is
     v^m conj(v)^n (y / norm)^s; the identity coset contributes y^s (m=n=0
-    only).  Negative m or n, and Re(s) <= 1 (outside absolute convergence),
-    are refused.  The tail estimate extrapolates the last decade's shell of
-    |terms| geometrically and is reported separately, never folded in.  The
-    value and both shells come from one pass over blocks of the terms.
+    only).  Negative m or n, non-finite s and Re(s) <= 1 (outside absolute
+    convergence) are refused.  The tail estimate extrapolates the last
+    decade's shell of |terms| geometrically and is reported separately,
+    never folded in.  The value and both shells come from one pass over
+    blocks of the terms.
     """
     if m < 0 or n < 0:
         raise ValueError(f"exponents m={m}, n={n} must be >= 0")
     s = complex(s)
-    if s.real <= 1:
-        raise ValueError("Re(s) must exceed 1 (absolute convergence region)")
+    if not (cmath.isfinite(s) and s.real > 1):
+        raise ValueError("s must be finite with Re(s) > 1 (absolute convergence region)")
     T_max = batch.norm_bound(T_max)
     y = batch.z.imag
     mask = batch.norms <= T_max

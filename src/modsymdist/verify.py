@@ -221,7 +221,7 @@ def crit_oracle_agreement(res, quick):
             d = rng.randint(-3 * c, 3 * c)
             if math.gcd(c, d) == 1:
                 break
-        m = cosets.lift(cosets.Coset(c, d, float(c * c + d * d)))
+        m = cosets.lift(c, d)
         v_closed, _ = modsym.pairing(table, m, 1e-12)
         o1 = modsym.oracle_pairing(table, m, split_height=1.0, tol=1e-10)
         o2 = modsym.oracle_pairing(table, m, split_height=2.0, tol=1e-10)

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from modsymdist import cosets, curve, modsym, petersson, series, stats, verify
+from test_curve import eta_fft_length
 
 Z0 = 0.45 + 0.1j
 # same coset counts at z0 (792, 7955, 79571) as criterion 05's grid at z = i
@@ -249,9 +250,9 @@ def test_deep_table_size_covers_drawn_pairs():
             assert modsym.tail_terms_needed(1.0 / c, verify.ETA11_TAIL_CONSTANT,
                                             verify.HOMOMORPHISM_TOL) <= n_max
         # eleven residue-class convolutions of ~n_max/11 terms each
-        assert curve.eta_fft_length(n_max) <= 1 << 21
+        assert eta_fft_length(n_max) <= 1 << 21
         if seed == 11:
-            assert curve.eta_fft_length(n_max) == 1 << 20
+            assert eta_fft_length(n_max) == 1 << 20
     # the sizing constant is the one the built table certifies (max at n = 1, 2)
     assert curve.eta_deep_table_level11(30000).tail_constant == verify.ETA11_TAIL_CONSTANT
 

@@ -156,19 +156,15 @@ def test_eisenstein_rejects_low_s(capsys):
     assert code == 1
 
 
-def test_config_roundtrip():
-    cfg = RunConfig(curve="37a", T=5e4, T_grid=[1e3, 1e4], z=(0.25, 2.0), tol=1e-8,
-                    threads=4, fmt="json", seed=99)
-    assert RunConfig.from_json(cfg.to_json()) == cfg
-
-
-def test_config_validation():
+def test_config_validation(capsys):
     with pytest.raises(ValueError):
         RunConfig(z=(0.0, -1.0))
     with pytest.raises(ValueError):
         RunConfig(T=0.5)
-    with pytest.raises(ValueError):
-        RunConfig(fmt="xml")
+    with pytest.raises(SystemExit) as exc:  # argparse refuses the format
+        main(["coeffs", "--n-max", "10", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
     # exactly two finite components of z, Im z > 0; T >= 1 and tol > 0, both finite
     for z in ((5.0,), (0.0, 1.0, 7.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="z"):

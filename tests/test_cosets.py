@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from modsymdist.cosets import (
-    Coset,
     GammaMatrix,
     _prime_factors,
     _unit_mask,
@@ -18,10 +17,15 @@ from modsymdist.cosets import (
 
 
 def _all_cosets(N, T, z=1j):
-    """Every coset with norm <= T: the implied identity, then coset_arrays' rows."""
-    out = [Coset(0, 1, 1.0)]
+    """Every coset (c, d, norm) with norm <= T: the implied identity, then coset_arrays' rows.
+
+    Each row goes through lift, which refuses a non-canonical or non-coprime one.
+    """
+    out = [(0, 1, 1.0)]
     for c, ds, norms in coset_arrays(N, T, z):
-        out += [Coset(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
+        out += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
+    for c, d, _ in out:
+        lift(c, d)
     return out
 
 
@@ -79,7 +83,7 @@ def test_coset_arrays_match_gcd_reference(N, T, z):
 
 def test_coset_on_the_norm_bound_is_kept():
     T = 33 ** 2 + 4 ** 2
-    assert Coset(33, 4, float(T)) in _all_cosets(11, T, 1j)
+    assert (33, 4, float(T)) in _all_cosets(11, T, 1j)
 
 
 def test_volume_matches_trial_division_reference():
@@ -116,24 +120,23 @@ def test_volume_rejects_bad_level():
 
 
 def test_enumerate_t1_identity_only():
-    assert _all_cosets(11, 1, 1j) == [Coset(0, 1, 1.0)]
+    assert _all_cosets(11, 1, 1j) == [(0, 1, 1.0)]
 
 
 def test_enumerate_t122_hand_enumeration():
-    got = [(c.c, c.d, c.norm) for c in _all_cosets(11, 122, 1j)]
-    assert got == [(0, 1, 1.0), (11, -1, 122.0), (11, 1, 122.0)]
+    assert _all_cosets(11, 122, 1j) == [(0, 1, 1.0), (11, -1, 122.0), (11, 1, 122.0)]
 
 
 def test_enumerate_exhaustive_properties():
     # gcd = 1, 11 | c, no duplicates, all and only pairs with c^2+d^2 <= T
     T = 10 ** 4
     seen = set()
-    for cs in _all_cosets(11, T, 1j):
-        assert math.gcd(cs.c, cs.d) == 1
-        assert cs.c % 11 == 0
-        assert cs.norm <= T
-        assert (cs.c, cs.d) not in seen
-        seen.add((cs.c, cs.d))
+    for c, d, norm in _all_cosets(11, T, 1j):
+        assert math.gcd(c, d) == 1
+        assert c % 11 == 0
+        assert norm <= T
+        assert (c, d) not in seen
+        seen.add((c, d))
     brute = {(0, 1)}
     for c in range(11, int(math.isqrt(T)) + 1, 11):
         for d in range(-int(math.isqrt(T - c * c)), int(math.isqrt(T - c * c)) + 1):
@@ -144,7 +147,7 @@ def test_enumerate_exhaustive_properties():
 
 def test_enumerate_mirror_symmetry_at_i():
     T = 5000
-    seen = {(cs.c, cs.d) for cs in _all_cosets(11, T, 1j)}
+    seen = {(c, d) for c, d, _ in _all_cosets(11, T, 1j)}
     for c, d in seen:
         if c > 0:
             assert (c, -d) in seen
@@ -152,9 +155,9 @@ def test_enumerate_mirror_symmetry_at_i():
 
 def test_enumerate_general_z_rechecks_norm():
     z = 0.3 + 0.7j
-    for cs in _all_cosets(11, 500, z):
-        if cs.c:
-            assert abs(cs.c * z + cs.d) ** 2 <= 500 * (1 + 1e-12)
+    for c, d, _ in _all_cosets(11, 500, z):
+        if c:
+            assert abs(c * z + d) ** 2 <= 500 * (1 + 1e-12)
 
 
 def test_counting_lemma_ratio():
@@ -183,18 +186,18 @@ def test_enumerate_rejects_bad_input():
 
 
 def test_lift_examples():
-    assert lift(Coset(0, 1, 1.0)) == GammaMatrix(1, 0, 0, 1)
-    assert lift(Coset(11, 1, 122.0)) == GammaMatrix(1, 0, 11, 1)
-    assert lift(Coset(11, 4, 137.0)) == GammaMatrix(3, 1, 11, 4)
+    assert lift(0, 1) == GammaMatrix(1, 0, 0, 1)
+    assert lift(11, 1) == GammaMatrix(1, 0, 11, 1)
+    assert lift(11, 4) == GammaMatrix(3, 1, 11, 4)
 
 
 def test_lift_roundtrip_and_canonical():
-    for cs in _all_cosets(11, 4000, 1j):
-        m = lift(cs)
+    for c, d, _ in _all_cosets(11, 4000, 1j):
+        m = lift(c, d)
         assert m.a * m.d - m.b * m.c == 1
-        assert (m.c, m.d) == (cs.c, cs.d)
-        if cs.c:
-            assert 0 <= m.a < cs.c
+        assert (m.c, m.d) == (c, d)
+        if c:
+            assert 0 <= m.a < c
 
 
 def test_gamma_matrix_validation():
@@ -206,9 +209,9 @@ def test_gamma_matrix_validation():
 
 def test_coset_validation():
     with pytest.raises(ValueError):
-        Coset(-11, 1, 122.0)
+        lift(-11, 1)
     with pytest.raises(ValueError):
-        Coset(11, 22, 605.0)
+        lift(11, 22)
 
 
 def test_coset_arrays_matches_stream():

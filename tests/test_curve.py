@@ -19,7 +19,6 @@ from modsymdist.curve import (
     certified_tail_constant,
     coefficient_table,
     eta_deep_table_level11,
-    eta_fft_length,
     lattice_distance,
     max_ratio,
     resolve_curve,
@@ -467,6 +466,18 @@ def test_eta_deep_table_is_exact_eta_product(n_max):
     assert a[0] == 0
     assert a[1:].tolist() == _eta11_product(n_max).tolist()
     assert not np.signbit(a[a == 0]).any()  # zeros are +0.0 whatever the FFT layout
+
+
+def eta_fft_length(n_max):
+    """Power-of-two FFT length of one whole class product in eta_deep_table_level11(n_max).
+
+    The power of two >= 2K - 1, K = ceil(n_max / 11): a class of at most K
+    terms times the K-term prefix R, without wrap-around.  The library
+    splits each product into half products of at most K terms instead and
+    transforms them at _eta_half_length(n_max) >= K points.  Reference only.
+    """
+    K = -(-int(n_max) // 11)
+    return 1 << (2 * K - 2).bit_length()
 
 
 def _one_transform_eta_table(n_max):

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from modsymdist.cosets import Coset, GammaMatrix, _prime_factors, coset_arrays, lift
+from modsymdist.cosets import GammaMatrix, _prime_factors, coset_arrays, lift
 from modsymdist.curve import (
     CoefficientTable,
     coefficient_table,
@@ -116,8 +116,8 @@ def test_homomorphism_small_sample(table11):
         c1, c2 = 11 * rng.randint(1, 4), 11 * rng.randint(1, 4)
         d1 = _coprime_d(rng, c1, -30, 30)
         d2 = _coprime_d(rng, c2, -30, 30)
-        g1 = lift(Coset(c1, d1, float(c1 * c1 + d1 * d1)))
-        g2 = lift(Coset(c2, d2, float(c2 * c2 + d2 * d2)))
+        g1 = lift(c1, d1)
+        g2 = lift(c2, d2)
         v1, _ = pairing(table11, g1, 1e-11)
         v2, _ = pairing(table11, g2, 1e-11)
         v3, _ = pairing(table11, g1 @ g2, 1e-11)
@@ -125,7 +125,7 @@ def test_homomorphism_small_sample(table11):
 
 
 def test_inverse_antisymmetry(table11):
-    g = lift(Coset(33, 10, float(33 ** 2 + 100)))
+    g = lift(33, 10)
     vi, _ = pairing(table11, g.inverse(), 1e-12)
     v, _ = pairing(table11, g, 1e-12)
     assert abs(vi + v) < 1e-10
@@ -133,7 +133,7 @@ def test_inverse_antisymmetry(table11):
 
 def test_pairing_tol_unreachable_reports_needed(table11):
     with pytest.raises(ValueError, match="n_max"):
-        pairing(table11, lift(Coset(11 * 10 ** 5, 1, 1e10 + 1)), 1e-10)
+        pairing(table11, lift(11 * 10 ** 5, 1), 1e-10)
 
 
 def _alpha_beta(values):
@@ -154,7 +154,7 @@ def test_oracle_pairing_matches_and_height_free(table11):
     for _ in range(6):
         c = 11 * rng.randint(1, 8)
         d = _coprime_d(rng, c, -2 * c, 2 * c)
-        m = lift(Coset(c, d, float(c * c + d * d)))
+        m = lift(c, d)
         o1 = oracle_pairing(table11, m, 1.0, 1e-10)
         o2 = oracle_pairing(table11, m, 2.0, 1e-10)
         v, _ = pairing(table11, m, 1e-12)
@@ -187,7 +187,7 @@ def test_oracle_pairing_vs_mpmath_quad(table11):
     import mpmath
 
     for c, d in ((11, 3), (22, -7), (33, 19)):
-        m = lift(Coset(c, d, float(c * c + d * d)))
+        m = lift(c, d)
         a, c, d = (m.a, m.c, m.d) if m.c > 0 else (-m.a, -m.c, -m.d)
         # split at z* = (a + i)/c: both rays start at height 1/c
         up = _mpmath_ray_integral(table11, a, c, mpmath.mpf(1) / c)
@@ -221,7 +221,7 @@ def test_batch_matches_pairing(table11, batch11_1e4):
     idx = np.random.default_rng(0).choice(len(batch11_1e4.cs), 25, replace=False)
     for i in idx:
         c, d = int(batch11_1e4.cs[i]), int(batch11_1e4.ds[i])
-        m = lift(Coset(c, d, float(c * c + d * d)))
+        m = lift(c, d)
         v, _ = pairing(table11, m, 1e-12)
         assert abs(v - batch11_1e4.values[i]) < 1e-10
 
@@ -261,7 +261,7 @@ def test_pairing_vs_direct_series(eta_table_1e5):
     for c in (11, 121, 1331, 11 * 9091):
         for _ in range(3):
             d = _coprime_d(rng, c, -c, c)
-            m = lift(Coset(c, d, float(c * c + d * d)))
+            m = lift(c, d)
             n_used = tail_terms_needed(1.0 / c, eta_table_1e5.tail_constant, 1e-10)
             ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
             assert abs(pairing(eta_table_1e5, m, 1e-10)[0] - ref) < 1e-11
@@ -276,7 +276,7 @@ def test_pairing_vs_direct_series_row_edges(eta_table_1e5, c, rows):
     for n_used in targets:
         tol = _tol_for_terms(eta_table_1e5, c, n_used)
         d = _coprime_d(rng, c, -c, c)
-        m = lift(Coset(c, d, float(c * c + d * d)))
+        m = lift(c, d)
         ref = _direct_pairing(eta_table_1e5, c, (-d) % c, m.a % c, n_used)
         assert abs(pairing(eta_table_1e5, m, tol)[0] - ref) < 1e-11
 
@@ -323,7 +323,7 @@ def test_pairing_int32_table_is_bit_identical(eta_table_1e5):
     for c in (11, 121, 1331, 11 * 9091):  # 11 * 9091 > _SUM_CHUNK: several residue blocks
         for _ in range(3):
             d = _coprime_d(rng, c, -c, c)
-            m = lift(Coset(c, d, float(c * c + d * d)))
+            m = lift(c, d)
             assert pairing(narrow, m, 1e-10) == pairing(eta_table_1e5, m, 1e-10)
 
 

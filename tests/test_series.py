@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from modsymdist import series
 from modsymdist.cosets import volume
 from modsymdist.modsym import SymbolBatch, antiderivative, symbols_up_to
 from modsymdist.series import (
@@ -13,9 +14,7 @@ from modsymdist.series import (
     _SUM_CHUNK,
     _block_sums,
     _blocks,
-    _error_budget,
-    _exact_prefix_sums,
-    _weighted_sum,
+    _sum_report,
     asymptotic_constants,
     eisenstein_twisted,
     sharp_sum,
@@ -24,6 +23,31 @@ from modsymdist.series import (
 )
 
 VOL11 = 4 * math.pi
+
+
+def _exact_prefix_sums(values, cuts):
+    """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass. Reference only.
+
+    The array is fed to _block_sums in views of at most _SUM_CHUNK values
+    that also end at every cut, with a snapshot at each cut.  Past the
+    first prefix that trips the guard, each cut is math.fsum of the prefix.
+    """
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    cuts = [int(n) for n in cuts]
+    if any(n < 0 or n > len(v) for n in cuts):
+        raise ValueError(f"cuts must lie in [0, {len(v)}]")
+    stops = sorted(set(cuts))
+
+    def blocks():
+        s = 0
+        for n in stops:
+            for b in range(s, n, _SUM_CHUNK):
+                yield (v[b : min(b + _SUM_CHUNK, n)],)
+            s = n
+            yield None
+
+    sums = {n: snap[0] for n, snap in zip(stops, _block_sums(blocks, 1))}
+    return [sums[n] for n in cuts]
 
 
 def _exact_sum(values):
@@ -78,8 +102,9 @@ def test_smooth_cutoff_exact_endpoints_and_shape():
         vals = smooth_cutoff(ts, U)
         assert np.all(np.diff(vals) <= 0)  # monotone decreasing
         assert smooth_cutoff(1.0, U) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        smooth_cutoff(0.5, 1)
+    for U in (1, math.nan, math.inf, -math.inf):  # every bound is written so that NaN fails it
+        with pytest.raises(ValueError, match="U must be >= 2 and finite"):
+            smooth_cutoff(0.5, U)
 
 
 def _adversarial_sums():
@@ -240,6 +265,9 @@ def test_smoothed_approaches_sharp(batch11_1e5):
 def test_smoothed_requires_coverage(batch11_1e4):
     with pytest.raises(ValueError):
         smoothed_sum(batch11_1e4, WeightSpec("one"), 10 ** 4, 10)
+    for U in (1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="U must be >= 2 and finite"):
+            smoothed_sum(batch11_1e4, WeightSpec("one"), 2000, U)
 
 
 def test_norm_bound_below_identity_refused(batch11_1e4):
@@ -280,6 +308,9 @@ def test_eisenstein_rejects_low_s(batch11_1e4):
         eisenstein_twisted(batch11_1e4, 1.0, 1, 0)
     with pytest.raises(ValueError):
         eisenstein_twisted(batch11_1e4, 0.5 + 3j, 1, 1)
+    for s in (math.nan, complex(math.nan, 0), complex(2, math.nan), math.inf, complex(2, -math.inf)):
+        with pytest.raises(ValueError, match="s must be finite with Re"):
+            eisenstein_twisted(batch11_1e4, s, 1, 0, 2000)
 
 
 def test_eisenstein_rejects_negative_exponents(batch11_1e4):
@@ -339,6 +370,32 @@ def test_sum_report_error_budget_flag(batch11_1e4):
     assert rep.err_budget < 1e-6  # tol 1e-12 batch: tiny budget
 
 
+def test_summatory_functions_take_one_pass(batch11_1e5, monkeypatch):
+    # value and budget come from one _block_sums pass: Re, Im, then the budget from degree 1 on
+    streams = []
+    block_sums = series._block_sums
+
+    def counted(blocks, k):
+        streams.append(k)
+        return block_sums(blocks, k)
+
+    monkeypatch.setattr(series, "_block_sums", counted)
+    for wtxt, k in (("one", 2), ("f:0,0", 2), ("f:2,0", 3), ("abs2:1", 3)):
+        w = WeightSpec.parse(wtxt)
+        with monkeypatch.context() as mp:
+            if k == 2:  # degree 0: no truncation bound is spelled out
+                mp.setattr(SymbolBatch, "per_symbol", lambda *a: pytest.fail("read the bounds"))
+            for run in (lambda: sharp_sum(batch11_1e5, w, 2 * 10 ** 4),
+                        lambda: smoothed_sum(batch11_1e5, w, 2 * 10 ** 4, 10)):
+                rep = run()
+                assert streams == [k], (wtxt, rep.mode)
+                streams.clear()
+                if k == 2:
+                    assert rep.err_budget.hex() == "0x0.0p+0" and not rep.err_budget_exceeded
+                else:
+                    assert 0 < rep.err_budget < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Block pipeline against the full-array code it replaced
 # ---------------------------------------------------------------------------
@@ -368,7 +425,7 @@ def _fsum_c(terms):
 
 
 def _weighted_sum_reference(batch, weight, mask, extra=None, identity_factor=1.0):
-    """_weighted_sum over whole masked arrays, math.fsum for the exact sums. Reference only."""
+    """_sum_report's value over whole masked arrays, math.fsum for the exact sums. Reference only."""
     terms = weight.apply(batch.values[mask])
     if extra is not None:
         terms = terms * extra
@@ -376,12 +433,20 @@ def _weighted_sum_reference(batch, weight, mask, extra=None, identity_factor=1.0
 
 
 def _error_budget_reference(batch, weight, mask):
+    """_sum_report's err_budget over whole masked arrays. Reference only."""
     deg = weight.total_degree
     if deg == 0:
         return 0.0
     v = np.abs(batch.values[mask])
     scale = np.maximum(v, 1.0) ** (deg - 1)
     return float(deg * math.fsum(scale * batch.err_bounds[mask]))
+
+
+def _sharp_reference(batch, weight, T):
+    """(value, count, err_budget) of sharp_sum over whole arrays. Reference only."""
+    mask = batch.norms <= T
+    value = _weighted_sum_reference(batch, weight, mask)
+    return value, int(mask.sum()) + 1, _error_budget_reference(batch, weight, mask)
 
 
 def _smoothed_reference(batch, weight, T, U):
@@ -434,11 +499,14 @@ def test_blocked_sums_match_full_arrays(n):
     for wtxt in ("one", "f:2,0", "abs2:1"):
         w = WeightSpec.parse(wtxt)
         for T in (batch.T, batch.T / 2, 1.5):
-            mask = batch.norms <= T
-            assert _hexed(_weighted_sum(batch, w, mask)) == _hexed(_weighted_sum_reference(batch, w, mask))
-            assert _error_budget(batch, w, mask).hex() == _error_budget_reference(batch, w, mask).hex()
             rep = sharp_sum(batch, w, T)
-            assert rep.count == int(mask.sum()) + 1
+            assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(_sharp_reference(batch, w, T))
+            # any mask: the terms outside it are left out, the count still reads T
+            mask = (batch.norms <= T) & (np.arange(n) % 3 != 0)
+            rep = _sum_report(batch, w, T, mask, "sharp")
+            want = (_weighted_sum_reference(batch, w, mask), int((batch.norms <= T).sum()) + 1,
+                    _error_budget_reference(batch, w, mask))
+            assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(want)
         for T, U in ((batch.T / 1.25, 4), (batch.T / 2, 10), (1.5, 10)):
             rep = smoothed_sum(batch, w, T, U)
             assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(_smoothed_reference(batch, w, T, U))
@@ -455,15 +523,22 @@ def test_blocked_sums_non_finite_as_fsum(bad):
     batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=5)
     at = _SUM_CHUNK + 3
     batch.values[at : at + len(bad)] = bad
-    mask = batch.norms <= batch.T
     with np.errstate(all="ignore"):
         v = batch.values
         assert _outcome(lambda: cfsum(v)) == _outcome(lambda: _fsum_c(v))
         for w in (WeightSpec("f_power", 1, 0), WeightSpec("f_power", 2, 0)):
-            assert _outcome(lambda: _weighted_sum(batch, w, mask)) == _outcome(
-                lambda: _weighted_sum_reference(batch, w, mask))
-            assert _outcome(lambda: _error_budget(batch, w, mask)) == _outcome(
-                lambda: _error_budget_reference(batch, w, mask))
+            # the value streams come first: what they raise is raised before the budget's
+
+            def sharp():
+                rep = sharp_sum(batch, w, batch.T)
+                return rep.value, rep.count, rep.err_budget
+
+            def smoothed():
+                rep = smoothed_sum(batch, w, batch.T / 1.25, 4)
+                return rep.value, rep.count, rep.err_budget
+
+            assert _outcome(sharp) == _outcome(lambda: _sharp_reference(batch, w, batch.T))
+            assert _outcome(smoothed) == _outcome(lambda: _smoothed_reference(batch, w, batch.T / 1.25, 4))
 
         def eisenstein():
             rep = eisenstein_twisted(batch, 2.0, 1, 0)
