@@ -119,7 +119,9 @@ def _require(ok, message):
 def _batch_for(cfg, T):
     """(curve, table, batch) for every coset with N_z(gamma) <= T at cfg's z and tol."""
     crv = curve_mod.resolve_curve(cfg.curve)
-    # enough terms for every c <= sqrt(T) / Im z at the requested tolerance
+    # enough terms for every c <= sqrt(T) / Im z at the requested tolerance: every certified
+    # tail constant is at most 1.1 sqrt(3) < 2 (see CoefficientTable), and a bad --curve whose
+    # table falls short makes _terms_for_c raise, so the CLI exits 1
     cmax = max(crv.N, int(math.isqrt(int(T / cfg.z[1] ** 2))) + 1)
     n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, cfg.tol))
     table = curve_mod.coefficient_table(crv, n_max)
@@ -167,19 +169,17 @@ def cmd_enumerate(args):
 
 def cmd_symbols(args):
     cfg = _cfg_from_args(args)
-    _, _, batch = _batch_for(cfg, cfg.T)
+    crv, _, batch = _batch_for(cfg, cfg.T)
 
-    def rows():  # a block of rows at a time; the per-c columns are spelled out per block
+    def rows():  # one c at a time: d and norms from the enumeration the batch follows
         yield 0, 1, 1.0, 0.0, 0.0, 0.0  # the identity coset
-        for s in range(0, len(batch.ds), series._SUM_CHUNK):
-            cut = slice(s, s + series._SUM_CHUNK)
-            values = batch.values[cut]
-            cols = (
-                batch.per_symbol(batch.group_cs, cut.start, cut.stop), batch.ds[cut],
-                batch.norms[cut], values.real, values.imag,
-                batch.per_symbol(batch.group_err_bounds, cut.start, cut.stop),
+        groups = cosets.coset_arrays(crv.N, cfg.T, cfg.zc)
+        values = np.split(batch.values, np.cumsum(batch.group_counts)[:-1])
+        for (c, ds, norms), v, err in zip(groups, values, batch.group_err_bounds.tolist()):
+            yield from zip(
+                itertools.repeat(c), ds.tolist(), norms.tolist(),
+                v.real.tolist(), v.imag.tolist(), itertools.repeat(err),
             )
-            yield from zip(*(col.tolist() for col in cols))
 
     _emit_rows(args, ["c", "d", "norm", "re_symbol", "im_symbol", "err_bound"], rows())
     return 0

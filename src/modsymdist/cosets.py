@@ -119,16 +119,17 @@ def coset_arrays(N, T, z=1j):
         c += N
 
 
-def _group_into(c, T, z, ds, norms):
-    """Write coset_arrays' group for c into ds and norms, bit for bit.
+def _group_into(c, T, z, norms):
+    """Write coset_arrays' norms for c into norms, bit for bit, and return its ds.
 
-    ds and norms must have exactly the group's length, which np.compress
-    checks.  The values come from the same _candidates call, so a caller
-    that counted the groups in one pass can fill them in place in another.
+    norms must have exactly the group's length, which np.compress checks.
+    The values come from the same _candidates call, so a caller that
+    counted the groups in one pass can fill them in place in another; the
+    ds (int64, ascending) are a new array the caller may drop once read.
     """
     lo, cand, keep = _candidates(c, T, z.real, z.imag)
     np.compress(keep, cand, out=norms)
-    np.add(np.flatnonzero(keep), lo, out=ds)
+    return np.flatnonzero(keep) + lo
 
 
 def coset_count(N, T, z=1j):

@@ -331,7 +331,7 @@ def _pentagonal(L):
     return np.array(exps, dtype=np.int64), np.array(signs, dtype=np.float64)
 
 
-def eta_deep_table_level11(n_max):
+def eta_deep_table_level11(n_max, dtype=np.float64):
     """Deep coefficient table for the level-11 newform via its eta product.
 
     The unique weight-2 newform on Gamma_0(11) is f = q D(q)^2 with
@@ -365,20 +365,15 @@ def eta_deep_table_level11(n_max):
     coefficients the homomorphism suite needs (verify sizes the table from
     its drawn pairs); this route can, and is cross-validated against the
     point-count/Hecke table in the tests.
-    """
-    return CoefficientTable(_eta_coefficients_level11(n_max, np.float64))
 
-
-def _eta_coefficients_level11(n_max, dtype):
-    """a[0..n_max] of eta_deep_table_level11(n_max), stored as dtype.
-
-    dtype is float64 or a signed integer type; the integers are the same
-    either way, and an integer table takes int32's 4 bytes a term where
-    float64 takes 8 (pairing reads either exactly).  E is built in the table
-    itself; the transforms run in float64 through five spectra of
-    N // 2 + 1 points: R0, R1, a class's two halves and one scratch, which
-    also takes each zero-padded input and the inverse transforms.  A class
-    value that its integer dtype cannot hold raises OverflowError.
+    The table is stored as dtype, float64 or a signed integer type; the
+    integers are the same either way, and an integer table takes int32's 4
+    bytes a term where float64 takes 8 (pairing reads either exactly).  E
+    is built in the table itself; the transforms run in float64 through
+    five spectra of N // 2 + 1 points: R0, R1, a class's two halves and one
+    scratch, which also takes each zero-padded input and the inverse
+    transforms.  A class value that its integer dtype cannot hold raises
+    OverflowError.
     """
     n_max = _checked_n_max(n_max)
     L = n_max
@@ -430,7 +425,8 @@ def _eta_coefficients_level11(n_max, dtype):
         resid = max(resid, float(np.max(np.abs(prod, out=prod))))
     if not resid <= 1e-6:
         raise ArithmeticError(f"eta-product FFT not integer-exact (residual {resid:.2e})")
-    return a
+    del R0, R1, P, T, W, w, Pr, prod, rounded  # the spectra go before the table's own scan
+    return CoefficientTable(a)
 
 
 # ---------------------------------------------------------------------------

@@ -255,20 +255,18 @@ def oracle_pairing(table, m, split_height=1.0, tol=1e-9):
 class SymbolBatch:
     """All non-identity cosets with N_z(gamma) <= T and their symbol values.
 
-    ds, norms and values hold one entry per symbol, ordered by c then d
-    (deterministic under any thread count); the identity coset (value 0,
-    norm 1) is excluded but counted in `count`.  What is constant over a c
-    is held once per c group, in ascending c: group_cs, group_counts (the
-    symbols of each c, never 0) and group_err_bounds (the truncation bound
-    shared by its symbols).  The properties cs and err_bounds spell those
-    out per symbol.
+    norms and values hold one entry per symbol, ordered by c then d as
+    coset_arrays(N, T, z) yields them (deterministic under any thread
+    count), so the d of each symbol is read off that enumeration; the
+    identity coset (value 0, norm 1) is excluded but counted in `count`.
+    What is constant over a c is held once per c group, in ascending c:
+    group_cs, group_counts (the symbols of each c, never 0) and
+    group_err_bounds (the truncation bound shared by its symbols).  The
+    property cs and per_symbol spell those out per symbol.
     """
 
-    N: int
     T: float
     z: complex
-    tol: float
-    ds: np.ndarray
     norms: np.ndarray
     values: np.ndarray
     group_cs: np.ndarray
@@ -280,16 +278,11 @@ class SymbolBatch:
         """c of every symbol (int64)."""
         return self.per_symbol(self.group_cs)
 
-    @property
-    def err_bounds(self):
-        """Truncation bound of every symbol (float64)."""
-        return self.per_symbol(self.group_err_bounds)
-
     def per_symbol(self, per_group, start=0, stop=None):
         """per_group's entry for each symbol at positions start..stop-1 (default all)."""
         ends = np.cumsum(self.group_counts)
         starts = ends - self.group_counts
-        stop = len(self.ds) if stop is None else stop
+        stop = len(self.norms) if stop is None else stop
         first = np.searchsorted(ends, start, side="right")
         last = np.searchsorted(starts, stop, side="left")
         reps = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], start)
@@ -298,7 +291,7 @@ class SymbolBatch:
     @property
     def count(self):
         """Enumeration count at T including the identity coset."""
-        return len(self.ds) + 1
+        return len(self.norms) + 1
 
     def norm_bound(self, T=None):
         """T (default self.T) as a float in [1, self.T]; the identity coset has norm 1."""
@@ -318,7 +311,7 @@ class SymbolBatch:
             counts = np.add.reduceat(m, np.cumsum(counts) - counts, dtype=np.int64)
         g = counts > 0
         return SymbolBatch(
-            self.N, T, self.z, self.tol, self.ds[m], self.norms[m], self.values[m],
+            T, self.z, self.norms[m], self.values[m],
             self.group_cs[g], counts[g], self.group_err_bounds[g],
         )
 
@@ -376,18 +369,17 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     """SymbolBatch of every coset with N_z(gamma) <= T (identity excluded).
 
     Work is partitioned by c.  One pass over coset_arrays keeps only each
-    c's coset count; the three per-symbol arrays are allocated at that size,
-    and each c then rebuilds its own cosets straight into its slice
-    (cosets._group_into) and fills its symbols there, ascending in c
-    whatever the thread count, so output is bit-identical for any `threads`
-    and no c's cosets are held beside the outputs.
+    c's coset count; norms and values are allocated at that size, and each
+    c then rebuilds its own cosets, norms straight into its slice
+    (cosets._group_into) and its ds as a local array, and fills its symbols
+    there, ascending in c whatever the thread count, so output is
+    bit-identical for any `threads` and no c's ds outlive its symbols.
     """
     z = complex(z)
     groups = [(c, len(c_ds)) for c, c_ds, _ in coset_arrays(N, T, z)]
     group_cs = np.array([c for c, _ in groups], dtype=np.int64)
     counts = np.array([n for _, n in groups], dtype=np.int64)
     starts = [0, *np.cumsum(counts).tolist()]
-    ds = np.empty(starts[-1], dtype=np.int64)
     norms = np.empty(starts[-1], dtype=np.float64)
     values = np.empty(starts[-1], dtype=np.complex128)
     errs = np.empty(len(groups), dtype=np.float64)
@@ -395,8 +387,8 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     def fill(i):
         c = groups[i][0]
         out = slice(starts[i], starts[i + 1])
-        _group_into(c, T, z, ds[out], norms[out])
-        errs[i] = _symbols_for_c(table, c, ds[out], tol, values[out])
+        ds = _group_into(c, T, z, norms[out])
+        errs[i] = _symbols_for_c(table, c, ds, tol, values[out])
 
     if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -404,4 +396,4 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     else:
         for i in range(len(groups)):
             fill(i)
-    return SymbolBatch(int(N), float(T), z, float(tol), ds, norms, values, group_cs, counts, errs)
+    return SymbolBatch(float(T), z, norms, values, group_cs, counts, errs)

@@ -20,7 +20,6 @@ RANKIN_MIN_X = 1000
 class NormEstimate:
     value: float
     method: str  # "rankin" | "lattice"
-    X_or_precision: float
     spread: float
 
     def __post_init__(self):
@@ -47,7 +46,7 @@ def rankin_estimate(table, N, X):
     window = (volume(N) / (16 * math.pi ** 2)) * partial[ys - 1] / ys
     value = float(window.mean())
     spread = float((window.max() - window.min()) / value)
-    return NormEstimate(value=value, method="rankin", X_or_precision=float(X), spread=spread)
+    return NormEstimate(value=value, method="rankin", spread=spread)
 
 
 def lattice_norm(lattice, modular_degree):
@@ -56,4 +55,4 @@ def lattice_norm(lattice, modular_degree):
     if degree < 1:
         raise ValueError("modular degree must be >= 1")
     value = degree * lattice.area / (4 * math.pi ** 2)
-    return NormEstimate(value=value, method="lattice", X_or_precision=float(degree), spread=0.0)
+    return NormEstimate(value=value, method="lattice", spread=0.0)

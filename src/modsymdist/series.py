@@ -80,13 +80,6 @@ class WeightSpec:
     def total_degree(self):
         return self.m + (self.n if self.kind != "abs2m" else self.m)
 
-    @property
-    def nonnegative(self):
-        """True when omega_gamma >= 0 for every coset (sandwich applies)."""
-        return self.kind == "one" or self.kind == "abs2m" or (
-            self.kind == "f_power" and self.m == self.n
-        )
-
     def apply(self, values):
         """Evaluate the weight on an array of symbol values.
 
@@ -124,7 +117,7 @@ class SumReport:
 
 @dataclass(frozen=True)
 class AsymptoticConstant:
-    """Leading term `leading * T^power_of_T * log(T)^power_of_logT`.
+    """Leading term `leading * T * log(T)^power_of_logT`.
 
     exact=False marks odd alphabeta cases where only the upper bound
     O(T log^k T) with k strictly below (m+n)/2 is known; the constant is
@@ -133,7 +126,6 @@ class AsymptoticConstant:
 
     weight: WeightSpec
     leading: complex
-    power_of_T: int
     power_of_logT: int
     exact: bool = True
 
@@ -412,7 +404,7 @@ def asymptotic_constants(weight, vol, y=1.0, norm_f_sq=None, h_value=None):
     """
     w = weight
     if w.kind == "one":
-        return AsymptoticConstant(w, complex(1.0 / (y * vol)), 1, 0)
+        return AsymptoticConstant(w, complex(1.0 / (y * vol)), 0)
     if w.kind == "f_power":
         if w.m == w.n:
             return asymptotic_constants(
@@ -421,22 +413,22 @@ def asymptotic_constants(weight, vol, y=1.0, norm_f_sq=None, h_value=None):
         if (w.m, w.n) == (1, 0):
             if h_value is None:
                 raise ValueError("f_power(1,0) constant needs h_value")
-            return AsymptoticConstant(w, complex(h_value) / (y * vol), 1, 0)
+            return AsymptoticConstant(w, complex(h_value) / (y * vol), 0)
         if (w.m, w.n) == (2, 0):
             if h_value is None:
                 raise ValueError("f_power(2,0) constant needs h_value")
-            return AsymptoticConstant(w, complex(h_value) ** 2 / (y * vol), 1, 0)
+            return AsymptoticConstant(w, complex(h_value) ** 2 / (y * vol), 0)
         raise ValueError(f"no closed-form constant for f_power({w.m},{w.n})")
     if w.kind == "abs2m":
         if norm_f_sq is None:
             raise ValueError("abs2m constant needs norm_f_sq")
         mm = w.m
         lead = (16 * math.pi ** 2 * norm_f_sq) ** mm * math.factorial(mm)
-        return AsymptoticConstant(w, complex(lead / (y * vol ** (mm + 1))), 1, mm)
+        return AsymptoticConstant(w, complex(lead / (y * vol ** (mm + 1))), mm)
     # alphabeta
     j, k = w.m, w.n
     if j % 2 or k % 2:
-        return AsymptoticConstant(w, 0j, 1, (j + k) // 2, exact=False)
+        return AsymptoticConstant(w, 0j, (j + k) // 2, exact=False)
     if norm_f_sq is None:
         raise ValueError("alphabeta constant needs norm_f_sq")
     half = (j + k) // 2
@@ -446,4 +438,4 @@ def asymptotic_constants(weight, vol, y=1.0, norm_f_sq=None, h_value=None):
         * _double_half_factorial(k)
         / (y * vol ** (half + 1))
     )
-    return AsymptoticConstant(w, complex(lead), 1, half)
+    return AsymptoticConstant(w, complex(lead), half)

@@ -93,8 +93,7 @@ class Resources:
         """
         if "deep" not in self._cache:
             _, n_max = self.deep_table_size()
-            a = curve_mod._eta_coefficients_level11(n_max, np.int32)
-            self._cache["deep"] = curve_mod.CoefficientTable(a)
+            self._cache["deep"] = curve_mod.eta_deep_table_level11(n_max, np.int32)
         return self._cache["deep"]
 
     def take_deep_table(self):

@@ -309,13 +309,15 @@ def _list_built_rows(argv):
         for c, ds, norms in coset_arrays(N, cfg.T, cfg.zc):
             rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
         return ["c", "d", "norm"], rows
-    _, _, batch = _batch_for(cfg, cfg.T)
+    crv, _, batch = _batch_for(cfg, cfg.T)
+    ds = [d for _, c_ds, _ in coset_arrays(crv.N, cfg.T, cfg.zc) for d in c_ds.tolist()]
     rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
     rows += [
         (c, d, nrm, v.real, v.imag, e)
         for c, d, nrm, v, e in zip(
-            batch.cs.tolist(), batch.ds.tolist(), batch.norms.tolist(),
-            batch.values.tolist(), batch.err_bounds.tolist(),
+            batch.cs.tolist(), ds, batch.norms.tolist(),
+            batch.values.tolist(), batch.per_symbol(batch.group_err_bounds).tolist(),
+            strict=True,
         )
     ]
     return ["c", "d", "norm", "re_symbol", "im_symbol", "err_bound"], rows

@@ -504,7 +504,7 @@ def test_eta_deep_table_halves_match_one_transform(n_max):
 
 @pytest.mark.parametrize("n_max", [1, 2, 10, 11, 12, 22, 23, 2000, 200003])
 def test_eta_int32_coefficients_match_float64_table(n_max):
-    a = curve_mod._eta_coefficients_level11(n_max, np.int32)
+    a = eta_deep_table_level11(n_max, np.int32).a
     assert a.dtype == np.int32
     assert np.array_equal(a, eta_deep_table_level11(n_max).a)
 
@@ -512,14 +512,14 @@ def test_eta_int32_coefficients_match_float64_table(n_max):
 def test_eta_int_coefficients_refuse_overflow():
     # |a_n| reaches 720 below n = 30000, beyond int8
     with pytest.raises(OverflowError):
-        curve_mod._eta_coefficients_level11(30000, np.int8)
+        eta_deep_table_level11(30000, np.int8)
 
 
 def test_eta_int32_build_peak_memory(traced_peak):
     # table at 4 bytes a term plus five spectra of ~n/11 points: less than the
     # float64 table alone
     n_max = 10 ** 6
-    peak, _ = traced_peak(lambda: curve_mod._eta_coefficients_level11(n_max, np.int32))
+    peak, _ = traced_peak(lambda: eta_deep_table_level11(n_max, np.int32))
     assert peak <= 8 * (n_max + 1)
 
 

@@ -1,6 +1,7 @@
 """Modular symbol evaluation: closed form, quadrature oracle, alpha/beta split."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -218,9 +219,11 @@ def test_decompose_identities():
 def test_batch_matches_pairing(table11, batch11_1e4):
     # the batch's DFT of the fold and pairing's two-residue read-out agree per
     # coset; both share _fold, so test_pairing_vs_direct_series is the reference
+    ds = np.concatenate([c_ds for _, c_ds, _ in coset_arrays(11, batch11_1e4.T, batch11_1e4.z)])
+    assert len(ds) == len(batch11_1e4.norms)
     idx = np.random.default_rng(0).choice(len(batch11_1e4.cs), 25, replace=False)
     for i in idx:
-        c, d = int(batch11_1e4.cs[i]), int(batch11_1e4.ds[i])
+        c, d = int(batch11_1e4.cs[i]), int(ds[i])
         m = lift(c, d)
         v, _ = pairing(table11, m, 1e-12)
         assert abs(v - batch11_1e4.values[i]) < 1e-10
@@ -374,16 +377,16 @@ def _inverse_table_euler(c):
 
 
 def _batch_reference(table, N, T, z, tol):
-    """The five SymbolBatch arrays from the per-c kernel as it was before the unit mask."""
-    cols = [[], [], [], [], []]
+    """cs, norms, values and err_bounds per symbol from the per-c kernel as it was before the unit mask."""
+    cols = [[], [], [], []]
     for c, ds, norms in coset_arrays(N, T, z):
         n_used, err = _terms_for_c(table, c, tol)
         hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c
         values = hvals[(-ds) % c] - hvals[_inverse_table_euler(c)[ds % c]]
-        arrays = (np.full(len(ds), c, dtype=np.int64), ds, norms, values, np.full(len(ds), err))
+        arrays = (np.full(len(ds), c, dtype=np.int64), norms, values, np.full(len(ds), err))
         for col, arr in zip(cols, arrays):
             col.append(arr)
-    dtypes = (np.int64, np.int64, np.float64, np.complex128, np.float64)
+    dtypes = (np.int64, np.float64, np.complex128, np.float64)
     return [np.concatenate(col) if col else np.zeros(0, dt) for col, dt in zip(cols, dtypes)]
 
 
@@ -402,13 +405,13 @@ def test_batch_matches_euler_kernel_reference(request, name, N, T, z, threads):
     table = request.getfixturevalue(name)
     batch = symbols_up_to(table, N, T, z, tol=1e-10, threads=threads)
     want = _batch_reference(table, N, T, z, 1e-10)
-    got = [batch.cs, batch.ds, batch.norms, batch.values, batch.err_bounds]
-    for field, g, w in zip(("cs", "ds", "norms", "values", "err_bounds"), got, want):
+    got = [batch.cs, batch.norms, batch.values, batch.per_symbol(batch.group_err_bounds)]
+    for field, g, w in zip(("cs", "norms", "values", "err_bounds"), got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
 PER_GROUP = ("group_cs", "group_counts", "group_err_bounds")
-PER_SYMBOL = ("cs", "ds", "norms", "values", "err_bounds")
+PER_SYMBOL = ("cs", "norms", "values")
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -420,14 +423,15 @@ PER_SYMBOL = ("cs", "ds", "norms", "values", "err_bounds")
 def test_per_c_columns_and_restriction_match_fresh_builds(request, name, N, T, z, threads):
     table = request.getfixturevalue(name)
     batch = symbols_up_to(table, N, T, z, tol=1e-10, threads=threads)
-    # cs and err_bounds spell the per-c columns out per symbol, in today's dtypes
-    assert batch.cs.dtype == np.int64 and batch.err_bounds.dtype == np.float64
+    # cs and per_symbol spell the per-c columns out per symbol, in today's dtypes
+    err_bounds = batch.per_symbol(batch.group_err_bounds)
+    assert batch.cs.dtype == np.int64 and err_bounds.dtype == np.float64
     assert batch.cs.tobytes() == np.repeat(batch.group_cs, batch.group_counts).tobytes()
-    assert np.all(batch.group_counts > 0) and batch.group_counts.sum() == len(batch.ds)
+    assert np.all(batch.group_counts > 0) and batch.group_counts.sum() == len(batch.norms)
     # any window of them, block boundaries and empty windows included
-    n = len(batch.ds)
+    n = len(batch.norms)
     for start, stop in ((0, n), (0, 0), (n, n + 5), (_SUM_CHUNK - 3, 2 * _SUM_CHUNK + 1), (7, 8), (1, n + 9)):
-        for per_group, column in ((batch.group_cs, batch.cs), (batch.group_err_bounds, batch.err_bounds)):
+        for per_group, column in ((batch.group_cs, batch.cs), (batch.group_err_bounds, err_bounds)):
             got = batch.per_symbol(per_group, start, stop)
             assert got.dtype == column.dtype and got.tobytes() == column[start:stop].tobytes()
     # a restriction is a fresh build at the smaller bound, every column and dtype alike
@@ -435,7 +439,7 @@ def test_per_c_columns_and_restriction_match_fresh_builds(request, name, N, T, z
         if t < 1:
             continue
         got, fresh = batch.restricted(t), symbols_up_to(table, N, t, z, tol=1e-10, threads=threads)
-        assert (got.N, got.T, got.z, got.tol, got.count) == (fresh.N, fresh.T, fresh.z, fresh.tol, fresh.count)
+        assert (got.T, got.z, got.count) == (fresh.T, fresh.z, fresh.count)
         for field in PER_SYMBOL + PER_GROUP:
             g, f = getattr(got, field), getattr(fresh, field)
             assert g.dtype == f.dtype and g.tobytes() == f.tobytes(), (t, field)
@@ -447,8 +451,10 @@ def test_batch_build_peak_memory(table11, traced_peak, threads):
     # batch's own arrays the build holds only a c's candidates, fold and transform
     # per thread, and no list of per-c groups
     peak, batch = traced_peak(lambda: symbols_up_to(table11, 11, 10 ** 7, tol=1e-10, threads=threads))
-    own = sum(getattr(batch, field).nbytes for field in ("ds", "norms", "values") + PER_GROUP)
-    assert len(batch.ds) == 795910
+    # a batch holds exactly these arrays; d is read off coset_arrays, not stored
+    assert [f.name for f in dataclasses.fields(batch)] == ["T", "z", "norms", "values", *PER_GROUP]
+    own = sum(getattr(batch, field).nbytes for field in ("norms", "values") + PER_GROUP)
+    assert len(batch.norms) == 795910
     assert peak <= own + 2 * 2 ** 20, (peak, own)
 
 

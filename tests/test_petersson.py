@@ -63,4 +63,4 @@ def test_lattice_norm_unit_area_case():
 
 def test_norm_estimate_validation():
     with pytest.raises(ValueError):
-        NormEstimate(value=-1.0, method="rankin", X_or_precision=1000.0, spread=0.0)
+        NormEstimate(value=-1.0, method="rankin", spread=0.0)

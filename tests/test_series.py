@@ -439,7 +439,7 @@ def _error_budget_reference(batch, weight, mask):
         return 0.0
     v = np.abs(batch.values[mask])
     scale = np.maximum(v, 1.0) ** (deg - 1)
-    return float(deg * math.fsum(scale * batch.err_bounds[mask]))
+    return float(deg * math.fsum(scale * batch.per_symbol(batch.group_err_bounds)[mask]))
 
 
 def _sharp_reference(batch, weight, T):
@@ -488,8 +488,8 @@ def _synthetic_batch(n, seed, T=1e6):
     ends = np.unique(np.append(np.cumsum(rng.integers(1, _SUM_CHUNK // 2, n // 1000 + 1)), n))
     counts = np.diff(ends[ends <= n], prepend=0)
     groups = len(counts)
-    return SymbolBatch(11, T, 1j, 1e-10, np.zeros(n, dtype=np.int64), norms, values,
-                       11 * np.arange(1, groups + 1), counts, rng.uniform(0, 1e-10, groups))
+    return SymbolBatch(T=T, z=1j, norms=norms, values=values, group_cs=11 * np.arange(1, groups + 1),
+                       group_counts=counts, group_err_bounds=rng.uniform(0, 1e-10, groups))
 
 
 @pytest.mark.parametrize("n", BLOCK_LENGTHS)
