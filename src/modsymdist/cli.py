@@ -1,9 +1,10 @@
 """Command-line front end: curve -> coefficients -> cosets -> symbols -> statistics.
 
 Subcommands: coeffs, enumerate, symbols, sums, moments, histogram, petersson,
-eisenstein, verify.  CSV is the primary artifact ('.' decimal, '\\n' line
-endings, mandatory header); single-record outputs are JSON.  Identical
-config and seed produce byte-identical output for any --threads value.
+eisenstein, verify.  Each takes only the flags it reads; any other flag is a
+usage error.  CSV is the primary artifact ('.' decimal, '\\n' line endings,
+mandatory header); single-record outputs are JSON.  Identical flags produce
+byte-identical output for any --threads value.
 """
 
 import argparse
@@ -13,63 +14,16 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cosets, curve as curve_mod, modsym, petersson, series, stats, verify
 
 
-@dataclass
-class RunConfig:
-    """Reproducible run parameters, validated on construction."""
-
-    curve: str = "11a"
-    T: float = 1e4
-    T_grid: list = field(default_factory=list)
-    z: tuple = (0.0, 1.0)
-    tol: float = 1e-10
-    threads: int = 1
-    seed: int = 11
-
-    def __post_init__(self):
-        # every bound is written so that NaN fails it
-        if len(self.z) != 2 or not all(math.isfinite(t) for t in self.z):
-            raise ValueError("z must be two finite numbers 'x,y'")
-        if not (self.z[1] > 0):
-            raise ValueError("Im(z) must be positive")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not all(t >= 1 for t in (self.T, *self.T_grid)):
-            raise ValueError("T must be >= 1")
-        if not all(math.isfinite(t) for t in (self.T, *self.T_grid)):
-            raise ValueError("T must be finite")
-
-    @property
-    def zc(self):
-        return complex(self.z[0], self.z[1])
-
-
-def _cfg_from_args(args):
-    """RunConfig from the flags of common(); only --T and --T-grid are per subcommand."""
-    grid = getattr(args, "T_grid", None)
-    return RunConfig(
-        curve=args.curve,
-        T=getattr(args, "T", 1e4),
-        T_grid=[float(t) for t in grid.split(",") if t] if grid else [],
-        z=tuple(float(t) for t in args.z.split(",")),
-        tol=args.tol,
-        threads=args.threads,
-        seed=args.seed,
-    )
-
-
 @contextlib.contextmanager
 def _out(args):
     """The --out file, closed on exit even if writing fails, or stdout."""
-    if not getattr(args, "out", None):
+    if not args.out:
         yield sys.stdout
         return
     f = open(args.out, "w", newline="\n")
@@ -98,7 +52,7 @@ def _emit_rows(args, header, rows):
     bytes are those of json.dumps on the whole list: "[", the records joined
     by ", ", "]".
     """
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         with _out(args) as f:
             f.write("[")
             for i, row in enumerate(rows):
@@ -111,21 +65,40 @@ def _emit_rows(args, header, rows):
 
 
 def _require(ok, message):
-    """Reject a flag outside RunConfig; callers write each bound so that NaN fails it."""
+    """Reject a flag value; callers write each bound so that NaN fails it."""
     if not ok:
         raise ValueError(message)
 
 
-def _batch_for(cfg, T):
-    """(curve, table, batch) for every coset with N_z(gamma) <= T at cfg's z and tol."""
-    crv = curve_mod.resolve_curve(cfg.curve)
+def _check_shared(args):
+    """Check the shared flags the subcommand declares, in the order z, tol, threads, T.
+
+    --z becomes a complex number here.  Every bound is written so that NaN fails it.
+    """
+    if hasattr(args, "z"):
+        z = [float(t) for t in args.z.split(",")]
+        _require(len(z) == 2 and all(map(math.isfinite, z)), "z must be two finite numbers 'x,y'")
+        _require(z[1] > 0, "Im(z) must be positive")
+        args.z = complex(*z)
+    if hasattr(args, "tol"):
+        _require(args.tol > 0 and math.isfinite(args.tol), "tol must be positive and finite")
+    if hasattr(args, "threads"):
+        _require(args.threads >= 1, "threads must be >= 1")
+    if hasattr(args, "T"):
+        _require(args.T >= 1, "T must be >= 1")
+        _require(math.isfinite(args.T), "T must be finite")
+
+
+def _batch_for(args, T):
+    """(curve, table, batch) for every coset with N_z(gamma) <= T at the flags' z and tol."""
+    crv = curve_mod.resolve_curve(args.curve)
     # enough terms for every c <= sqrt(T) / Im z at the requested tolerance: every certified
     # tail constant is at most 1.1 sqrt(3) < 2 (see CoefficientTable), and a bad --curve whose
     # table falls short makes _terms_for_c raise, so the CLI exits 1
-    cmax = max(crv.N, int(math.isqrt(int(T / cfg.z[1] ** 2))) + 1)
-    n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, cfg.tol))
+    cmax = max(crv.N, int(math.isqrt(int(T / args.z.imag ** 2))) + 1)
+    n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol))
     table = curve_mod.coefficient_table(crv, n_max)
-    return crv, table, modsym.symbols_up_to(table, crv.N, T, cfg.zc, cfg.tol, cfg.threads)
+    return crv, table, modsym.symbols_up_to(table, crv.N, T, args.z, args.tol, args.threads)
 
 
 def _norm_f_sq(crv, table):
@@ -133,9 +106,9 @@ def _norm_f_sq(crv, table):
     return petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
 
 
-def _normalized(cfg):
-    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= cfg.T; never empty."""
-    crv, table, batch = _batch_for(cfg, cfg.T)
+def _normalized(args):
+    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= --T; never empty."""
+    crv, table, batch = _batch_for(args, args.T)
     values, norms = batch.values, batch.norms
     del batch  # the rest of the batch goes before the normalized arrays are allocated
     x, y, _ = stats.normalize_arrays(values, norms, _norm_f_sq(crv, table), cosets.volume(crv.N))
@@ -144,8 +117,7 @@ def _normalized(cfg):
 
 
 def cmd_coeffs(args):
-    cfg = _cfg_from_args(args)
-    crv = curve_mod.resolve_curve(cfg.curve)
+    crv = curve_mod.resolve_curve(args.curve)
     _require(args.n_max >= 1, "n-max must be >= 1")
     table = curve_mod.coefficient_table(crv, int(args.n_max))
     rows = zip(range(1, table.n_max + 1), table.a[1:].astype(np.int64).tolist())
@@ -154,13 +126,12 @@ def cmd_coeffs(args):
 
 
 def cmd_enumerate(args):
-    cfg = _cfg_from_args(args)
-    N = int(args.N) if args.N is not None else curve_mod.resolve_curve(cfg.curve).N
+    N = int(args.N) if args.N is not None else curve_mod.resolve_curve(args.curve).N
     _require(N >= 1, "N must be a positive integer")
 
     def rows():
         yield 0, 1, 1.0  # the identity coset
-        for c, ds, norms in cosets.coset_arrays(N, cfg.T, cfg.zc):
+        for c, ds, norms in cosets.coset_arrays(N, args.T, args.z):
             yield from zip(itertools.repeat(c), ds.tolist(), norms.tolist())
 
     _emit_rows(args, ["c", "d", "norm"], rows())
@@ -168,12 +139,11 @@ def cmd_enumerate(args):
 
 
 def cmd_symbols(args):
-    cfg = _cfg_from_args(args)
-    crv, _, batch = _batch_for(cfg, cfg.T)
+    crv, _, batch = _batch_for(args, args.T)
 
     def rows():  # one c at a time: d and norms from the enumeration the batch follows
         yield 0, 1, 1.0, 0.0, 0.0, 0.0  # the identity coset
-        groups = cosets.coset_arrays(crv.N, cfg.T, cfg.zc)
+        groups = cosets.coset_arrays(crv.N, args.T, args.z)
         values = np.split(batch.values, np.cumsum(batch.group_counts)[:-1])
         for (c, ds, norms), v, err in zip(groups, values, batch.group_err_bounds.tolist()):
             yield from zip(
@@ -185,9 +155,9 @@ def cmd_symbols(args):
     return 0
 
 
-def _theory_constant(weight, cfg, crv, table):
+def _theory_constant(weight, z, crv, table):
     vol = cosets.volume(crv.N)
-    y = cfg.z[1]
+    y = z.imag
     try:
         nfsq = None
         hval = None
@@ -196,7 +166,7 @@ def _theory_constant(weight, cfg, crv, table):
         ):
             nfsq = _norm_f_sq(crv, table)
         if weight.kind == "f_power" and weight.m != weight.n:
-            hval = modsym.antiderivative(table, cfg.zc, tol=1e-13)
+            hval = modsym.antiderivative(table, z, tol=1e-13)
         const = series.asymptotic_constants(weight, vol, y, norm_f_sq=nfsq, h_value=hval)
         return const
     except ValueError:
@@ -204,13 +174,14 @@ def _theory_constant(weight, cfg, crv, table):
 
 
 def cmd_sums(args):
-    cfg = _cfg_from_args(args)
+    grid = [float(t) for t in (args.T_grid or "").split(",") if t] or [args.T]
+    _require(all(t >= 1 for t in grid), "T must be >= 1")
+    _require(all(map(math.isfinite, grid)), "T must be finite")
     weight = series.WeightSpec.parse(args.weight)
-    grid = cfg.T_grid or [cfg.T]
     U = float(args.smooth_U) if args.smooth_U is not None else None
     _require(U is None or 2 <= U < math.inf, "smooth-U must be >= 2 and finite")
-    crv, table, batch = _batch_for(cfg, max(grid) * (1 + 1 / U) if U else max(grid))
-    const = _theory_constant(weight, cfg, crv, table)
+    crv, table, batch = _batch_for(args, max(grid) * (1 + 1 / U) if U else max(grid))
+    const = _theory_constant(weight, args.z, crv, table)
     rows = []
     for T in grid:
         if U:
@@ -231,10 +202,9 @@ def cmd_sums(args):
 
 
 def cmd_moments(args):
-    cfg = _cfg_from_args(args)
     _require(args.nmax >= 0 and args.mmax >= 0, "nmax and mmax must be >= 0")
-    x, y = _normalized(cfg)
-    rep = stats.moments_from_arrays(x, y, int(args.nmax), int(args.mmax), T=cfg.T)
+    x, y = _normalized(args)
+    rep = stats.moments_from_arrays(x, y, int(args.nmax), int(args.mmax))
     rows = [
         (n, m, rep.pairs[(n, m)], rep.gaussian_limit[(n, m)]) for (n, m) in sorted(rep.pairs)
     ]
@@ -243,13 +213,12 @@ def cmd_moments(args):
 
 
 def cmd_histogram(args):
-    cfg = _cfg_from_args(args)
     bounds = tuple(float(t) for t in args.range.split(","))
     _require(
         len(bounds) == 2 and all(map(math.isfinite, bounds)) and bounds[0] < bounds[1],
         "range must be two finite numbers 'lo,hi' with lo < hi",
     )
-    x, y = _normalized(cfg)
+    x, y = _normalized(args)
     comp = x if args.component == "re" else y
     rows = stats.histogram(comp, int(args.bins), bounds)
     _emit_rows(args, ["bin_lo", "bin_hi", "count", "expected"], rows)
@@ -257,15 +226,14 @@ def cmd_histogram(args):
 
 
 def cmd_petersson(args):
-    cfg = _cfg_from_args(args)
-    crv = curve_mod.resolve_curve(cfg.curve)
+    crv = curve_mod.resolve_curve(args.curve)
     X = int(args.X)
     _require(X >= petersson.RANKIN_MIN_X, f"X must be >= {petersson.RANKIN_MIN_X}")
     table = curve_mod.coefficient_table(crv, X)
     out = []
     est = petersson.rankin_estimate(table, crv.N, X)
     out.append({"method": est.method, "value": est.value, "spread": est.spread})
-    degree = curve_mod.PRESET_DEGREES.get(cfg.curve)
+    degree = curve_mod.PRESET_DEGREES.get(args.curve)
     if degree is not None:
         lat = curve_mod.agm_periods(crv)
         est2 = petersson.lattice_norm(lat, degree)
@@ -275,12 +243,11 @@ def cmd_petersson(args):
 
 
 def cmd_eisenstein(args):
-    cfg = _cfg_from_args(args)
     s = complex(float(args.s_re), float(args.s_im))
     _require(cmath.isfinite(s), "s must be finite")
     T_max = float(args.T_max)
     _require(1 <= T_max < math.inf, "T-max must be >= 1 and finite")
-    _, _, batch = _batch_for(cfg, T_max)
+    _, _, batch = _batch_for(args, T_max)
     rep = series.eisenstein_twisted(batch, s, int(args.m), int(args.n), T_max)
     _emit(
         args,
@@ -301,9 +268,8 @@ def cmd_eisenstein(args):
 
 
 def cmd_verify(args):
-    cfg = _cfg_from_args(args)
     results = verify.run_acceptance(
-        curve=cfg.curve, quick=args.quick, threads=cfg.threads, seed=cfg.seed
+        curve=args.curve, quick=args.quick, threads=args.threads, seed=args.seed
     )
     _emit(args, verify.format_results(results))
     return 0 if all(r.passed or r.skipped for r in results) else 1
@@ -315,78 +281,74 @@ def build_parser():
         description="Modular-symbol sums, twisted Eisenstein series, and distribution checks",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    shared = {
+        "z": dict(default="0,1", help="working point 'x,y' with y>0"),
+        "tol": dict(type=float, default=1e-10, help="per-symbol truncation tolerance"),
+        "threads": dict(type=int, default=1, help="worker threads for the per-c symbol work; "
+                        "stdout is identical for any value"),
+        "format": dict(choices=("csv", "json"), default="csv"),
+    }
 
-    def common(sp, T_default=None):
+    def command(name, fn, help, *flags, T=None):
+        # no abbreviations: `eisenstein --T` must not pass for `--T-max`
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--curve", default="11a", help="preset (11a, 37a) or 'a1,a2,a3,a4,a6,N'")
-        if T_default is not None:
-            sp.add_argument("--T", type=float, default=T_default, help="norm bound")
-        sp.add_argument("--z", default="0,1", help="working point 'x,y' with y>0")
-        sp.add_argument("--tol", type=float, default=1e-10, help="per-symbol truncation tolerance")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=11)
+        if T is not None:
+            sp.add_argument("--T", type=float, default=T, help="norm bound")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **shared[flag])
         sp.add_argument("--out", help="output file (default stdout)")
+        return sp
 
-    sp = sub.add_parser("coeffs", help="Fourier coefficients a_n as CSV")
-    common(sp)
+    sym = ("z", "tol", "threads", "format")  # every command that builds symbols
+
+    sp = command("coeffs", cmd_coeffs, "Fourier coefficients a_n as CSV", "format")
     sp.add_argument("--n-max", dest="n_max", type=int, default=100)
-    sp.set_defaults(fn=cmd_coeffs)
 
-    sp = sub.add_parser("enumerate", help="cosets with N_z <= T as CSV")
-    common(sp, T_default=122.0)
+    sp = command("enumerate", cmd_enumerate, "cosets with N_z <= T as CSV", "z", "format", T=122.0)
     sp.add_argument("--N", type=int, help="level (defaults to the curve's conductor)")
-    sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("symbols", help="modular symbols over all cosets as CSV")
-    common(sp, T_default=1e4)
-    sp.set_defaults(fn=cmd_symbols)
+    command("symbols", cmd_symbols, "modular symbols over all cosets as CSV", *sym, T=1e4)
 
-    sp = sub.add_parser("sums", help="sharp/smoothed summatory functions as CSV")
-    common(sp, T_default=1e4)
+    sp = command("sums", cmd_sums, "sharp/smoothed summatory functions as CSV", *sym, T=1e4)
     sp.add_argument("--weight", default="one", help="one | f:m,n | ab:j,k | abs2:m")
     sp.add_argument("--T-grid", dest="T_grid", help="comma list of T values")
     sp.add_argument("--smooth-U", dest="smooth_U", help="smoothing parameter U (sharp if absent)")
-    sp.set_defaults(fn=cmd_sums)
 
-    sp = sub.add_parser("moments", help="empirical moments vs Gaussian limits as CSV")
-    common(sp, T_default=1e6)
+    sp = command("moments", cmd_moments, "empirical moments vs Gaussian limits as CSV", *sym, T=1e6)
     sp.add_argument("--nmax", type=int, default=4)
     sp.add_argument("--mmax", type=int, default=4)
-    sp.set_defaults(fn=cmd_moments)
 
-    sp = sub.add_parser("histogram", help="histogram of a normalized component as CSV")
-    common(sp, T_default=1e6)
+    sp = command("histogram", cmd_histogram, "histogram of a normalized component as CSV", *sym,
+                 T=1e6)
     sp.add_argument("--component", choices=("re", "im"), default="re")
     sp.add_argument("--bins", type=int, default=40)
     sp.add_argument("--range", default="-4,4")
-    sp.set_defaults(fn=cmd_histogram)
 
-    sp = sub.add_parser("petersson", help="Petersson norm estimates as JSON")
-    common(sp)
+    sp = command("petersson", cmd_petersson, "Petersson norm estimates as JSON")
     sp.add_argument("--X", type=int, default=20000)
-    sp.set_defaults(fn=cmd_petersson)
 
-    sp = sub.add_parser("eisenstein", help="twisted Eisenstein partial sum as JSON")
-    common(sp, T_default=1e5)
+    sp = command("eisenstein", cmd_eisenstein, "twisted Eisenstein partial sum as JSON",
+                 "z", "tol", "threads")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--s-re", dest="s_re", type=float, default=2.0)
     sp.add_argument("--s-im", dest="s_im", type=float, default=0.0)
     sp.add_argument("--T-max", dest="T_max", type=float, default=1e5)
-    sp.set_defaults(fn=cmd_eisenstein)
 
-    sp = sub.add_parser("verify", help="run the acceptance suite (PASS/FAIL per criterion)")
-    common(sp)
+    sp = command("verify", cmd_verify, "run the acceptance suite (PASS/FAIL per criterion)",
+                 "threads")
+    sp.add_argument("--seed", type=int, default=11)
     sp.add_argument("--quick", action="store_true", help="reduced-T smoke profile")
-    sp.set_defaults(fn=cmd_verify)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_shared(args)
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

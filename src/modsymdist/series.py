@@ -105,11 +105,8 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class SumReport:
-    T: float
     value: complex
     count: int
-    weight: WeightSpec
-    z: complex
     mode: str
     err_budget: float = 0.0
     err_budget_exceeded: bool = False
@@ -288,11 +285,8 @@ def _sum_report(batch, weight, T, mask, mode, cutoff=None, identity_factor=1.0):
     value = complex(re, im) + weight.at_zero() * identity_factor
     budget = float(deg * bound[0]) if deg else 0.0
     return SumReport(
-        T=T,
         value=value,
         count=int(np.count_nonzero(batch.norms <= T)) + 1,
-        weight=weight,
-        z=batch.z,
         mode=mode,
         err_budget=budget,
         err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
@@ -331,7 +325,6 @@ def smoothed_sum(batch, weight, T, U):
 class EisensteinReport:
     value: complex
     tail_estimate: float
-    s: complex
     m: int
     n: int
     T_max: float
@@ -374,7 +367,7 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         tail = last * ratio / (1 - ratio)
     else:
         tail = last  # no decay observed; report the last shell mass itself
-    return EisensteinReport(value, tail, s, m, n, T_max, int(mask.sum()) + 1)
+    return EisensteinReport(value, tail, m, n, T_max, int(mask.sum()) + 1)
 
 
 def _double_half_factorial(j):

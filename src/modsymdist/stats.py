@@ -27,7 +27,6 @@ from .series import _SUM_CHUNK, _block_sums, _blocks, _double_half_factorial
 
 @dataclass(frozen=True)
 class MomentReport:
-    T: float
     pairs: dict
     gaussian_limit: dict
 
@@ -88,7 +87,7 @@ def _power_chain(x, k):
         yield p
 
 
-def moments_from_arrays(x, y, n_max, m_max, T=None):
+def moments_from_arrays(x, y, n_max, m_max):
     """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max.
 
     One pass over blocks of _SUM_CHUNK samples: each block's power chains
@@ -111,8 +110,7 @@ def moments_from_arrays(x, y, n_max, m_max, T=None):
     sums = _block_sums(blocks, len(keys))[-1]
     pairs = {key: s / len(x) for key, s in zip(keys, sums)}
     limits = {key: gaussian_moment(*key) for key in pairs}
-    return MomentReport(T=float(T) if T is not None else math.inf, pairs=pairs,
-                        gaussian_limit=limits)
+    return MomentReport(pairs=pairs, gaussian_limit=limits)
 
 
 def normal_cdf(x):

@@ -197,11 +197,11 @@ def _moment_loop_reference(res, batch, decades, nfsq):
     kx_list, ky_list = [], []
     for T in decades:
         x, y = _moment_arrays(res, batch, T, nfsq)
-        M = stats.moments_from_arrays(x, y, 4, 4, T=T).pairs
+        M = stats.moments_from_arrays(x, y, 4, 4).pairs
         kx_list.append(M[(4, 0)] / M[(2, 0)] ** 2)
         ky_list.append(M[(0, 4)] / M[(0, 2)] ** 2)
     x, y = _moment_arrays(res, batch, decades[-1], nfsq)
-    M = stats.moments_from_arrays(x, y, 4, 4, T=decades[-1]).pairs
+    M = stats.moments_from_arrays(x, y, 4, 4).pairs
     corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
     odd = {
         (n, m): M[(n, m)]

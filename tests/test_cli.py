@@ -1,19 +1,20 @@
-"""CLI surface: formats, flags, validation, determinism, config round-trip.
+"""CLI surface: formats, flags, validation, determinism.
 
-Also checks that the README's library quickstart names only API that exists.
+Also checks that the README's library quickstart names only API that exists
+and that its command lines parse.
 """
 
 import argparse
 import json
-import math
 import hashlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import modsymdist
-from modsymdist.cli import RunConfig, _batch_for, _cfg_from_args, _csv_cell, _emit_rows, build_parser, main
+from modsymdist.cli import _batch_for, _check_shared, _csv_cell, _emit_rows, build_parser, main
 from modsymdist.cosets import coset_arrays
 from modsymdist.curve import resolve_curve
 from modsymdist.series import _SUM_CHUNK
@@ -156,27 +157,29 @@ def test_eisenstein_rejects_low_s(capsys):
     assert code == 1
 
 
+def _refused(capsys, *argv):
+    """stderr of a command that must exit 1 and print nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    return captured.err
+
+
 def test_config_validation(capsys):
-    with pytest.raises(ValueError):
-        RunConfig(z=(0.0, -1.0))
-    with pytest.raises(ValueError):
-        RunConfig(T=0.5)
+    assert "Im(z) must be positive" in _refused(capsys, "symbols", "--z", "0,-1")
+    assert "T must be" in _refused(capsys, "symbols", "--T", "0.5")
     with pytest.raises(SystemExit) as exc:  # argparse refuses the format
         main(["coeffs", "--n-max", "10", "--format", "xml"])
     assert exc.value.code == 2
     assert "invalid choice: 'xml'" in capsys.readouterr().err
     # exactly two finite components of z, Im z > 0; T >= 1 and tol > 0, both finite
-    for z in ((5.0,), (0.0, 1.0, 7.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
-        with pytest.raises(ValueError, match="z"):
-            RunConfig(z=z)
-    for T in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="T must be"):
-            RunConfig(T=T)
-    with pytest.raises(ValueError, match="T must be"):
-        RunConfig(T_grid=[1e3, math.nan])
-    for tol in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol"):
-            RunConfig(tol=tol)
+    for z in ("5", "0,1,7", "0,nan", "nan,1", "0,inf"):
+        assert "z" in _refused(capsys, "symbols", "--z", z)
+    for T in ("0", "nan", "inf"):
+        assert "T must be" in _refused(capsys, "symbols", "--T", T)
+    assert "T must be" in _refused(capsys, "sums", "--T-grid", "1e3,nan")
+    for tol in ("0", "-1e-10", "nan", "inf"):
+        assert "tol" in _refused(capsys, "symbols", f"--tol={tol}")
 
 
 def test_T_zero_is_rejected_not_replaced(capsys):
@@ -197,7 +200,6 @@ def test_T_zero_is_rejected_not_replaced(capsys):
         (["symbols", "--T", "inf"], "T must be finite"),
         (["symbols", "--T", "500", "--tol", "nan"], "tol must be positive and finite"),
         (["symbols", "--T", "500", "--tol", "inf"], "tol must be positive and finite"),
-        # flags outside RunConfig
         (["eisenstein", "--T-max", "nan"], "T-max must be >= 1 and finite"),
         (["eisenstein", "--T-max", "inf"], "T-max must be >= 1 and finite"),
         (["eisenstein", "--s-im", "nan"], "s must be finite"),
@@ -224,6 +226,48 @@ def test_bad_run_flags_exit_1(capsys, flags, message):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+_SYMBOL_FLAGS = {"--curve", "--out", "--T", "--z", "--tol", "--threads", "--format"}
+FLAGS = {
+    "coeffs": {"--curve", "--out", "--format", "--n-max"},
+    "enumerate": {"--curve", "--out", "--T", "--z", "--format", "--N"},
+    "symbols": _SYMBOL_FLAGS,
+    "sums": _SYMBOL_FLAGS | {"--weight", "--T-grid", "--smooth-U"},
+    "moments": _SYMBOL_FLAGS | {"--nmax", "--mmax"},
+    "histogram": _SYMBOL_FLAGS | {"--component", "--bins", "--range"},
+    "petersson": {"--curve", "--out", "--X"},
+    "eisenstein": {"--curve", "--out", "--z", "--tol", "--threads", "--m", "--n", "--s-re",
+                   "--s-im", "--T-max"},
+    "verify": {"--curve", "--out", "--threads", "--seed", "--quick"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sp in subparsers.choices.items()
+    }
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 64
+
+
+# one value per shared flag; every (subcommand, flag) pair outside FLAGS must be refused
+_VALUES = {"--T": "1e7", "--z": "0,2", "--tol": "nan", "--threads": "2", "--format": "csv",
+           "--seed": "3"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in FLAGS for f in _VALUES if f not in FLAGS[c]],
+)
+def test_undeclared_flags_exit_2(capsys, command, flag):
+    # e.g. `eisenstein --T 1e7` used to run at --T-max's default of 1e5
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, _VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {_VALUES[flag]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["moments"], ["histogram", "--bins", "2"]])
@@ -302,15 +346,15 @@ def test_json_rows_empty_table(capsys):
 def _list_built_rows(argv):
     """(header, rows) of `symbols` or `enumerate` as one list of every row. Reference only."""
     args = build_parser().parse_args(argv)
-    cfg = _cfg_from_args(args)
+    _check_shared(args)
     if args.command == "enumerate":
         rows = [(0, 1, 1.0)]
-        N = args.N if args.N is not None else resolve_curve(cfg.curve).N
-        for c, ds, norms in coset_arrays(N, cfg.T, cfg.zc):
+        N = args.N if args.N is not None else resolve_curve(args.curve).N
+        for c, ds, norms in coset_arrays(N, args.T, args.z):
             rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
         return ["c", "d", "norm"], rows
-    crv, _, batch = _batch_for(cfg, cfg.T)
-    ds = [d for _, c_ds, _ in coset_arrays(crv.N, cfg.T, cfg.zc) for d in c_ds.tolist()]
+    crv, _, batch = _batch_for(args, args.T)
+    ds = [d for _, c_ds, _ in coset_arrays(crv.N, args.T, args.z) for d in c_ds.tolist()]
     rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
     rows += [
         (c, d, nrm, v.real, v.imag, e)
@@ -390,3 +434,13 @@ def test_readme_quickstart_names_resolve():
         for part in name.split("."):
             assert hasattr(obj, part), f"README quickstart names M.{name}, which does not exist"
             obj = getattr(obj, part)
+
+
+def test_readme_commands_parse():
+    # every `modsymdist ...` line in the README parses with today's flags; nothing is run
+    lines = [l.split("#", 1)[0] for l in README.read_text().splitlines()
+             if l.startswith("modsymdist ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
