@@ -97,7 +97,12 @@ def _batch_for(args, T):
     # table falls short makes _terms_for_c raise, so the CLI exits 1
     cmax = max(crv.N, int(math.isqrt(int(T / args.z.imag ** 2))) + 1)
     n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol))
-    table = curve_mod.coefficient_table(crv, n_max)
+    # 11a's newform is an eta product: the same a_n as the point count, in milliseconds.
+    # The test is on the exact model, so a wrong conductor never gets 11a's newform.
+    if crv == curve_mod.PRESETS["11a"]:
+        table = curve_mod.eta_deep_table_level11(n_max)
+    else:
+        table = curve_mod.coefficient_table(crv, n_max)
     return crv, table, modsym.symbols_up_to(table, crv.N, T, args.z, args.tol, args.threads)
 
 
@@ -174,7 +179,8 @@ def _theory_constant(weight, z, crv, table):
 
 
 def cmd_sums(args):
-    grid = [float(t) for t in (args.T_grid or "").split(",") if t] or [args.T]
+    grid = [args.T] if args.T_grid is None else [float(t) for t in args.T_grid.split(",") if t]
+    _require(grid, "T-grid must hold at least one T")
     _require(all(t >= 1 for t in grid), "T must be >= 1")
     _require(all(map(math.isfinite, grid)), "T must be finite")
     weight = series.WeightSpec.parse(args.weight)
@@ -233,7 +239,7 @@ def cmd_petersson(args):
     out = []
     est = petersson.rankin_estimate(table, crv.N, X)
     out.append({"method": est.method, "value": est.value, "spread": est.spread})
-    degree = curve_mod.PRESET_DEGREES.get(args.curve)
+    degree = curve_mod.PRESET_DEGREES.get(crv)
     if degree is not None:
         lat = curve_mod.agm_periods(crv)
         est2 = petersson.lattice_norm(lat, degree)
@@ -311,9 +317,11 @@ def build_parser():
 
     command("symbols", cmd_symbols, "modular symbols over all cosets as CSV", *sym, T=1e4)
 
-    sp = command("sums", cmd_sums, "sharp/smoothed summatory functions as CSV", *sym, T=1e4)
+    sp = command("sums", cmd_sums, "sharp/smoothed summatory functions as CSV", *sym)
+    T_or_grid = sp.add_mutually_exclusive_group()  # a grid replaces --T; both is a usage error
+    T_or_grid.add_argument("--T", type=float, default=1e4, help="norm bound")
+    T_or_grid.add_argument("--T-grid", dest="T_grid", help="comma list of T values")
     sp.add_argument("--weight", default="one", help="one | f:m,n | ab:j,k | abs2:m")
-    sp.add_argument("--T-grid", dest="T_grid", help="comma list of T values")
     sp.add_argument("--smooth-U", dest="smooth_U", help="smoothing parameter U (sharp if absent)")
 
     sp = command("moments", cmd_moments, "empirical moments vs Gaussian limits as CSV", *sym, T=1e6)

@@ -62,8 +62,9 @@ class Resources:
         pins, in milliseconds instead of ~0.4 s.  The two arrays differ only
         in the sign of zero: the eta table stores +0.0, the point count keeps
         some -0.0, and no symbol, antiderivative or Rankin sum built here
-        tells them apart.  The point count stays the route for every other
-        curve and for the CLI.
+        tells them apart.  The CLI builds every symbol batch on 11a's exact
+        model the same way; its `coeffs` and `petersson`, which report the
+        point count, and every other curve keep the point count.
         """
         if "table" not in self._cache:
             self._cache["table"] = curve_mod.eta_deep_table_level11(TABLE_TERMS)

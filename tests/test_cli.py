@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import modsymdist
+from modsymdist import curve as curve_mod
 from modsymdist.cli import _batch_for, _check_shared, _csv_cell, _emit_rows, build_parser, main
 from modsymdist.cosets import coset_arrays
 from modsymdist.curve import resolve_curve
@@ -133,11 +134,79 @@ def test_petersson_json(capsys):
 
 
 def test_petersson_unknown_degree_rankin_only(capsys):
-    # explicit curve record: no preset degree, so no lattice estimate
-    code, out = run_cli(capsys, "petersson", "--curve", "0,-1,1,-10,-20,11", "--X", "5000")
+    # 14a is no preset: no modular degree, so no lattice estimate
+    code, out = run_cli(capsys, "petersson", "--curve", "1,0,1,4,-6,14", "--X", "5000")
     assert code == 0
     rows = json.loads(out)
     assert [r["method"] for r in rows] == ["rankin"]
+
+
+@pytest.mark.parametrize("name, model", [("11a", "0,-1,1,-10,-20,11"), ("37a", "0,0,1,-1,0,37")])
+def test_petersson_spelled_out_preset_keeps_the_lattice(capsys, name, model):
+    # the degree is looked up by the resolved model, so either spelling gets the lattice
+    code, by_name = run_cli(capsys, "petersson", "--curve", name, "--X", "5000")
+    assert code == 0 and [r["method"] for r in json.loads(by_name)] == ["rankin", "lattice"]
+    assert run_cli(capsys, "petersson", "--curve", model, "--X", "5000") == (0, by_name)
+
+
+class _PointCounted(Exception):
+    """Raised by the patched curve.ap_count: the command counted points."""
+
+
+@pytest.fixture
+def ap_count_raises(monkeypatch):
+    def ap_count(*_):
+        raise _PointCounted
+    monkeypatch.setattr(curve_mod, "ap_count", ap_count)
+
+
+# every command that builds a symbol batch, at T = 10^5
+_BATCH_COMMANDS = {
+    "moments": ["moments", "--T", "1e5"],
+    "sums": ["sums", "--weight", "abs2:1", "--T-grid", "1e4,1e5"],
+    "histogram": ["histogram", "--T", "1e5"],
+    "eisenstein": ["eisenstein", "--m", "1", "--n", "1", "--T-max", "1e5"],
+    "symbols": ["symbols", "--T", "1e5"],
+}
+
+
+@pytest.mark.parametrize("curve", ["11a", "0,-1,1,-10,-20,11"])
+@pytest.mark.parametrize("command", _BATCH_COMMANDS)
+def test_11a_batches_count_no_points(capsys, ap_count_raises, command, curve):
+    # 11a's model, by name or spelled out, takes its table from the eta product
+    code, out = run_cli(capsys, *_BATCH_COMMANDS[command], "--curve", curve)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--curve", "37a", "--T", "1e4"],
+        ["symbols", "--curve", "1,0,1,4,-6,14", "--T", "1e3"],  # 14a, no preset
+        # 121b's model (discriminant -11^3) given N = 11: a wrong conductor must not
+        # get 11a's newform
+        ["symbols", "--curve", "0,-1,1,-7,10,11", "--T", "1e3"],
+        ["coeffs", "--curve", "11a"],
+        ["petersson", "--curve", "11a"],
+    ],
+    ids=["37a", "14a", "121b-at-11", "coeffs-11a", "petersson-11a"],
+)
+def test_other_tables_count_points(ap_count_raises, argv):
+    with pytest.raises(_PointCounted):
+        main(argv)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("z", ["0,1", "0.25,0.9"])
+@pytest.mark.parametrize("command", _BATCH_COMMANDS)
+def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z, threads):
+    argv = [*_BATCH_COMMANDS[command], "--z", z, "--threads", threads]
+    code, eta = run_cli(capsys, *argv)
+    assert code == 0 and eta
+    # force _batch_for back onto point counting and Hecke expansion
+    monkeypatch.setattr(curve_mod, "eta_deep_table_level11",
+                        lambda n_max: curve_mod.coefficient_table(curve_mod.PRESETS["11a"], n_max))
+    assert run_cli(capsys, *argv) == (0, eta)
 
 
 def test_eisenstein_json(capsys):
@@ -219,6 +288,7 @@ def test_T_zero_is_rejected_not_replaced(capsys):
          "conductor N=22 has a prime of good reduction"),
         (["eisenstein", "--m", "-1", "--T-max", "1e3"], "exponents m=-1, n=0 must be >= 0"),
         (["eisenstein", "--n", "-1", "--T-max", "1e3"], "exponents m=1, n=-1 must be >= 0"),
+        (["sums", "--T-grid", ","], "T-grid must hold at least one T"),
     ],
 )
 def test_bad_run_flags_exit_1(capsys, flags, message):
@@ -277,6 +347,22 @@ def test_no_samples_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: no samples with N_z(gamma) > 1 at this T\n"
+
+
+@pytest.mark.parametrize("T", ["1e9", "0"])
+def test_sums_refuses_T_with_a_grid(capsys, T):
+    # a grid replaces --T, so the pair is refused rather than one of them dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["sums", "--T", T, "--T-grid", "1e3"])
+    assert exc.value.code == 2
+    assert "argument --T-grid: not allowed with argument --T" in capsys.readouterr().err
+
+
+def test_sums_default_T_only_without_a_grid(capsys):
+    code, out = run_cli(capsys, "sums")
+    assert code == 0 and [l.split(",")[0] for l in out.splitlines()[1:]] == ["10000.0"]
+    code, out = run_cli(capsys, "sums", "--T-grid", "1e3")
+    assert code == 0 and [l.split(",")[0] for l in out.splitlines()[1:]] == ["1000.0"]
 
 
 def test_unknown_subcommand_usage_error():
