@@ -68,7 +68,7 @@ PRESETS = {
     "11a": CurveSpec(0, -1, 1, -10, -20, 11),
     "37a": CurveSpec(0, 0, 1, -1, 0, 37),
 }
-PRESET_DEGREES = {PRESETS["11a"]: 1, PRESETS["37a"]: 2}  # keyed by model, not by name
+PRESET_DEGREES = {PRESETS["11a"]: 1, PRESETS["37a"]: 2}
 
 
 def resolve_curve(spec):

@@ -196,11 +196,10 @@ def test_other_tables_count_points(ap_count_raises, argv):
         main(argv)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("z", ["0,1", "0.25,0.9"])
 @pytest.mark.parametrize("command", _BATCH_COMMANDS)
-def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z, threads):
-    argv = [*_BATCH_COMMANDS[command], "--z", z, "--threads", threads]
+def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z):
+    argv = [*_BATCH_COMMANDS[command], "--z", z]
     code, eta = run_cli(capsys, *argv)
     assert code == 0 and eta
     # force _batch_for back onto point counting and Hecke expansion
