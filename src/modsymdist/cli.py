@@ -92,11 +92,13 @@ def _check_shared(args):
 def _batch_for(args, T):
     """(curve, table, batch) for every coset with N_z(gamma) <= T at the flags' z and tol."""
     crv = curve_mod.resolve_curve(args.curve)
-    # enough terms for every c <= sqrt(T) / Im z at the requested tolerance: every certified
-    # tail constant is at most 1.1 sqrt(3) < 2 (see CoefficientTable), and a bad --curve whose
-    # table falls short makes _terms_for_c raise, so the CLI exits 1
+    # enough terms for every c <= sqrt(T) / Im z at the requested tolerance, and for
+    # _theory_constant's H(z) at 1e-13: every certified tail constant is at most
+    # 1.1 sqrt(3) < 2 (see CoefficientTable), and a bad --curve whose table falls short
+    # makes _terms_for_c raise, so the CLI exits 1
     cmax = max(crv.N, int(math.isqrt(int(T / args.z.imag ** 2))) + 1)
-    n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol))
+    n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol),
+                modsym.tail_terms_needed(args.z.imag, 2.0, 1e-13, two_sided=False))
     # 11a's newform is an eta product: the same a_n as the point count, in milliseconds.
     # The test is on the exact model, so a wrong conductor never gets 11a's newform.
     if crv == curve_mod.PRESETS["11a"]:
@@ -161,20 +163,18 @@ def cmd_symbols(args):
 
 
 def _theory_constant(weight, z, crv, table):
-    vol = cosets.volume(crv.N)
-    y = z.imag
+    """The weight's closed-form leading constant at z, or None where it has none."""
+    nfsq = None
+    hval = None
+    if weight.kind in ("alphabeta", "abs2m") or (weight.kind == "f_power" and weight.m == weight.n):
+        nfsq = _norm_f_sq(crv, table)
+    if weight.kind == "f_power" and weight.m != weight.n:
+        hval = modsym.antiderivative(table, z, tol=1e-13)  # _batch_for sized the table for it
     try:
-        nfsq = None
-        hval = None
-        if weight.kind in ("alphabeta", "abs2m") or (
-            weight.kind == "f_power" and weight.m == weight.n
-        ):
-            nfsq = _norm_f_sq(crv, table)
-        if weight.kind == "f_power" and weight.m != weight.n:
-            hval = modsym.antiderivative(table, z, tol=1e-13)
-        const = series.asymptotic_constants(weight, vol, y, norm_f_sq=nfsq, h_value=hval)
-        return const
-    except ValueError:
+        return series.asymptotic_constants(
+            weight, cosets.volume(crv.N), z.imag, norm_f_sq=nfsq, h_value=hval
+        )
+    except ValueError:  # no closed form for this weight
         return None
 
 

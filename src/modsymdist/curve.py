@@ -6,9 +6,14 @@ A rational elliptic curve of conductor N carries a weight-2 newform
 
 whose coefficients are produced here by point counting over F_p plus the
 Hecke recursion, and whose complex period lattice Z*omega1 + Z*omega2 is
-computed by the arithmetic-geometric mean.  Both feed everything downstream:
-the period lattice is the target of the Eichler-Shimura membership checks
-and the source of one of the two Petersson-norm estimates.
+computed by the arithmetic-geometric mean.  Level 11 has a second route:
+the newform of 11a is an eta product, and eta_deep_table_level11 expands it
+by FFT to the same a_n.  It serves every symbol batch that cli._batch_for
+builds on 11a's exact model and every table of `verify`; `coeffs`,
+`petersson` and every other curve count points.  The coefficients and the
+lattice feed everything downstream: the period lattice is the target of the
+Eichler-Shimura membership checks and the source of one of the two
+Petersson-norm estimates.
 """
 
 import math

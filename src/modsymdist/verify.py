@@ -44,13 +44,18 @@ class CriterionResult:
 
 
 class Resources:
-    """Lazily built shared inputs for the acceptance criteria (curve 11a)."""
+    """Lazily built shared inputs for the acceptance criteria (curve 11a).
 
-    def __init__(self, threads=1, seed=11):
+    Each input is built where a criterion first reads it.  Criterion 01's
+    deep table is not one of them: it builds and drops its own.
+    """
+
+    def __init__(self, threads=1, seed=11, quick=False):
         self.curve = curve_mod.PRESETS["11a"]
         self.threads = threads
         self.seed = seed
         self.vol = cosets.volume(self.curve.N)
+        self.top_T = 10 ** 6 if quick else 10 ** 7  # the largest T the profile reads
         self._cache = {}
         self._batches = {}  # symbol batches at z = i, keyed by their norm bound T
 
@@ -70,59 +75,26 @@ class Resources:
             self._cache["table"] = curve_mod.eta_deep_table_level11(TABLE_TERMS)
         return self._cache["table"]
 
-    def deep_table_size(self):
-        """(c_max, n_max) of criterion 01's deep table, from its drawn pairs alone.
-
-        c_max is the largest |c| over g1, g2 and g1*g2 (an inverse has the
-        same |c|); n_max is the shortest table whose tail stays below the
-        per-symbol tolerance at height 1/c_max, hence at every drawn symbol.
-        """
-        c_max = max(
-            abs(g.c) for g1, g2 in homomorphism_pairs(self.seed, quick=False)
-            for g in (g1, g2, g1 @ g2)
-        )
-        return c_max, modsym.tail_terms_needed(1.0 / c_max, ETA11_TAIL_CONSTANT, HOMOMORPHISM_TOL)
-
-    def deep_table(self):
-        """Criterion 01's table: eta_deep_table_level11(n_max)'s integers, stored as int32.
-
-        pairing, its only reader, converts each a_n to float64 exactly, so
-        its values are bit-identical to the float64 table's, in half the
-        memory.  The table is the largest array of the run and its size
-        follows the seed, so halving it keeps criterion 01 below the
-        seed-independent peak of the 1e7 batch's criteria.
-        """
-        if "deep" not in self._cache:
-            _, n_max = self.deep_table_size()
-            self._cache["deep"] = curve_mod.eta_deep_table_level11(n_max, np.int32)
-        return self._cache["deep"]
-
-    def take_deep_table(self):
-        """The deep table, dropped from the cache: criterion 01 is its only reader."""
-        table = self.deep_table()
-        del self._cache["deep"]
-        return table
-
     def lattice(self):
         if "lattice" not in self._cache:
             self._cache["lattice"] = curve_mod.agm_periods(self.curve)
         return self._cache["lattice"]
 
     def batch(self, T):
-        """Symbols at z = i up to norm T, restricted from the smallest cached batch that covers T.
+        """Symbols at z = i up to norm T <= top_T, restricted from one batch built at top_T.
 
         A batch's values depend only on (c, d) and the tolerance, so the
-        restriction equals a fresh build; a new batch is built only when no
-        cached one reaches T.
+        restriction equals a fresh build, and a T above top_T raises.  The
+        first reader builds the top batch; in the full profile that is
+        criterion 05, after criterion 01 has dropped its deep table, so the
+        two are never held at once.
         """
+        if self.top_T not in self._batches:
+            self._batches[self.top_T] = modsym.symbols_up_to(
+                self.table(), self.curve.N, self.top_T, z=1j, tol=1e-10, threads=self.threads
+            )
         if T not in self._batches:
-            covering = [t for t in self._batches if t >= T]
-            if covering:
-                self._batches[T] = self._batches[min(covering)].restricted(T)
-            else:
-                self._batches[T] = modsym.symbols_up_to(
-                    self.table(), self.curve.N, T, z=1j, tol=1e-10, threads=self.threads
-                )
+            self._batches[T] = self._batches[self.top_T].restricted(T)
         return self._batches[T]
 
     def h_at_i(self):
@@ -162,10 +134,38 @@ def homomorphism_pairs(seed, quick):
     return [(_random_gamma(rng, bound), _random_gamma(rng, bound)) for _ in range(count)]
 
 
+def deep_table_size(seed):
+    """(c_max, n_max) of criterion 01's deep table, from its drawn pairs alone.
+
+    c_max is the largest |c| over g1, g2 and g1*g2 (an inverse has the
+    same |c|); n_max is the shortest table whose tail stays below the
+    per-symbol tolerance at height 1/c_max, hence at every drawn symbol.
+    """
+    c_max = max(
+        abs(g.c) for g1, g2 in homomorphism_pairs(seed, quick=False)
+        for g in (g1, g2, g1 @ g2)
+    )
+    return c_max, modsym.tail_terms_needed(1.0 / c_max, ETA11_TAIL_CONSTANT, HOMOMORPHISM_TOL)
+
+
 def crit_homomorphism(res, quick):
+    """<g1 g2> = <g1> + <g2> and <g^-1> = -<g> on the drawn pairs.
+
+    The full profile reads a deep table that is built here and dropped on
+    return: eta_deep_table_level11(n_max)'s integers, stored as int32.
+    pairing, its only reader, converts each a_n to float64 exactly, so its
+    values are bit-identical to the float64 table's, in half the memory.
+    The table is the largest array of the run and its size follows the
+    seed: at seeds with a large c_max its build sets the run's peak, above
+    the seed-independent one of the 1e7 batch's criteria.
+    """
     pairs = homomorphism_pairs(res.seed, quick)
     bound = HOMOMORPHISM_DRAWS[quick][1]
-    table = res.table() if quick else res.take_deep_table()
+    if quick:
+        table = res.table()
+    else:
+        table = curve_mod.eta_deep_table_level11(deep_table_size(res.seed)[1], np.int32)
+        _release_free_heap()  # the build's FFT scratch, before the pairings allocate
     worst_hom = 0.0
     worst_inv = 0.0
     cmax = 0
@@ -274,7 +274,7 @@ def crit_abs2_slope(res, quick):
     grid = [10 ** 4, 3 * 10 ** 4, 10 ** 5] if quick else [
         10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6
     ]
-    batch = res.batch(grid[-1]) if quick else res.batch(10 ** 6)
+    batch = res.batch(grid[-1])
     w = series.WeightSpec("abs2m", 1)
     xs, ys = [], []
     for T in grid:
@@ -528,15 +528,10 @@ SKIP_REASON = (
 def _release_free_heap():
     """Return the heap pages that freed arrays left behind to the OS (glibc; else a no-op).
 
-    A run frees a few hundred MB of arrays.  glibc keeps up to twice its
-    mmap threshold of freed heap mapped, and every freed multi-MB array
-    raises that threshold to its own size (up to 32 MB), so ~30 MB of the
-    last run's free heap stays resident, in pieces too small for the next
-    deep table's transforms, which land on top of it.  malloc_trim(0) hands
-    those pages back, so a process that runs the suite again does not start
-    the next run on top of them.  run_acceptance also trims once the deep
-    table is built, so criterion 01 does not run on top of the build's FFT
-    scratch.
+    Criterion 01 calls it once its deep table is built, before the
+    pairings allocate.  Without it, at seeds whose deep table sets the
+    peak (9, 42, 101), one run read a ~1.3 MB higher peak, and a process
+    that runs the suite again read 2-4 MB more from its second run on.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -546,29 +541,24 @@ def _release_free_heap():
 
 
 def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
-    """Run the acceptance criteria; returns a list of CriterionResult."""
+    """Run the acceptance criteria; returns a list of CriterionResult.
+
+    Shared inputs are built where a criterion first reads them, so a
+    criterion's seconds include the inputs it builds first: criterion 01
+    its deep table, and the first reader of the top symbol batch (05, or
+    06 in the quick profile) that batch.
+    """
     if curve_mod.resolve_curve(curve) != curve_mod.PRESETS["11a"]:
         raise ValueError("the acceptance suite is defined for the 11a preset")
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
-    res = Resources(threads=threads, seed=seed)
-    # shared inputs are built up front so that per-criterion timings measure
-    # the criterion's own work; build times go to the log only.  In the full
-    # profile the 1e7 batch waits until criterion 01 has dropped the deep
-    # table, so the two are never held at once.
-    t0 = time.perf_counter()
-    res.table()
-    res.lattice()
+    res = Resources(threads=threads, seed=seed, quick=quick)
     deep = ""
-    if quick:
-        res.batch(10 ** 6)
-    else:
-        c_max, n_max = res.deep_table_size()
-        res.deep_table()
-        _release_free_heap()  # the build's FFT scratch, before criterion 01 allocates on top
+    if not quick:
+        c_max, n_max = deep_table_size(seed)
         deep = (f"; deep table c_max={c_max} n_max={n_max} "
                 f"fft_len={curve_mod._eta_half_length(n_max)}")
-    log(f"shared resources (tables, lattice, {'symbol batch' if quick else 'deep table'}) in "
-        f"{time.perf_counter()-t0:.1f}s; table=eta {TABLE_TERMS} terms{deep}")
+    log(f"shared inputs, each built by its first reader: table=eta {TABLE_TERMS} terms; "
+        f"symbol batch T={res.top_T}{deep}")
     results = []
     for key, name, fn, defect in CRITERIA:
         if quick and defect:
@@ -584,12 +574,6 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
             detail += f"; RUNTIME {dt:.1f}s exceeded cap {cap:.0f}s"
         results.append(CriterionResult(key, name, passed=bool(ok), detail=detail, seconds=dt))
         log(f"[{key}] {name}: {'PASS' if ok else 'FAIL'} in {dt:.1f}s")
-        if key == "01" and not quick:
-            t0 = time.perf_counter()
-            res.batch(10 ** 7)
-            log(f"shared symbol batch T=1e7 in {time.perf_counter()-t0:.1f}s")
-    del res  # its tables and batches are freed here, before the trim
-    _release_free_heap()
     return results
 
 

@@ -20,6 +20,7 @@ The analysis is in the repository README under "Known red acceptance checks".
 
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -103,13 +104,18 @@ def _symbol_columns(batch):
     return batch.cs, batch.norms, batch.values, batch.per_symbol(batch.group_err_bounds)
 
 
-def test_resources_batch_restricts_the_covering_batch(monkeypatch):
-    # one build at 1e7; every smaller T is its restriction, equal to a fresh build
-    res = verify.Resources()
+@pytest.mark.parametrize("quick, top", [(False, 10 ** 7), (True, 10 ** 6)], ids=["full", "quick"])
+def test_resources_batch_restricts_the_covering_batch(monkeypatch, quick, top):
+    # one build at the profile's top T, served as itself; every smaller T is its
+    # restriction, equal to a fresh build
+    res = verify.Resources(quick=quick)
     builds = []
     build = modsym.symbols_up_to
     monkeypatch.setattr(modsym, "symbols_up_to", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
-    res.batch(10 ** 7)
+    top_batch = res.batch(top)
+    assert top_batch.T == top and res.batch(top) is top_batch
+    with pytest.raises(ValueError):
+        res.batch(top + 1)
     for T in (10 ** 6, 12000, 10 ** 4):
         got = res.batch(T)
         assert res.batch(T) is got
@@ -117,7 +123,7 @@ def test_resources_batch_restricts_the_covering_batch(monkeypatch):
         assert (got.T, got.z) == (fresh.T, fresh.z)
         for name, g, f in zip(SYMBOL_COLUMNS, _symbol_columns(got), _symbol_columns(fresh)):
             assert g.tobytes() == f.tobytes(), (T, name)
-    assert builds == [10 ** 7]
+    assert builds == [top]
 
 
 def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
@@ -131,16 +137,19 @@ def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
 
 
 def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatch):
-    # criteria stubbed: 01 takes the deep table, 02 reads a batch; the 1e7 batch is
-    # built in between, with no deep table cached, and the heap is trimmed once the
-    # deep table is built and again at the end
+    # criterion 01 as it runs (its pairings stubbed), then a stub 02 that reads a
+    # batch: the heap is trimmed once the deep table is built, and the 1e7 batch
+    # is built once, in 02, after 01's deep table is freed
     events = []
-    state = {}
+    deep_tables = []
+    eta = curve.eta_deep_table_level11
 
-    def crit01(res, quick):
-        state["res"] = res
-        events.append(("01", res.take_deep_table().n_max))
-        return True, "", None
+    def eta_spy(n_max, dtype=np.float64):
+        table = eta(n_max, dtype)
+        if dtype is np.int32:
+            deep_tables.append(weakref.ref(table))
+            events.append(("deep", n_max))
+        return table
 
     def crit02(res, quick):
         events.append(("02", res.batch(10 ** 6).T))
@@ -149,21 +158,26 @@ def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatc
     build = modsym.symbols_up_to
 
     def spy(table, N, T, **kwargs):
-        events.append(("build", T, "deep" in state["res"]._cache))
+        events.append(("build", T, [ref() is None for ref in deep_tables]))
         return build(table, N, T, **kwargs)
 
-    monkeypatch.setattr(verify, "CRITERIA", [("01", "a", crit01, False), ("02", "b", crit02, False)])
+    monkeypatch.setattr(verify, "CRITERIA", [("01", "a", verify.crit_homomorphism, False),
+                                             ("02", "b", crit02, False)])
+    monkeypatch.setattr(curve, "eta_deep_table_level11", eta_spy)
+    monkeypatch.setattr(modsym, "pairing", lambda table, m, tol: (0.0, 0.0))
     monkeypatch.setattr(modsym, "symbols_up_to", spy)
     monkeypatch.setattr(verify, "_release_free_heap", lambda: events.append(("trim",)))
     logs = []
     results = verify.run_acceptance("11a", quick=False, seed=11, log=logs.append)
-    n_max = verify.Resources(seed=11).deep_table_size()[1]
+    c_max, n_max = verify.deep_table_size(11)
     assert events == [
-        ("trim",), ("01", n_max), ("build", 10 ** 7, False), ("02", 10 ** 6), ("trim",)
+        ("deep", n_max), ("trim",), ("build", 10 ** 7, [True]), ("02", 10 ** 6)
     ]
     assert [r.status for r in results] == ["PASS", "PASS"]
-    assert logs[0].startswith("shared resources (tables, lattice, deep table)")
-    assert logs[2].startswith("shared symbol batch T=1e7")
+    assert len(logs) == 3
+    assert logs[0].endswith(
+        f"deep table c_max={c_max} n_max={n_max} fft_len={curve._eta_half_length(n_max)}"
+    )
 
 
 def test_release_free_heap_without_malloc_trim(monkeypatch):
@@ -219,7 +233,7 @@ def _hexed(kx_list, ky_list, corr, odd):
 
 def test_gaussian_free_moments_match_the_per_decade_loop():
     # quick scale: decades 1e4..1e6 from one normalization at 1e6
-    res = verify.Resources()
+    res = verify.Resources(quick=True)
     decades = [10 ** 4, 10 ** 5, 10 ** 6]
     batch = res.batch(decades[-1])
     nfsq = petersson.lattice_norm(res.lattice(), 1).value
@@ -250,7 +264,7 @@ def test_gaussian_free_moments_on_decade_boundaries():
 def test_deep_table_size_covers_drawn_pairs():
     # draws the pairs only; the table itself is never built here
     for seed in range(1, 21):
-        c_max, n_max = verify.Resources(seed=seed).deep_table_size()
+        c_max, n_max = verify.deep_table_size(seed)
         cs = [abs(g.c) for g1, g2 in verify.homomorphism_pairs(seed, quick=False)
               for g in (g1, g2, g1 @ g2, g1.inverse())]
         assert max(cs) == c_max
@@ -266,18 +280,29 @@ def test_deep_table_size_covers_drawn_pairs():
 
 
 def test_deep_table_is_int32_eta_table(monkeypatch):
-    # a short table stands in for criterion 01's; pairing reads it bit for bit as float64
-    monkeypatch.setattr(verify.Resources, "deep_table_size", lambda self: (11 * 9091, 600000))
+    # criterion 01 on five small pairs and a short table standing in for its deep
+    # one; pairing reads that table bit for bit as the float64 table
+    monkeypatch.setitem(verify.HOMOMORPHISM_DRAWS, False, (5, 100))
+    monkeypatch.setattr(verify, "deep_table_size", lambda seed: (11 * 9091, 600000))
+    calls = []
+    pairing = modsym.pairing
+
+    def spy(table, m, tol):
+        value = pairing(table, m, tol)
+        calls.append((table, m, tol, value))
+        return value
+
+    monkeypatch.setattr(modsym, "pairing", spy)
     res = verify.Resources(seed=11)
-    deep = res.take_deep_table()
+    ok, _, _ = verify.crit_homomorphism(res, quick=False)
+    assert ok and len(calls) == 20
+    deep = calls[0][0]
     wide = curve.eta_deep_table_level11(600000)
-    assert deep.a.dtype == np.int32 and "deep" not in res._cache
+    assert deep.a.dtype == np.int32 and all(table is deep for table, *_ in calls)
+    assert all(value is not deep for value in res._cache.values())
     assert np.array_equal(deep.a, wide.a) and deep.tail_constant == wide.tail_constant
-    for g1, g2 in verify.homomorphism_pairs(11, quick=False)[:5]:
-        for g in (g1, g2):
-            assert modsym.pairing(deep, g, verify.HOMOMORPHISM_TOL) == modsym.pairing(
-                wide, g, verify.HOMOMORPHISM_TOL
-            )
+    for _, m, tol, value in calls:
+        assert value == pairing(wide, m, tol)
 
 
 def test_criterion_02_eichler_shimura_lattice(acceptance):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import modsymdist
-from modsymdist import curve as curve_mod
+from modsymdist import cosets, curve as curve_mod, modsym
 from modsymdist.cli import _batch_for, _check_shared, _csv_cell, _emit_rows, build_parser, main
 from modsymdist.cosets import coset_arrays
 from modsymdist.curve import resolve_curve
@@ -381,6 +381,16 @@ def test_sums_first_moment_theory_column(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert float(row[5]) == pytest.approx(0.0018639532246330695 / (4 * 3.141592653589793), rel=1e-6)
+
+
+def test_sums_theory_column_at_small_im_z(capsys):
+    # H(z) at Im z = 0.001 needs ~5,600 terms at 1e-13, more than the symbols at T = 1 do
+    code, out = run_cli(capsys, "sums", "--z", "0,0.001", "--T", "1", "--weight", "f:1,0")
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    H = modsym.antiderivative(curve_mod.eta_deep_table_level11(10000), 0.001j, tol=1e-13)
+    want = H / (0.001 * cosets.volume(11))
+    assert (float(row[5]), float(row[6])) == (want.real, want.imag)
 
 
 def test_verify_quick_exit_zero_and_deterministic(capsys):
