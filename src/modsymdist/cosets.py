@@ -74,23 +74,41 @@ def volume(N):
     return (math.pi / 3) * index
 
 
+def _candidate_range(c, T, x, y):
+    """(lo, hi): every d with |cz+d|^2 <= T at z = x + iy lies in lo..hi, a margin of one inside."""
+    half = math.sqrt(max(T - (c * y) ** 2, 0.0))
+    return math.floor(-c * x - half) - 1, math.ceil(-c * x + half) + 1
+
+
 def _candidates(c, T, x, y):
     """One c's candidate range at z = x + iy: (lo, norms, keep), entry k for d = lo + k.
 
-    The range covers every d with |cz+d|^2 <= T, with a margin of one on
-    each side; norms[k] = |cz+d|^2, and keep[k] holds when that norm is
-    <= T and gcd(c, d) = 1.  Coprimality is read off the range itself: for
-    each prime p | c the entries with p | d, every p-th one from (-lo) mod p,
+    The range (_candidate_range) covers every d with |cz+d|^2 <= T;
+    norms[k] = |cz+d|^2, and keep[k] holds when that norm is <= T and
+    gcd(c, d) = 1.  Coprimality is read off the range itself: for each
+    prime p | c the entries with p | d, every p-th one from (-lo) mod p,
     are cleared, so no gcd or residue is taken.
     """
-    half = math.sqrt(max(T - (c * y) ** 2, 0.0))
-    lo = math.floor(-c * x - half) - 1
-    hi = math.ceil(-c * x + half) + 1
+    lo, hi = _candidate_range(c, T, x, y)
     norms = (c * x + np.arange(lo, hi + 1, dtype=np.float64)) ** 2 + (c * y) ** 2
     keep = norms <= T
     for p, _ in _prime_factors(c):
         keep[(-lo) % p :: p] = False
     return lo, norms, keep
+
+
+def _denominators(N, T, z):
+    """c = N, 2N, ... for every c that can have a coset with |cz+d|^2 <= T; checks the inputs."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if z.imag <= 0:
+        raise ValueError("z must lie in the upper half-plane")
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    c = N
+    while (c * z.imag) ** 2 <= T:
+        yield c
+        c += N
 
 
 def coset_arrays(N, T, z=1j):
@@ -101,22 +119,40 @@ def coset_arrays(N, T, z=1j):
     group is its candidate range (_candidates) cut by the norm check and by
     coprimality.
     """
-    N = int(N)
     z = complex(z)
-    x, y = z.real, z.imag
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if y <= 0:
-        raise ValueError("z must lie in the upper half-plane")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    c = N
-    while (c * y) ** 2 <= T:
-        lo, norms, keep = _candidates(c, T, x, y)
+    for c in _denominators(int(N), T, z):
+        lo, norms, keep = _candidates(c, T, z.real, z.imag)
         kept = np.flatnonzero(keep)
         if len(kept):
             yield c, kept + lo, norms[kept]
-        c += N
+
+
+def _group_sizes(N, T, z=1j):
+    """(c, len(ds)) for each group (c, ds, norms) of coset_arrays(N, T, z), from no arrays.
+
+    Along a candidate range the norm |cz+d|^2 falls and then rises, in
+    floating point too: c x + d, its square and the sum are each monotone
+    in d on either side of -c x.  So the d with norm <= T form one run,
+    whose ends are found by stepping in from the range's ends with the
+    same float operations as _candidates (T as the float64 numpy compares
+    with); the d in the run coprime to c are counted by inclusion-exclusion
+    over the primes of c.
+    """
+    z = complex(z)
+    x, y, bound = z.real, z.imag, float(T)
+    for c in _denominators(int(N), T, z):
+        lo, hi = _candidate_range(c, T, x, y)
+        cx, cy2 = c * x, (c * y) ** 2
+        while lo <= hi and (cx + lo) * (cx + lo) + cy2 > bound:
+            lo += 1
+        while hi >= lo and (cx + hi) * (cx + hi) + cy2 > bound:
+            hi -= 1
+        divisors = [(1, 1)]  # (e, mu(e)) for the squarefree e | c
+        for p, _ in _prime_factors(c):
+            divisors += [(e * p, -mu) for e, mu in divisors]
+        count = sum(mu * (hi // e - (lo - 1) // e) for e, mu in divisors)
+        if count:
+            yield c, count
 
 
 def _group_into(c, T, z, norms):
@@ -124,8 +160,9 @@ def _group_into(c, T, z, norms):
 
     norms must have exactly the group's length, which np.compress checks.
     The values come from the same _candidates call, so a caller that
-    counted the groups in one pass can fill them in place in another; the
-    ds (int64, ascending) are a new array the caller may drop once read.
+    sized the groups in one pass (_group_sizes) can fill them in place in
+    another; the ds (int64, ascending) are a new array the caller may drop
+    once read.
     """
     lo, cand, keep = _candidates(c, T, z.real, z.imag)
     np.compress(keep, cand, out=norms)
@@ -134,7 +171,7 @@ def _group_into(c, T, z, norms):
 
 def coset_count(N, T, z=1j):
     """#(Gamma_infty \\ Gamma)^T including the identity coset."""
-    return 1 + sum(len(ds) for _, ds, _ in coset_arrays(N, T, z))
+    return 1 + sum(n for _, n in _group_sizes(N, T, z))
 
 
 def lift(c, d):

@@ -21,12 +21,11 @@ evaluation point, both at height 1/c, hence the factor 2 below).
 
 import math
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import _group_into, _prime_factors, _unit_mask, coset_arrays
+from .cosets import _group_into, _group_sizes, _prime_factors, _unit_mask
 from .series import _SUM_CHUNK
 
 
@@ -85,29 +84,48 @@ def _fold(a, c, n_used, size=None):
     Returned in an array of `size` (default c) entries, zero from k = c on.
     Row j of the index range holds n = j c + k, whose weight is
     e^{-2 pi j} r^k with r = e^{-2 pi / c}.  The residues are taken in
-    blocks of at most _SUM_CHUNK, the symbol pipeline's block size: in each,
-    every row's a_n / n is formed in one block-length scratch buffer,
-    scaled by e^{-2 pi j} and added in place, and the common factor r^k is
-    applied once at the end.  Each entry sees the same operations in the
-    same order whatever the block, and the scratch memory is O(_SUM_CHUNK)
-    however large c or long the series.
+    blocks of at most _SUM_CHUNK, the symbol pipeline's block size, and a
+    block's full rows in groups of at most _SUM_CHUNK entries; the last
+    row, cut at n_used, is a group of its own (a c of the batch is one
+    block of at most two groups).  Each group is one 2D array of a_n / n,
+    read through a strided view of a (ndarray checks that it lies inside
+    a) and scaled row by row by e^{-2 pi j}; its rows are then added to the
+    sums in ascending j.  The n = 0 entry is zeroed, which leaves its sum
+    unchanged: the sums start at +0.0 and so never hold -0.0.  The common
+    factor r^k is applied once at the end.  Each entry sees the same
+    operations in the same order whatever the block, and the scratch
+    memory is O(_SUM_CHUNK) however large c or long the series.
     """
     acc = np.zeros(c if size is None else size)
-    buf = np.empty(min(c, _SUM_CHUNK))
-    for k0 in range(0, c, _SUM_CHUNK):
-        k1 = min(c, k0 + _SUM_CHUNK)
+    rows = n_used // c + 1  # all rows but the last are full
+    width = min(c, _SUM_CHUNK)  # residues per block
+    height = max(1, min(rows, _SUM_CHUNK // width))  # rows per group
+    weights = np.array([math.exp(-2 * math.pi * j) for j in range(rows)])
+    step = a.strides[0]
+    buf = np.empty(height * width)
+    for k0 in range(0, c, width):
+        k1 = min(c, k0 + width)
         k = np.arange(k0, k1, dtype=np.float64)
-        for j in range(n_used // c + 1):
-            lo = max(k0, 1) if j == 0 else k0  # n = 0 is not a term
-            hi = max(lo, min(k1, n_used - j * c + 1))
-            row = buf[lo - k0 : hi - k0]
-            np.add(k[lo - k0 : hi - k0], j * c, out=row)
-            np.divide(a[j * c + lo : j * c + hi], row, out=row)
-            row *= math.exp(-2 * math.pi * j)
-            acc[lo:hi] += row
-        scale = buf[: k1 - k0]
-        np.multiply(k, -2 * math.pi / c, out=scale)
-        acc[k0:k1] *= np.exp(scale, out=scale)
+        full = max(0, min(rows, (n_used - k1 + 1) // c + 1))  # rows with every n <= n_used
+        groups = [(j0, min(full, j0 + height), k1 - k0) for j0 in range(0, full, height)]
+        if full < rows:  # the last row, up to n_used
+            groups.append((full, rows, min(k1, n_used - full * c + 1) - k0))
+        for j0, j1, w in groups:
+            if w <= 0:
+                continue
+            terms = buf[: (j1 - j0) * w].reshape(j1 - j0, w)
+            np.add.outer(np.arange(j0 * c, j1 * c, c, dtype=np.float64), k[:w], out=terms)  # n
+            if j0 == 0 and k0 == 0:
+                terms[0, 0] = 1.0  # n = 0 is not a term: its entry is zeroed below
+            view = np.ndarray((j1 - j0, w), a.dtype, a, (j0 * c + k0) * step, (c * step, step))
+            np.divide(view, terms, out=terms)
+            if j0 == 0 and k0 == 0:
+                terms[0, 0] = 0.0
+            terms *= weights[j0:j1, None]
+            for row in terms:
+                acc[k0 : k0 + w] += row
+        np.multiply(k, -2 * math.pi / c, out=k)
+        acc[k0:k1] *= np.exp(k, out=k)
     return acc
 
 
@@ -116,8 +134,9 @@ def _twisted_sums(grid, c, us):
 
     grid is the fold at c in Q rows of B = ceil(sqrt c), zero past its c
     entries.  With k = q B + s, the phase of u k is the product of a
-    giant-step factor at (u B q) mod c and a baby-step factor at (u s) mod c.  Both angles are exact integers mod c, so the rounding of
-    each phase is a few ulp whatever k, and only O(sqrt c) exponentials are
+    giant-step factor at (u B q) mod c and a baby-step factor at (u s)
+    mod c.  Both angles are exact integers mod c, so the rounding of each
+    phase is a few ulp whatever k, and only O(sqrt c) exponentials are
     taken per residue; the O(c) work is plain multiply-adds in einsum.
     """
     Q, B = grid.shape
@@ -325,58 +344,93 @@ def _carmichael(factors):
     return lam
 
 
+@functools.lru_cache(maxsize=256)
+def _prime_power_inverses(p, e):
+    """inv[r] = r^{-1} mod q for the units r of q = p^e, 0 at non-units; read-only, cached.
+
+    Each unit r <= q/2 is raised to lambda(q) - 1, lambda the Carmichael
+    function (the exponent of the unit group, so r^{lambda} = 1;
+    lambda(2^e) = 2^{e-2} for e >= 3), by vectorized square-and-multiply;
+    the upper half follows from (q - r)^{-1} = q - r^{-1}.  Every c of a
+    batch is a multiple of N, so the same small prime powers recur; a
+    large prime divides few c, and the cache keeps the most recent 256.
+    """
+    q = p ** e
+    rs = np.flatnonzero(_unit_mask(q)[1 : q // 2 + 1]) + 1
+    base, power = rs, np.ones(len(rs), dtype=np.int64)
+    k = _carmichael([(p, e)]) - 1
+    while k:
+        if k & 1:
+            power = power * base % q
+        base = base * base % q
+        k >>= 1
+    inv = np.zeros(q, dtype=np.int64)
+    inv[rs] = power
+    inv[q - rs] = q - power
+    inv.flags.writeable = False
+    return inv
+
+
 def _inverse_table(c):
     """inv[r] = r^{-1} mod c for units r, 0 at non-units.
 
-    The units come from cosets' unit mask of c (multiples of each p | c
-    cleared).  Each unit r <= c/2 is raised to lambda(c) - 1, lambda the
-    Carmichael function (the exponent of the unit group, so r^{lambda} = 1;
-    lambda(2^e) = 2^{e-2} for e >= 3), by vectorized square-and-multiply;
-    the upper half follows from (c - r)^{-1} = c - r^{-1}.  Every product is
-    of two residues below c, hence below c^2, so c is capped where c^2
-    would overflow int64.
+    The Chinese remainder theorem assembles it from the tables of c's
+    prime powers q (_prime_power_inverses): inv = sum_q t_q[r mod q] mod c
+    with t_q = inv_q * e_q mod c, where e_q = 1 mod q and 0 mod c/q: each
+    t_q is added to inv viewed as rows of q, and the sum is reduced mod c
+    once.  The multiples of each p | c are then cleared to 0.  Every
+    product is of two residues below c, hence below c^2, so c is capped
+    where c^2 would overflow int64.
     """
     if c * c >= 1 << 63:
         raise ValueError(f"c={c} too large for the int64 inverse table")
-    rs = np.flatnonzero(_unit_mask(c)[1 : c // 2 + 1]) + 1
-    base = rs.astype(np.int64)
-    power = np.ones(len(base), dtype=np.int64)
-    e = _carmichael(_prime_factors(c)) - 1
-    while e:
-        if e & 1:
-            power = power * base % c
-        base = base * base % c
-        e >>= 1
+    factors = _prime_factors(c)
     inv = np.zeros(c, dtype=np.int64)
-    inv[rs] = power
-    inv[c - rs] = c - power
+    for p, e in factors:
+        q = p ** e
+        m = c // q
+        inv.reshape(m, q)[...] += _prime_power_inverses(p, e) * (m * pow(m, -1, q)) % c
+    if len(factors) > 1:
+        inv %= c
+    for p, _ in factors:
+        inv[::p] = 0
     return inv
 
 
 def _symbols_for_c(table, c, ds, tol, out):
-    """Symbol values for one c into out: residue fold + one DFT + inverse lookups.
+    """Symbol values for one c into out: residue fold + one DFT + one residue table.
 
-    Returns the truncation bound shared by every symbol at this c.
+    The symbol at d is H((-d+i)/c) - H((a+i)/c) with a = d^{-1} mod c, so
+    it depends on r = d mod c alone: res[r] = hvals[-r] - hvals[inv[r]] is
+    formed once for the c residues, repeated until its length exceeds
+    every |d|, and each symbol reads its entry with np.take, which wraps
+    each d into range in a single step.  ds must be ascending and
+    non-empty.  Returns the truncation bound shared by every symbol at
+    this c.
     """
     n_used, err = _terms_for_c(table, c, tol)
     hvals = np.fft.ifft(_fold(table.a, c, n_used)) * c  # hvals[k] = H((k+i)/c)
-    r = ds % c
-    np.subtract(hvals[-r], hvals[_inverse_table(c)[r]], out=out)  # index -r is (-d) mod c
+    res = np.empty((max(-int(ds[0]), int(ds[-1])) // c + 1, c), dtype=np.complex128)
+    res[0, 0] = hvals[0]
+    res[0, 1:] = hvals[:0:-1]  # res[r] = hvals[(-r) mod c]
+    res[0] -= hvals[_inverse_table(c)]
+    res[1:] = res[0]
+    np.take(res.reshape(-1), ds, mode="wrap", out=out)
     return err
 
 
 def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     """SymbolBatch of every coset with N_z(gamma) <= T (identity excluded).
 
-    Work is partitioned by c.  One pass over coset_arrays keeps only each
-    c's coset count; norms and values are allocated at that size, and each
-    c then rebuilds its own cosets, norms straight into its slice
-    (cosets._group_into) and its ds as a local array, and fills its symbols
-    there, ascending in c whatever the thread count, so output is
-    bit-identical for any `threads` and no c's ds outlive its symbols.
+    Work is partitioned by c.  One pass counts each c's cosets without
+    building them (cosets._group_sizes); norms and values are allocated at
+    that size, and each c then builds its own cosets, norms straight into
+    its slice (cosets._group_into) and its ds as a local array, and fills
+    its symbols there, ascending in c whatever the thread count, so output
+    is bit-identical for any `threads` and no c's ds outlive its symbols.
     """
     z = complex(z)
-    groups = [(c, len(c_ds)) for c, c_ds, _ in coset_arrays(N, T, z)]
+    groups = list(_group_sizes(N, T, z))
     group_cs = np.array([c for c, _ in groups], dtype=np.int64)
     counts = np.array([n for _, n in groups], dtype=np.int64)
     starts = [0, *np.cumsum(counts).tolist()]
@@ -391,6 +445,8 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
         errs[i] = _symbols_for_c(table, c, ds, tol, values[out])
 
     if threads > 1 and len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # logging and all: only when asked
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, range(len(groups))))
     else:

@@ -143,20 +143,29 @@ def smooth_cutoff(t, U):
     return float(out[0]) if scalar else out
 
 
-_SUM_CHUNK = 1 << 16  # 2^16 halves of at most 2^27 keep every bin below 2^53
-_SUM_BINS = 2098  # frexp exponents -1073..1024, offset by 1073
-_SUM_OFFSET = 1073 + 53  # bin i holds multiples of 2^(i - _SUM_OFFSET)
+_SUM_CHUNK = 1 << 16  # 2^16 halves keep every float bin sum within 44 significant bits
+_SUM_BINS = 2047  # the exponent fields E of finite values
+_SUM_OFFSET = 1075  # bin E holds multiples of its unit 2^(E - _SUM_OFFSET)
+_SUM_UNITS = _SUM_OFFSET - np.arange(_SUM_BINS)  # ldexp by these turns bin sums into units
+_HIGH_HALF = np.uint64((1 << 64) - (1 << 27))  # every bit but the mantissa's 27 lowest
 
 
 class _ExactSum:
     """Exact sum of float64 values fed block by block, rounded on demand.
 
-    Each value is m * 2^(e-53) with m = frexp mantissa * 2^53, a signed
-    53-bit integer.  m splits into a high half (m >> 26) and a low half in
-    [0, 2^26); np.bincount sums each half by exponent e over segments of at
-    most _SUM_CHUNK values, so every partial bin sum is an integer below
-    2^53 and exact in any order.  The int64 bins therefore hold the exact
-    sum of everything fed so far, however it was split into blocks.
+    A finite value v with biased exponent field E is an integer multiple
+    of the unit 2^(E - 1075), below 2^53 of them: its ulp for E >= 1, half
+    the spacing of the subnormals at E = 0.  Clearing the 27 low bits of
+    its mantissa leaves a high half h, a multiple of 2^27 units, and the
+    low half l = v - h is exact and below 2^28 units.  np.bincount sums
+    each half by sign and E over segments of at most _SUM_CHUNK values in
+    float64, where every partial sum has at most 44 significant bits (a
+    multiple of 2^27 units below 2^69, or of 1 unit below 2^44), hence is
+    exact in any order.  Per segment the float bins are
+    scaled to integers and added to the int64 bins hi (units of 2^26) and
+    lo, which therefore hold the exact sum of everything fed so far,
+    however it was split into blocks; fewer than 2^35 values keep them
+    below 2^63.
 
     `exact` turns False, and binning stops, once a value is non-finite or
     the sum is large enough that math.fsum could overflow on the way; both
@@ -173,6 +182,7 @@ class _ExactSum:
 
     def add(self, block):
         """Fold in a float64 array of any length."""
+        block = np.asarray(block, dtype=np.float64)
         for s in range(0, len(block), _SUM_CHUNK):
             seg = block[s : s + _SUM_CHUNK]
             self.count += len(seg)
@@ -180,11 +190,14 @@ class _ExactSum:
                 self.amax = max(max(float(seg.max()), -float(seg.min())), self.amax)  # a nan stays
                 self.exact = self.count < 1 << 35 and self.amax * self.count < 2.0 ** 1020
             if self.exact:
-                mant, exp = np.frexp(seg)
-                m = np.ldexp(mant, 53).astype(np.int64)
-                idx = exp + 1073
-                self.hi += np.bincount(idx, weights=m >> 26, minlength=_SUM_BINS).astype(np.int64)
-                self.lo += np.bincount(idx, weights=m & 0x3FFFFFF, minlength=_SUM_BINS).astype(np.int64)
+                bits = seg.view(np.uint64)
+                key = (bits >> 52).view(np.int64)  # E, or 2048 + E below zero
+                high = (bits & _HIGH_HALF).view(np.float64)
+                halves = ((high, self.hi, _SUM_UNITS - 26), (seg - high, self.lo, _SUM_UNITS))
+                for half, bins, units in halves:
+                    sums = np.bincount(key, weights=half, minlength=4096)
+                    both = sums[:_SUM_BINS] + sums[2048 : 2048 + _SUM_BINS]  # exact: 45 bits at most
+                    bins += np.ldexp(both, units).astype(np.int64)
 
     def value(self):
         """The exact sum, rounded once.

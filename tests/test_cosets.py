@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from modsymdist import cosets
 from modsymdist.cosets import (
     GammaMatrix,
+    _group_sizes,
     _prime_factors,
     _unit_mask,
     coset_arrays,
@@ -217,3 +219,22 @@ def test_coset_validation():
 def test_coset_arrays_matches_stream():
     total = sum(len(ds) for _, ds, _ in coset_arrays(11, 3000, 1j))
     assert total + 1 == coset_count(11, 3000, 1j)
+
+
+@pytest.mark.parametrize(
+    "N, T, z",
+    [
+        (11, 10 ** 7, 1j),
+        (37, 10 ** 6, 0.25 + 0.9j),  # general z: the norms are not integers
+        (14, 10 ** 6, 1j),
+        (11, 100, 1j),  # no coset has norm <= 100 at level 11
+    ],
+)
+def test_group_sizes_are_coset_arrays_group_lengths(N, T, z):
+    assert list(_group_sizes(N, T, z)) == [(c, len(ds)) for c, ds, _ in coset_arrays(N, T, z)]
+
+
+def test_coset_count_builds_no_arrays(monkeypatch):
+    want = coset_count(11, 10 ** 6, 0.25 + 0.9j), coset_count(11, 10 ** 4)
+    monkeypatch.setattr(cosets, "_candidates", lambda *args: pytest.fail("built a candidate range"))
+    assert (coset_count(11, 10 ** 6, 0.25 + 0.9j), coset_count(11, 10 ** 4)) == want

@@ -19,6 +19,7 @@ from modsymdist.modsym import (
     _carmichael,
     _fold,
     _inverse_table,
+    _prime_power_inverses,
     _terms_for_c,
     antiderivative,
     oracle_pairing,
@@ -316,6 +317,33 @@ def test_fold_blocks_match_one_pass(c):
         assert _fold(a.astype(np.int32), c, n_used).tobytes() == ref, n_used
         padded = _fold(a, c, n_used, size=c + 7)
         assert padded[:c].tobytes() == ref and not padded[c:].any(), n_used
+
+
+@pytest.mark.parametrize(
+    "c, n_used",
+    [
+        (11 * 1009, 5 * 11 * 1009 - 1),  # 5 full rows, 55,495 < 2^16 entries: one group
+        (11 * 1009, 5 * 11 * 1009),  # 6 rows, 66,594 > 2^16: 5 full rows, then a last of one term
+        (11 * 1009, 6 * 11 * 1009 + 5),  # 7 rows: full rows in groups of 5 and 1, the last of 6 terms
+        (1, 3 * _SUM_CHUNK),  # one residue, more rows than a group holds
+        (2, 2 * _SUM_CHUNK + 3),
+    ],
+)
+def test_fold_rows_straddling_a_block_match_one_pass(c, n_used):
+    a = np.random.default_rng(c + n_used).integers(-3000, 3000, size=n_used + 1).astype(np.float64)
+    ref = _fold_one_pass(a, c, n_used).tobytes()
+    assert _fold(a, c, n_used).tobytes() == ref
+    assert _fold(a.astype(np.int32), c, n_used).tobytes() == ref
+
+
+def test_prime_power_inverses_are_cached_read_only():
+    # every later _inverse_table call shares these arrays
+    for p, e in ((11, 1), (2, 5), (3, 4)):
+        table = _prime_power_inverses(p, e)
+        assert not table.flags.writeable and _prime_power_inverses(p, e) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+        assert table.tolist() == _inverse_table(p ** e).tolist()
 
 
 def test_pairing_int32_table_is_bit_identical(eta_table_1e5):

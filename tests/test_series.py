@@ -146,6 +146,49 @@ def test_exact_sum_non_finite_as_fsum():
         _exact_sum(np.array([1e308, 1e308, -1e308]))
 
 
+def _split_edge_sums():
+    """Blocks at the edges of a two-half split: subnormals, the top exponents, all-ones mantissas."""
+    tiny = 2.0 ** -1074
+    # subnormals whose bins cancel to 0
+    yield np.array([3 * tiny, -3 * tiny, 2.0 ** -1060, -(2.0 ** -1060), 1.0])
+    yield np.array([3 * tiny, -3 * tiny])
+    rng = np.random.default_rng(29)
+    yield np.concatenate([rng.integers(-(2 ** 52), 2 ** 52, 5000) * tiny, rng.standard_normal(100)])
+    # where a Veltkamp split (v * (2^27 + 1)) would overflow: from 2^996 up
+    below = np.nextafter(2.0 ** 996, 0)
+    yield np.array([2.0 ** 995, -(2.0 ** 995) * 1.5, 3.0, below])
+    yield np.array([2.0 ** 996, 1.0, -(2.0 ** 995)])
+    yield np.array([2.0 ** 997, -(2.0 ** 997) * (1 - 2.0 ** -52), 2.0 ** 996, 1e-300])
+    yield np.full(_SUM_CHUNK, below)  # full bins at the top exponents
+    yield np.full(_SUM_CHUNK + 3, -below)
+    top = 2 - 2.0 ** -52  # every mantissa bit set: a rounded high half would round up to 2
+    yield np.full(_SUM_CHUNK, top)
+    yield np.array([top, -top * 2.0 ** 900, top * 2.0 ** -1000, 2.0 ** -52, 1 - 2.0 ** -53])
+    yield np.concatenate([np.full(_SUM_CHUNK - 1, -top), [2.0 ** 60]])
+    n = 3 * _SUM_CHUNK + 17
+    yield rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 290, n)  # mixed magnitudes
+    yield rng.choice([-1.0, 1.0], n) * 10.0 ** rng.integers(-300, 291, n)
+
+
+def test_exact_sum_split_edges_are_fsum(monkeypatch):
+    # subnormals, values from 2^996 up and full blocks alike: the bins decide, never math.fsum
+    cases = [(v, math.fsum(v)) for v in _split_edge_sums()]
+    monkeypatch.setattr(math, "fsum", lambda v: pytest.fail("fell back to math.fsum"))
+    for v, want in cases:
+        assert _exact_sum(v).hex() == want.hex(), v[:3]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_non_finite_turns_exact_off(bad):
+    # after a block of normal numbers and after one with a subnormal alike
+    for first in (np.ones(5), np.array([2.0 ** -1074, 1.0])):
+        acc = series._ExactSum()
+        acc.add(first)
+        assert acc.exact
+        acc.add(np.array([1.0, bad, 2.0]))
+        assert not acc.exact and acc.count == len(first) + 3
+
+
 def _assert_prefixes_are_fsum(v, cuts):
     got = _exact_prefix_sums(v, cuts)
     assert [g.hex() for g in got] == [math.fsum(v[:n]).hex() for n in cuts], (len(v), cuts)
