@@ -114,11 +114,16 @@ def _norm_f_sq(crv, table):
 
 
 def _normalized(args):
-    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= --T; never empty."""
+    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= --T; never empty.
+
+    The batch is this command's own, so its values are normalized in place:
+    x and y are views of them, and no second copy of the samples is held.
+    """
     crv, table, batch = _batch_for(args, args.T)
     values, norms = batch.values, batch.norms
-    del batch  # the rest of the batch goes before the normalized arrays are allocated
-    x, y, _ = stats.normalize_arrays(values, norms, _norm_f_sq(crv, table), cosets.volume(crv.N))
+    del batch  # the rest of the batch goes before the normalization
+    x, y, _ = stats.normalize_arrays(values, norms, _norm_f_sq(crv, table), cosets.volume(crv.N),
+                                     out=values)
     _require(len(x) > 0, "no samples with N_z(gamma) > 1 at this T")
     return x, y
 

@@ -155,20 +155,6 @@ def _group_sizes(N, T, z=1j):
             yield c, count
 
 
-def _group_into(c, T, z, norms):
-    """Write coset_arrays' norms for c into norms, bit for bit, and return its ds.
-
-    norms must have exactly the group's length, which np.compress checks.
-    The values come from the same _candidates call, so a caller that
-    sized the groups in one pass (_group_sizes) can fill them in place in
-    another; the ds (int64, ascending) are a new array the caller may drop
-    once read.
-    """
-    lo, cand, keep = _candidates(c, T, z.real, z.imag)
-    np.compress(keep, cand, out=norms)
-    return np.flatnonzero(keep) + lo
-
-
 def coset_count(N, T, z=1j):
     """#(Gamma_infty \\ Gamma)^T including the identity coset."""
     return 1 + sum(n for _, n in _group_sizes(N, T, z))

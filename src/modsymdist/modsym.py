@@ -19,13 +19,14 @@ tail_constant * sum_{n > n_used} e^{-2 pi n y} < tol (one factor per
 evaluation point, both at height 1/c, hence the factor 2 below).
 """
 
-import math
+import collections
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import _group_into, _group_sizes, _prime_factors, _unit_mask
+from .cosets import _group_sizes, _prime_factors, _unit_mask, coset_arrays
 from .series import _SUM_CHUNK
 
 
@@ -424,10 +425,12 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
 
     Work is partitioned by c.  One pass counts each c's cosets without
     building them (cosets._group_sizes); norms and values are allocated at
-    that size, and each c then builds its own cosets, norms straight into
-    its slice (cosets._group_into) and its ds as a local array, and fills
-    its symbols there, ascending in c whatever the thread count, so output
-    is bit-identical for any `threads` and no c's ds outlive its symbols.
+    that size.  coset_arrays then yields each c's group, whose norms are
+    copied into its slice and whose symbols are filled there.  At threads
+    > 1 this thread enumerates and the workers form the symbols, at most
+    2 * threads groups ahead, so no more than that many ds are held.  Each
+    c writes only its own slice, so output is bit-identical for any
+    `threads`.
     """
     z = complex(z)
     groups = list(_group_sizes(N, T, z))
@@ -438,18 +441,24 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     values = np.empty(starts[-1], dtype=np.complex128)
     errs = np.empty(len(groups), dtype=np.float64)
 
-    def fill(i):
-        c = groups[i][0]
-        out = slice(starts[i], starts[i + 1])
-        ds = _group_into(c, T, z, norms[out])
-        errs[i] = _symbols_for_c(table, c, ds, tol, values[out])
+    def fill(i, c, ds):
+        errs[i] = _symbols_for_c(table, c, ds, tol, values[starts[i] : starts[i + 1]])
 
+    enumerated = enumerate(coset_arrays(N, T, z))
     if threads > 1 and len(groups) > 1:
         from concurrent.futures import ThreadPoolExecutor  # logging and all: only when asked
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(groups))))
+            pending = collections.deque()
+            for i, (c, ds, group_norms) in enumerated:
+                norms[starts[i] : starts[i + 1]] = group_norms
+                pending.append(pool.submit(fill, i, c, ds))
+                if len(pending) > 2 * threads:
+                    pending.popleft().result()
+            for done in pending:
+                done.result()
     else:
-        for i in range(len(groups)):
-            fill(i)
+        for i, (c, ds, group_norms) in enumerated:
+            norms[starts[i] : starts[i + 1]] = group_norms
+            fill(i, c, ds)
     return SymbolBatch(float(T), z, norms, values, group_cs, counts, errs)

@@ -68,14 +68,6 @@ class WeightSpec:
             return cls("abs2m", parts[0])
         raise ValueError(f"bad weight spec {text!r}")
 
-    def __str__(self):
-        return {
-            "one": "one",
-            "f_power": f"f:{self.m},{self.n}",
-            "alphabeta": f"ab:{self.m},{self.n}",
-            "abs2m": f"abs2:{self.m}",
-        }[self.kind]
-
     @property
     def total_degree(self):
         return self.m + (self.n if self.kind != "abs2m" else self.m)
@@ -270,36 +262,46 @@ def _blocks(*arrays, mask=None):
             yield tuple(a[s : s + _SUM_CHUNK][m] for a in arrays)
 
 
-def _sum_report(batch, weight, T, mask, mode, cutoff=None, identity_factor=1.0):
-    """SumReport of the weight over batch[mask] plus the identity coset, from one pass.
+def _count_up_to(norms, T):
+    """#{norms <= T}, one block of _SUM_CHUNK norms at a time."""
+    return sum(int(np.count_nonzero(n <= T)) for n, in _blocks(norms))
 
-    The streams are Re and Im of the terms, then the first-order bound
+
+def _sum_report(batch, weight, T, bound, mode, cutoff=None, identity_factor=1.0):
+    """SumReport of the weight over the symbols with norm <= bound plus the identity coset.
+
+    One pass: per block of _SUM_CHUNK positions, the mask norms <= bound,
+    then the streams Re and Im of the terms and the first-order bound
     max(|v|,1)^(deg-1) * err on |d omega| from the per-symbol truncation
-    errors, spelled out one block at a time; at degree 0 there is no bound
-    and the budget is 0.  cutoff, if given, maps a block of norms[mask] to
-    factors for its terms.  count is every coset with N_z(gamma) <= T.
+    errors; at degree 0 there is no bound and the budget is 0.  A block's
+    copy of the values goes before the streams are read.  cutoff, if given,
+    maps a block of the masked norms to factors for its terms.  count is
+    every coset with N_z(gamma) <= T.
     """
     deg = weight.total_degree
 
     def blocks():
-        for s in range(0, len(mask), _SUM_CHUNK):
-            m = mask[s : s + _SUM_CHUNK]
+        for s in range(0, len(batch.norms), _SUM_CHUNK):
+            norms = batch.norms[s : s + _SUM_CHUNK]
+            m = norms <= bound
             v = batch.values[s : s + _SUM_CHUNK][m]
             terms = weight.apply(v)
             if cutoff is not None:
-                terms = terms * cutoff(batch.norms[s : s + _SUM_CHUNK][m])
-            if deg == 0:
-                yield terms.real, terms.imag
-            else:
+                terms = terms * cutoff(norms[m])
+            parts = [terms.real, terms.imag]
+            if deg:
                 err = batch.per_symbol(batch.group_err_bounds, s, s + _SUM_CHUNK)[m]
-                yield terms.real, terms.imag, np.maximum(np.abs(v), 1.0) ** (deg - 1) * err
+                err *= np.maximum(np.abs(v), 1.0) ** (deg - 1)
+                parts.append(err)
+            del v
+            yield parts
 
-    re, im, *bound = _block_sums(blocks, 3 if deg else 2)[-1]
+    re, im, *err_sum = _block_sums(blocks, 3 if deg else 2)[-1]
     value = complex(re, im) + weight.at_zero() * identity_factor
-    budget = float(deg * bound[0]) if deg else 0.0
+    budget = float(deg * err_sum[0]) if deg else 0.0
     return SumReport(
         value=value,
-        count=int(np.count_nonzero(batch.norms <= T)) + 1,
+        count=_count_up_to(batch.norms, T) + 1,
         mode=mode,
         err_budget=budget,
         err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
@@ -314,7 +316,7 @@ def sharp_sum(batch, weight, T=None):
     truncation budget exceeds 1e-6 of the result.
     """
     T = batch.norm_bound(T)
-    return _sum_report(batch, weight, T, batch.norms <= T, "sharp")
+    return _sum_report(batch, weight, T, T, "sharp")
 
 
 def smoothed_sum(batch, weight, T, U):
@@ -329,7 +331,7 @@ def smoothed_sum(batch, weight, T, U):
     T = batch.norm_bound(T)
     if T * (1 + 1.0 / U) > batch.T:
         raise ValueError(f"batch covers norms <= {batch.T}, need {T * (1 + 1/U)}")
-    return _sum_report(batch, weight, T, batch.norms <= T * (1 + 1.0 / U), f"smoothed(U={U:g})",
+    return _sum_report(batch, weight, T, T * (1 + 1.0 / U), f"smoothed(U={U:g})",
                        cutoff=lambda norms: smooth_cutoff(norms / T, U),
                        identity_factor=smooth_cutoff(1.0 / T, U))
 
@@ -362,11 +364,13 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         raise ValueError("s must be finite with Re(s) > 1 (absolute convergence region)")
     T_max = batch.norm_bound(T_max)
     y = batch.z.imag
-    mask = batch.norms <= T_max
 
     def blocks():
-        for v, norms in _blocks(batch.values, batch.norms, mask=mask):
+        for v, norms in _blocks(batch.values, batch.norms):
+            inside = norms <= T_max
+            v, norms = v[inside], norms[inside]
             terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
+            del v
             mags = np.abs(terms)
             yield (terms.real, terms.imag, mags[norms > T_max / 10],
                    mags[(norms > T_max / 100) & (norms <= T_max / 10)])
@@ -380,7 +384,7 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         tail = last * ratio / (1 - ratio)
     else:
         tail = last  # no decay observed; report the last shell mass itself
-    return EisensteinReport(value, tail, m, n, T_max, int(mask.sum()) + 1)
+    return EisensteinReport(value, tail, m, n, T_max, _count_up_to(batch.norms, T_max) + 1)
 
 
 def _double_half_factorial(j):

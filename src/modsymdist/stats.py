@@ -37,30 +37,33 @@ def tilde_factor(norm_f_sq, vol):
     return math.sqrt(vol / (8 * math.pi ** 2 * norm_f_sq))
 
 
-def normalize_arrays(values, norms, norm_f_sq, vol):
+def normalize_arrays(values, norms, norm_f_sq, vol, out=None):
     """Normalized symbols (x, y, dropped_count).
 
     Samples with norm <= 1 are dropped and counted; a non-finite normalized
-    value raises ValueError.  The two output arrays are allocated once and
-    filled one block of _SUM_CHUNK positions at a time.  A caller that also
-    needs the kept norms takes norms[norms > 1] itself.
+    value raises ValueError.  The kept samples' normalized complex values
+    are written to out[:kept], one block of _SUM_CHUNK positions at a time,
+    and x and y are the real and imaginary views of out[:kept].  out is a
+    new complex128 array by default; out=values normalizes the caller's
+    own array in place, which is safe because each block is a copy taken
+    before its write and the kept samples before a position never outnumber
+    it, so no write reaches a value not yet read.
     """
     values = np.asarray(values, dtype=np.complex128)
     norms = np.asarray(norms, dtype=np.float64)
     keep = norms > 1.0
     kept = int(keep.sum())
     scale = tilde_factor(norm_f_sq, vol)
-    x, y = np.empty(kept), np.empty(kept)
+    out = np.empty(kept, dtype=np.complex128) if out is None else out
     k = 0
     for v, nrm in _blocks(values, norms, mask=keep):  # masked blocks are copies: work in place
-        out = slice(k, k + len(v))
         v *= scale
         v /= np.sqrt(np.log(nrm, out=nrm), out=nrm)
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite normalized sample")
-        x[out], y[out] = v.real, v.imag
-        k = out.stop
-    return x, y, len(norms) - kept
+        out[k : k + len(v)] = v
+        k += len(v)
+    return out[:kept].real, out[:kept].imag, len(norms) - kept
 
 
 def gaussian_moment(n, m):

@@ -359,9 +359,10 @@ def crit_gaussian_free(res, quick):
     band = (2.3, 3.7) if quick else (2.4, 3.6)
     batch = res.batch(T_top)
     nfsq = petersson.lattice_norm(res.lattice(), 1).value  # any positive scale: ratios are free of it
-    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
-    norms = batch.norms[batch.norms > 1]
-    kx_list, ky_list, corr, odd = _gaussian_free_moments(x, y, norms, decades)
+    x, y, dropped = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    if dropped:  # at z = i every norm is at least N^2, so x and y line up with the norms
+        raise ValueError(f"{dropped} samples with norm <= 1 at z = i")
+    kx_list, ky_list, corr, odd = _gaussian_free_moments(x, y, batch.norms, decades)
     odd_max = max(abs(v) for v in odd.values())
     kx, ky = kx_list[-1], ky_list[-1]
     trend = abs(kx - 3) < abs(kx_list[0] - 3) and abs(ky - 3) < abs(ky_list[0] - 3)

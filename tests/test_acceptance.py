@@ -245,6 +245,23 @@ def test_gaussian_free_moments_match_the_per_decade_loop():
     assert _hexed(*verify._gaussian_free_moments(x[perm], y[perm], norms[perm], decades)) == want
 
 
+def test_criterion_08_refuses_a_dropped_sample(lattice11):
+    # criterion 08 reads the batch's norms beside x and y, so a dropped sample
+    # (norm <= 1, never seen at z = i) would misalign them: it raises instead
+    class Res:
+        vol = cosets.volume(11)
+
+        def lattice(self):
+            return lattice11
+
+        def batch(self, T):
+            return modsym.SymbolBatch(T, 1j, np.array([1.0, 1e3]), np.array([0j, 1 + 1j]),
+                                      np.array([11]), np.array([2]), np.array([1e-12]))
+
+    with pytest.raises(ValueError, match="norm <= 1"):
+        verify.crit_gaussian_free(Res(), quick=True)
+
+
 def test_gaussian_free_moments_on_decade_boundaries():
     # integer norms that hit every decade exactly: norm == T belongs to T's sample
     rng = np.random.default_rng(21)

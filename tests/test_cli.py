@@ -5,10 +5,13 @@ and that its command lines parse.
 """
 
 import argparse
-import json
 import hashlib
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -484,14 +487,38 @@ def test_streamed_rows_match_the_list_built_output(capsys, argv, fmt):
     assert code == 0 and out == want
 
 
+# symbols with 1 < N_i(gamma) <= 1e7 at level 11
+SYMBOLS_11A_1E7 = 795910
+
+
 def test_moments_holds_only_what_it_reads(capsys, traced_peak):
-    # the build holds the batch's three per-symbol arrays (32 bytes a symbol); the
-    # normalization then holds only the values and norms it reads, the keep mask,
-    # x and y (41 bytes a symbol), plus a few blocks; neither holds the whole batch
+    # the build holds the batch (24 bytes a symbol); the normalization writes into the
+    # values it reads, so it holds the values, the norms and the keep mask (25 bytes a
+    # symbol) and then the values alone, plus a few blocks; x and y are views
     peak, code = traced_peak(lambda: main(["moments", "--T", "1e7"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 26
-    n = 795910  # symbols with 1 < N_i(gamma) <= 1e7 at level 11
-    assert peak <= 41 * n + 8 * 16 * _SUM_CHUNK, peak
+    assert peak <= 25 * SYMBOLS_11A_1E7 + 8 * 16 * _SUM_CHUNK, peak
+
+
+def test_histogram_holds_only_what_it_reads(capsys, traced_peak):
+    # the same normalization as moments; np.histogram then copies the strided
+    # component (8 bytes a symbol) beside the values, below the normalization's peak
+    peak, code = traced_peak(lambda: main(["histogram", "--T", "1e7", "--component", "im"]))
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 41
+    assert peak <= 25 * SYMBOLS_11A_1E7 + 8 * 16 * _SUM_CHUNK, peak
+
+
+def test_python_m_runs_the_cli(capsys):
+    # `python -m modsymdist` is the same command line as cli.main
+    argv = ["coeffs", "--n-max", "5"]
+    code, want = run_cli(capsys, *argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(modsymdist.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    got = subprocess.run([sys.executable, "-m", "modsymdist", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (got.returncode, got.stdout, got.stderr) == (code, want, "") and code == 0
 
 
 @pytest.mark.parametrize(

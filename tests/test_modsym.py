@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from modsymdist import modsym
 from modsymdist.cosets import GammaMatrix, _prime_factors, coset_arrays, lift
 from modsymdist.curve import (
     CoefficientTable,
@@ -498,6 +499,28 @@ def test_batch_thread_determinism(table11):
     b4 = symbols_up_to(table11, 11, 3 * 10 ** 4, tol=1e-10, threads=4)
     assert np.array_equal(b1.values, b4.values)
     assert np.array_equal(b1.cs, b4.cs)
+
+
+@pytest.mark.parametrize(
+    "name, N, T, z", [("table11", 11, 10 ** 5, 1j), ("table37", 37, 10 ** 5, 0.25 + 0.9j)]
+)
+def test_batch_fills_from_one_coset_enumeration(request, monkeypatch, name, N, T, z):
+    # every group comes from one coset_arrays pass, read on this thread while the
+    # workers form the symbols; every column is the same bytes at any thread count
+    table = request.getfixturevalue(name)
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        yield from coset_arrays(*args)
+
+    b1 = symbols_up_to(table, N, T, z, tol=1e-10, threads=1)
+    monkeypatch.setattr(modsym, "coset_arrays", traced)
+    b4 = symbols_up_to(table, N, T, z, tol=1e-10, threads=4)
+    assert len(calls) == 1
+    for field in PER_SYMBOL + PER_GROUP:
+        g, w = getattr(b4, field), getattr(b1, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
 def test_batch_count_and_restrict(batch11_1e4):

@@ -209,8 +209,30 @@ def test_blocked_stats_match_full_arrays(n):
 def test_normalize_non_finite_in_a_later_block():
     values = np.ones(CHUNK + 10, dtype=complex)
     values[CHUNK + 5] = complex(math.nan, 0)
-    with pytest.raises(ValueError, match="non-finite"):
-        normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11)
+    for out in (None, values):  # in place too
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11, out=out)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5])
+def test_normalize_in_place_matches_a_new_output(n):
+    # drops mid-block and on both sides of each block boundary; out=values reads every
+    # block before any write reaches it, so both outputs hold the same bits
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    norms = rng.uniform(2.0, 1e6, n)
+    for b in range(0, n + 2, CHUNK):
+        norms[max(0, b - 2) : b + 2] = 0.75
+    norms[CHUNK // 2 : CHUNK // 2 + 100] = 1.0
+    x, y, dropped = normalize_arrays(values, norms, 0.05, VOL11)
+    own = values.copy()
+    xi, yi, dropped_i = normalize_arrays(own, norms, 0.05, VOL11, out=own)
+    assert dropped_i == dropped == np.count_nonzero(norms <= 1)
+    assert np.shares_memory(xi, own) and np.shares_memory(yi, own)
+    for g, w in ((xi, x), (yi, y)):
+        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
+    # past the kept samples, out keeps what it held
+    assert own[len(x) :].tobytes() == values[len(x) :].tobytes()
 
 
 def test_moments_length_mismatch_rejected():
@@ -219,10 +241,14 @@ def test_moments_length_mismatch_rejected():
 
 
 def test_blocked_stats_peak_memory(batch11_1e7, traced_peak):
-    # beyond its two outputs (16 bytes a kept sample) and the keep mask, the
-    # normalization holds a few blocks; the moments hold a block's powers only
+    # beyond its output (16 bytes a kept sample) and the keep mask, the
+    # normalization holds a few blocks; in place it holds no output at all;
+    # the moments hold a block's powers only
     b = batch11_1e7
     peak, (x, y, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
     assert peak <= 16 * len(x) + len(b.norms) + 4 * BLOCK_BYTES, peak
+    own = b.values.copy()
+    peak, _ = traced_peak(lambda: normalize_arrays(own, b.norms, 0.05, VOL11, out=own))
+    assert peak <= len(b.norms) + 4 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: moments_from_arrays(x, y, 4, 4))
     assert peak <= 12 * BLOCK_BYTES, peak
