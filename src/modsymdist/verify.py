@@ -529,10 +529,13 @@ SKIP_REASON = (
 def _release_free_heap():
     """Return the heap pages that freed arrays left behind to the OS (glibc; else a no-op).
 
-    Criterion 01 calls it once its deep table is built, before the
-    pairings allocate.  Without it, at seeds whose deep table sets the
-    peak (9, 42, 101), one run read a ~1.3 MB higher peak, and a process
-    that runs the suite again read 2-4 MB more from its second run on.
+    run_acceptance calls it before each criterion, and criterion 01 once
+    more when its deep table is built, before the pairings allocate.
+    Without the second, at seeds whose deep table sets the peak (9, 42,
+    101), one run read a ~1.3 MB higher peak.  Without the first, a
+    process that runs the suite again builds each deep table on the heap
+    that the last run's batches left resident, where it lands differently
+    from one process to the next.
     """
     try:
         trim = ctypes.CDLL(None).malloc_trim
@@ -541,13 +544,35 @@ def _release_free_heap():
     trim(0)
 
 
+def _huge_page_advice(enabled):
+    """Switch numpy's huge-page advice for new large arrays; returns the old setting.
+
+    numpy asks the kernel to back each array of 4 MB or more with 2 MB
+    pages.  Once glibc serves such arrays from its heap (it does after the
+    first large free), the advice stays on those heap ranges, and what
+    later lands there is faulted in 2 MB at a time whenever the kernel has
+    a huge page free.  How much that adds follows the heap's alignment,
+    which differs from process to process, and the machine's free huge
+    pages, not the run.  A numpy without the switch keeps its own setting.
+    """
+    try:
+        switch = np._core.multiarray._set_madvise_hugepage
+    except AttributeError:
+        return enabled
+    return switch(enabled)
+
+
 def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
     """Run the acceptance criteria; returns a list of CriterionResult.
 
     Shared inputs are built where a criterion first reads them, so a
     criterion's seconds include the inputs it builds first: criterion 01
     its deep table, and the first reader of the top symbol batch (05, or
-    06 in the quick profile) that batch.
+    06 in the quick profile) that batch.  Each criterion starts on a
+    trimmed heap, and no array of the run is advised onto huge pages (the
+    caller's setting is restored on return), so a criterion's memory is
+    what it holds over what is still live, whatever ran before it in the
+    process, and repeated runs read the same peak.
     """
     if curve_mod.resolve_curve(curve) != curve_mod.PRESETS["11a"]:
         raise ValueError("the acceptance suite is defined for the 11a preset")
@@ -561,20 +586,25 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
     log(f"shared inputs, each built by its first reader: table=eta {TABLE_TERMS} terms; "
         f"symbol batch T={res.top_T}{deep}")
     results = []
-    for key, name, fn, defect in CRITERIA:
-        if quick and defect:
-            results.append(
-                CriterionResult(key, name, passed=False, skipped=True, detail=SKIP_REASON)
-            )
-            continue
-        t0 = time.perf_counter()
-        ok, detail, cap = fn(res, quick)
-        dt = time.perf_counter() - t0
-        if cap is not None and not quick and dt > cap:
-            ok = False
-            detail += f"; RUNTIME {dt:.1f}s exceeded cap {cap:.0f}s"
-        results.append(CriterionResult(key, name, passed=bool(ok), detail=detail, seconds=dt))
-        log(f"[{key}] {name}: {'PASS' if ok else 'FAIL'} in {dt:.1f}s")
+    huge = _huge_page_advice(False)
+    try:
+        for key, name, fn, defect in CRITERIA:
+            if quick and defect:
+                results.append(
+                    CriterionResult(key, name, passed=False, skipped=True, detail=SKIP_REASON)
+                )
+                continue
+            _release_free_heap()
+            t0 = time.perf_counter()
+            ok, detail, cap = fn(res, quick)
+            dt = time.perf_counter() - t0
+            if cap is not None and not quick and dt > cap:
+                ok = False
+                detail += f"; RUNTIME {dt:.1f}s exceeded cap {cap:.0f}s"
+            results.append(CriterionResult(key, name, passed=bool(ok), detail=detail, seconds=dt))
+            log(f"[{key}] {name}: {'PASS' if ok else 'FAIL'} in {dt:.1f}s")
+    finally:
+        _huge_page_advice(huge)
     return results
 
 

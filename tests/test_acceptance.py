@@ -138,8 +138,8 @@ def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
 
 def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatch):
     # criterion 01 as it runs (its pairings stubbed), then a stub 02 that reads a
-    # batch: the heap is trimmed once the deep table is built, and the 1e7 batch
-    # is built once, in 02, after 01's deep table is freed
+    # batch: the heap is trimmed before each criterion and once the deep table is
+    # built, and the 1e7 batch is built once, in 02, after 01's deep table is freed
     events = []
     deep_tables = []
     eta = curve.eta_deep_table_level11
@@ -171,7 +171,8 @@ def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatc
     results = verify.run_acceptance("11a", quick=False, seed=11, log=logs.append)
     c_max, n_max = verify.deep_table_size(11)
     assert events == [
-        ("deep", n_max), ("trim",), ("build", 10 ** 7, [True]), ("02", 10 ** 6)
+        ("trim",), ("deep", n_max), ("trim",),
+        ("trim",), ("build", 10 ** 7, [True]), ("02", 10 ** 6),
     ]
     assert [r.status for r in results] == ["PASS", "PASS"]
     assert len(logs) == 3
@@ -184,6 +185,42 @@ def test_release_free_heap_without_malloc_trim(monkeypatch):
     verify._release_free_heap()  # glibc trims; any other libc is left alone
     monkeypatch.setattr(verify.ctypes, "CDLL", lambda name: object())
     assert verify._release_free_heap() is None
+
+
+def test_criteria_run_without_huge_page_advice(monkeypatch):
+    # numpy's advice is off while any criterion runs and the caller's setting
+    # comes back on return, also when a criterion raises
+    advice = np._core.multiarray._get_madvise_hugepage
+    seen = []
+
+    def crit(res, quick):
+        seen.append(advice())
+        return True, "", None
+
+    def broken(res, quick):
+        seen.append(advice())
+        raise RuntimeError("criterion failed")
+
+    before = advice()
+    try:
+        for caller in (True, False):
+            verify._huge_page_advice(caller)
+            monkeypatch.setattr(verify, "CRITERIA", [("01", "a", crit, False)])
+            results = verify.run_acceptance("11a", quick=True, log=print)
+            assert [r.status for r in results] == ["PASS"]
+            assert advice() is caller
+            monkeypatch.setattr(verify, "CRITERIA", [("01", "a", broken, False)])
+            with pytest.raises(RuntimeError, match="criterion failed"):
+                verify.run_acceptance("11a", quick=True, log=print)
+            assert advice() is caller
+    finally:
+        verify._huge_page_advice(before)
+    assert seen == [False] * 4
+
+
+def test_huge_page_advice_without_the_switch(monkeypatch):
+    monkeypatch.delattr(np._core.multiarray, "_set_madvise_hugepage")
+    assert verify._huge_page_advice(False) is False  # a numpy without it keeps its setting
 
 
 def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5):
