@@ -19,9 +19,11 @@ from .curve import (
 )
 from .modsym import (
     SymbolBatch,
+    SymbolStream,
     antiderivative,
     oracle_pairing,
     pairing,
+    symbol_stream,
     symbols_up_to,
 )
 from .petersson import NormEstimate, lattice_norm, rankin_estimate
@@ -31,6 +33,7 @@ from .series import (
     WeightSpec,
     asymptotic_constants,
     eisenstein_twisted,
+    grid_sums,
     sharp_sum,
     smooth_cutoff,
     smoothed_sum,
@@ -42,6 +45,8 @@ from .stats import (
     ks_distance,
     moments_from_arrays,
     normalize_arrays,
+    symbol_histogram,
+    symbol_moments,
 )
 
 __version__ = "0.1.0"

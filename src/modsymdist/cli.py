@@ -4,12 +4,16 @@ Subcommands: coeffs, enumerate, symbols, sums, moments, histogram, petersson,
 eisenstein, verify.  Each takes only the flags it reads; any other flag is a
 usage error.  CSV is the primary artifact ('.' decimal, '\\n' line endings,
 mandatory header); single-record outputs are JSON.  Identical flags produce
-byte-identical output for any --threads value.
+byte-identical output for any --threads value.  Every command that reads
+symbols streams them (modsym.symbol_stream): `symbols` writes each c's rows
+as it is formed, and the statistics read the stream block by block, so no
+command holds a symbol batch; `sums` covers its whole --T-grid in one pass.
 """
 
 import argparse
 import cmath
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -89,8 +93,34 @@ def _check_shared(args):
         _require(math.isfinite(args.T), "T must be finite")
 
 
-def _batch_for(args, T):
-    """(curve, table, batch) for every coset with N_z(gamma) <= T at the flags' z and tol."""
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_block_temporaries():
+    """Serve the stream's block temporaries from a heap that stays resident (glibc; else a no-op).
+
+    A reduction over a symbol stream makes and drops temporaries of up to
+    one block (1 MiB) for every block it reads.  Under glibc's default
+    thresholds, which only rise when a larger array is freed, each of them
+    is a fresh mmap or lands on heap that is trimmed right after, so its
+    pages are faulted in again every block: a `sums --T-grid 1e5,1e6,1e7
+    --smooth-U 10` run took ~17,000 page faults and ~20% more time.  A
+    run that held a batch never paid this, since freeing the batch raised
+    the thresholds.  Arrays below 4 MiB now come from the heap, and up to
+    8 MiB of free heap is kept.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
+def _symbols_for(args, T):
+    """(curve, table, SymbolStream) of every coset with N_z(gamma) <= T at the flags' z and tol."""
+    _keep_block_temporaries()
     crv = curve_mod.resolve_curve(args.curve)
     # enough terms for every c <= sqrt(T) / Im z at the requested tolerance, and for
     # _theory_constant's H(z) at 1e-13: every certified tail constant is at most
@@ -105,27 +135,12 @@ def _batch_for(args, T):
         table = curve_mod.eta_deep_table_level11(n_max)
     else:
         table = curve_mod.coefficient_table(crv, n_max)
-    return crv, table, modsym.symbols_up_to(table, crv.N, T, args.z, args.tol, args.threads)
+    return crv, table, modsym.symbol_stream(table, crv.N, T, args.z, args.tol, args.threads)
 
 
 def _norm_f_sq(crv, table):
     """Rankin-Selberg estimate of ||f||^2 from the first 20000 terms of the table."""
     return petersson.rankin_estimate(table, crv.N, min(table.n_max, 20000)).value
-
-
-def _normalized(args):
-    """Normalized symbols (x, y) of every coset with 1 < N_z(gamma) <= --T; never empty.
-
-    The batch is this command's own, so its values are normalized in place:
-    x and y are views of them, and no second copy of the samples is held.
-    """
-    crv, table, batch = _batch_for(args, args.T)
-    values, norms = batch.values, batch.norms
-    del batch  # the rest of the batch goes before the normalization
-    x, y, _ = stats.normalize_arrays(values, norms, _norm_f_sq(crv, table), cosets.volume(crv.N),
-                                     out=values)
-    _require(len(x) > 0, "no samples with N_z(gamma) > 1 at this T")
-    return x, y
 
 
 def cmd_coeffs(args):
@@ -151,13 +166,11 @@ def cmd_enumerate(args):
 
 
 def cmd_symbols(args):
-    crv, _, batch = _batch_for(args, args.T)
+    _, _, symbols = _symbols_for(args, args.T)
 
-    def rows():  # one c at a time: d and norms from the enumeration the batch follows
+    def rows():  # one c at a time, as the stream forms it
         yield 0, 1, 1.0, 0.0, 0.0, 0.0  # the identity coset
-        groups = cosets.coset_arrays(crv.N, args.T, args.z)
-        values = np.split(batch.values, np.cumsum(batch.group_counts)[:-1])
-        for (c, ds, norms), v, err in zip(groups, values, batch.group_err_bounds.tolist()):
+        for c, ds, norms, v, err in symbols.groups():
             yield from zip(
                 itertools.repeat(c), ds.tolist(), norms.tolist(),
                 v.real.tolist(), v.imag.tolist(), itertools.repeat(err),
@@ -191,19 +204,14 @@ def cmd_sums(args):
     weight = series.WeightSpec.parse(args.weight)
     U = float(args.smooth_U) if args.smooth_U is not None else None
     _require(U is None or 2 <= U < math.inf, "smooth-U must be >= 2 and finite")
-    crv, table, batch = _batch_for(args, max(grid) * (1 + 1 / U) if U else max(grid))
+    crv, table, symbols = _symbols_for(args, max(grid) * (1 + 1 / U) if U else max(grid))
     const = _theory_constant(weight, args.z, crv, table)
-    rows = []
-    for T in grid:
-        if U:
-            rep = series.smoothed_sum(batch, weight, T, U)
-        else:
-            rep = series.sharp_sum(batch, weight, T)
-        rows.append(
-            (T, rep.count, rep.value.real, rep.value.imag, rep.mode,
-             const.leading.real if const else math.nan,
-             const.leading.imag if const else math.nan)
-        )
+    rows = [
+        (T, rep.count, rep.value.real, rep.value.imag, rep.mode,
+         const.leading.real if const else math.nan,
+         const.leading.imag if const else math.nan)
+        for T, rep in zip(grid, series.grid_sums(symbols, weight, grid, U))
+    ]
     _emit_rows(
         args,
         ["T", "count", "re_value", "im_value", "mode", "theory_leading_re", "theory_leading_im"],
@@ -214,8 +222,9 @@ def cmd_sums(args):
 
 def cmd_moments(args):
     _require(args.nmax >= 0 and args.mmax >= 0, "nmax and mmax must be >= 0")
-    x, y = _normalized(args)
-    rep = stats.moments_from_arrays(x, y, int(args.nmax), int(args.mmax))
+    crv, table, symbols = _symbols_for(args, args.T)
+    rep = stats.symbol_moments(symbols, _norm_f_sq(crv, table), cosets.volume(crv.N),
+                               int(args.nmax), int(args.mmax))
     rows = [
         (n, m, rep.pairs[(n, m)], rep.gaussian_limit[(n, m)]) for (n, m) in sorted(rep.pairs)
     ]
@@ -229,9 +238,9 @@ def cmd_histogram(args):
         len(bounds) == 2 and all(map(math.isfinite, bounds)) and bounds[0] < bounds[1],
         "range must be two finite numbers 'lo,hi' with lo < hi",
     )
-    x, y = _normalized(args)
-    comp = x if args.component == "re" else y
-    rows = stats.histogram(comp, int(args.bins), bounds)
+    crv, table, symbols = _symbols_for(args, args.T)
+    rows = stats.symbol_histogram(symbols, _norm_f_sq(crv, table), cosets.volume(crv.N),
+                                  args.component, int(args.bins), bounds)
     _emit_rows(args, ["bin_lo", "bin_hi", "count", "expected"], rows)
     return 0
 
@@ -258,8 +267,8 @@ def cmd_eisenstein(args):
     _require(cmath.isfinite(s), "s must be finite")
     T_max = float(args.T_max)
     _require(1 <= T_max < math.inf, "T-max must be >= 1 and finite")
-    _, _, batch = _batch_for(args, T_max)
-    rep = series.eisenstein_twisted(batch, s, int(args.m), int(args.n), T_max)
+    _, _, symbols = _symbols_for(args, T_max)
+    rep = series.eisenstein_twisted(symbols, s, int(args.m), int(args.n), T_max)
     _emit(
         args,
         json.dumps(

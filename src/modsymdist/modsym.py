@@ -17,6 +17,13 @@ off the fold with baby-step/giant-step phases, O(c) work per symbol.
 Truncation after n_used terms is certified by the geometric tail bound
 tail_constant * sum_{n > n_used} e^{-2 pi n y} < tol (one factor per
 evaluation point, both at height 1/c, hence the factor 2 below).
+
+All symbols up to a norm bound come from one per-c producer,
+_symbol_groups, in ascending c.  symbols_up_to writes each c into its
+slice of a SymbolBatch; symbol_stream gives a SymbolStream, which forms
+the same symbols again on every read and holds none of them.  Both are
+symbol sources: the reductions in series and stats read either one in
+blocks of exactly _SUM_CHUNK positions, with the same bits.
 """
 
 import collections
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cosets import _group_sizes, _prime_factors, _unit_mask, coset_arrays
+from .cosets import _denominators, _group_sizes, _prime_factors, _unit_mask, coset_arrays
 from .series import _SUM_CHUNK
 
 
@@ -271,8 +278,29 @@ def oracle_pairing(table, m, split_height=1.0, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
+class _SymbolSource:
+    """What every reduction reads of a symbol source: T, z, norm_bound and blocks.
+
+    blocks(bounds=False) yields the symbols in runs of exactly _SUM_CHUNK
+    positions (the last run may be shorter), ordered by c then d as
+    coset_arrays yields them: per run (norms, values), and with bounds
+    each symbol's truncation bound too.  A reader does not write to them.
+    Every call yields the same values, so a reduction may read the source
+    again (series._block_sums does, for a non-finite sum).
+    """
+
+    def norm_bound(self, T=None):
+        """T (default self.T) as a float in [1, self.T]; the identity coset has norm 1."""
+        T = self.T if T is None else float(T)
+        if not T >= 1:  # NaN too
+            raise ValueError("T must be >= 1")
+        if T > self.T:
+            raise ValueError(f"batch only covers norms <= {self.T}")
+        return T
+
+
 @dataclass(frozen=True)
-class SymbolBatch:
+class SymbolBatch(_SymbolSource):
     """All non-identity cosets with N_z(gamma) <= T and their symbol values.
 
     norms and values hold one entry per symbol, ordered by c then d as
@@ -282,7 +310,8 @@ class SymbolBatch:
     What is constant over a c is held once per c group, in ascending c:
     group_cs, group_counts (the symbols of each c, never 0) and
     group_err_bounds (the truncation bound shared by its symbols).  The
-    property cs and per_symbol spell those out per symbol.
+    property cs and per_symbol spell those out per symbol.  As a symbol
+    source (_SymbolSource) its blocks are read-only views of the batch.
     """
 
     T: float
@@ -308,19 +337,19 @@ class SymbolBatch:
         reps = np.minimum(ends[first:last], stop) - np.maximum(starts[first:last], start)
         return np.repeat(per_group[first:last], reps)
 
+    def blocks(self, bounds=False):
+        for s in range(0, len(self.norms), _SUM_CHUNK):
+            block = [self.norms[s : s + _SUM_CHUNK], self.values[s : s + _SUM_CHUNK]]
+            for view in block:
+                view.flags.writeable = False
+            if bounds:
+                block.append(self.per_symbol(self.group_err_bounds, s, s + _SUM_CHUNK))
+            yield tuple(block)
+
     @property
     def count(self):
         """Enumeration count at T including the identity coset."""
         return len(self.norms) + 1
-
-    def norm_bound(self, T=None):
-        """T (default self.T) as a float in [1, self.T]; the identity coset has norm 1."""
-        T = self.T if T is None else float(T)
-        if not T >= 1:  # NaN too
-            raise ValueError("T must be >= 1")
-        if T > self.T:
-            raise ValueError(f"batch only covers norms <= {self.T}")
-        return T
 
     def restricted(self, T):
         """The batch restricted to norms <= T (identity still implied); c groups left empty go."""
@@ -334,6 +363,49 @@ class SymbolBatch:
             T, self.z, self.norms[m], self.values[m],
             self.group_cs[g], counts[g], self.group_err_bounds[g],
         )
+
+
+@dataclass(frozen=True)
+class SymbolStream(_SymbolSource):
+    """The symbols of symbols_up_to(table, N, T, z, tol, threads), formed anew on every read.
+
+    Nothing per symbol is held.  groups() forms each c's symbols as
+    coset_arrays yields the c, and blocks() copies the groups into the
+    runs of _SymbolSource, each run in new arrays, so a reduction over
+    the stream holds a few blocks whatever T is.  Every block holds the
+    bits of the batch's block at the same positions.  symbol_stream
+    builds one.
+    """
+
+    table: object
+    N: int
+    T: float
+    z: complex
+    tol: float
+    threads: int
+
+    def groups(self):
+        """(c, ds, norms, values, err) for each c, in ascending c (_symbol_groups)."""
+        return _symbol_groups(self.table, self.N, self.T, self.z, self.tol, self.threads)
+
+    def blocks(self, bounds=False):
+        dtypes = (np.float64, np.complex128, np.float64)[: 3 if bounds else 2]
+        k = 0  # positions of the current block filled so far
+        for _, _, norms, values, err in self.groups():
+            i = 0
+            while i < len(norms):  # a group may straddle blocks, or span several
+                if k == 0:
+                    block = [np.empty(_SUM_CHUNK, dtype=t) for t in dtypes]
+                n = min(len(norms) - i, _SUM_CHUNK - k)
+                for column, part in zip(block, (norms[i : i + n], values[i : i + n], err)):
+                    column[k : k + n] = part
+                i += n
+                k += n
+                if k == _SUM_CHUNK:
+                    yield tuple(block)
+                    k = 0
+        if k:
+            yield tuple(column[:k] for column in block)
 
 
 def _carmichael(factors):
@@ -420,17 +492,48 @@ def _symbols_for_c(table, c, ds, tol, out):
     return err
 
 
+def _symbol_groups(table, N, T, z, tol, threads, out=None):
+    """(c, ds, norms, values, err) for each group of coset_arrays(N, T, z), in ascending c.
+
+    values holds the symbols at the group's ds (_symbols_for_c) and err
+    their shared truncation bound.  out(i), if given, is the array group
+    i's values are written into; otherwise each group gets a new one.  At
+    threads > 1 this thread enumerates and the workers form the symbols,
+    at most 2 * threads groups ahead, so no more groups than that are
+    held; each group is yielded in turn, so the output is bit-identical
+    for any `threads`.
+    """
+
+    def form(i, c, ds, norms):
+        values = np.empty(len(ds), dtype=np.complex128) if out is None else out(i)
+        return c, ds, norms, values, _symbols_for_c(table, c, ds, tol, values)
+
+    enumerated = enumerate(coset_arrays(N, T, z))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # logging and all: only when asked
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = collections.deque()
+            for i, group in enumerated:
+                pending.append(pool.submit(form, i, *group))
+                if len(pending) > 2 * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+    else:
+        for i, group in enumerated:
+            yield form(i, *group)
+
+
 def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     """SymbolBatch of every coset with N_z(gamma) <= T (identity excluded).
 
     Work is partitioned by c.  One pass counts each c's cosets without
     building them (cosets._group_sizes); norms and values are allocated at
-    that size.  coset_arrays then yields each c's group, whose norms are
-    copied into its slice and whose symbols are filled there.  At threads
-    > 1 this thread enumerates and the workers form the symbols, at most
-    2 * threads groups ahead, so no more than that many ds are held.  Each
-    c writes only its own slice, so output is bit-identical for any
-    `threads`.
+    that size.  _symbol_groups then forms each c's group, whose norms are
+    copied into its slice and whose symbols are written straight into
+    theirs.  Each c writes only its own slice, so output is bit-identical
+    for any `threads`.
     """
     z = complex(z)
     groups = list(_group_sizes(N, T, z))
@@ -441,24 +544,25 @@ def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     values = np.empty(starts[-1], dtype=np.complex128)
     errs = np.empty(len(groups), dtype=np.float64)
 
-    def fill(i, c, ds):
-        errs[i] = _symbols_for_c(table, c, ds, tol, values[starts[i] : starts[i + 1]])
+    def slot(i):
+        return values[starts[i] : starts[i + 1]]
 
-    enumerated = enumerate(coset_arrays(N, T, z))
-    if threads > 1 and len(groups) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # logging and all: only when asked
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = collections.deque()
-            for i, (c, ds, group_norms) in enumerated:
-                norms[starts[i] : starts[i + 1]] = group_norms
-                pending.append(pool.submit(fill, i, c, ds))
-                if len(pending) > 2 * threads:
-                    pending.popleft().result()
-            for done in pending:
-                done.result()
-    else:
-        for i, (c, ds, group_norms) in enumerated:
-            norms[starts[i] : starts[i + 1]] = group_norms
-            fill(i, c, ds)
+    for i, (_, _, group_norms, _, err) in enumerate(_symbol_groups(table, N, T, z, tol, threads, slot)):
+        norms[starts[i] : starts[i + 1]] = group_norms
+        errs[i] = err
     return SymbolBatch(float(T), z, norms, values, group_cs, counts, errs)
+
+
+def symbol_stream(table, N, T, z=1j, tol=1e-10, threads=1):
+    """SymbolStream of every coset with N_z(gamma) <= T: symbols_up_to's symbols, no batch.
+
+    N, T and z are checked here, and so is the table: it must reach tol
+    at the largest c (the terms needed grow with c), so a short table
+    raises before anything is read, as symbols_up_to raises before it
+    returns.
+    """
+    z = complex(z)
+    c_max = max(_denominators(int(N), T, z), default=None)
+    if c_max is not None:
+        _terms_for_c(table, c_max, tol)
+    return SymbolStream(table, int(N), float(T), z, tol, threads)

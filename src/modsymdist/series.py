@@ -15,13 +15,16 @@ All reductions are exact sums rounded once (_ExactSum, a vectorized
 superaccumulator that returns math.fsum's result bit for bit), so results
 are bit-identical regardless of thread count or sample permutation.
 
-Block-size invariant: every reduction over symbol arrays runs over blocks
-of at most _SUM_CHUNK positions (_blocks, _block_sums).  The weight, the
-cutoff and every other temporary exist one block at a time, so memory
-beyond the batch itself is O(_SUM_CHUNK) whatever its length, and since
-the integer bins persist across blocks and are exact, the blocking never
-moves a bit of any result.  Sums over nested prefixes take a single pass:
-a snapshot of _block_sums reads the bins off at each cut, so samples sorted
+Block-size invariant: every reduction reads the symbols in blocks of
+_SUM_CHUNK positions from a symbol source (modsym: a SymbolBatch, or a
+SymbolStream that holds no symbols) and feeds exact sums (_block_sums).
+The weight, the cutoff and every other temporary exist one block at a
+time, so memory beyond the source is O(_SUM_CHUNK) whatever T is, and
+since the integer bins persist across blocks and are exact, the blocking
+never moves a bit of any result.  grid_sums covers a whole grid of T in
+one pass, with one set of accumulators per T; sharp_sum and smoothed_sum
+are its one-T calls.  Sums over nested prefixes take a single pass too: a
+snapshot of _block_sums reads the bins off at each cut, so samples sorted
 by norm shell give the sums at every norm bound at once.
 """
 
@@ -248,92 +251,106 @@ def _stream(blocks, j):
             yield from next(islice(parts, j, None))
 
 
-def _blocks(*arrays, mask=None):
-    """Per run of _SUM_CHUNK positions, a tuple of each array's entries there.
-
-    With a boolean mask, only the masked entries: the blocks then
-    concatenate to a[mask] for each array a, without building it.
-    """
+def _blocks(*arrays):
+    """Per run of _SUM_CHUNK positions, a tuple of each array's entries there."""
     for s in range(0, len(arrays[0]), _SUM_CHUNK):
-        if mask is None:
-            yield tuple(a[s : s + _SUM_CHUNK] for a in arrays)
-        else:
-            m = mask[s : s + _SUM_CHUNK]
-            yield tuple(a[s : s + _SUM_CHUNK][m] for a in arrays)
+        yield tuple(a[s : s + _SUM_CHUNK] for a in arrays)
 
 
-def _count_up_to(norms, T):
-    """#{norms <= T}, one block of _SUM_CHUNK norms at a time."""
-    return sum(int(np.count_nonzero(n <= T)) for n, in _blocks(norms))
+def _sum_reports(batch, weight, cuts, U=None):
+    """SumReport per (T, bound) in cuts, all from one pass over batch.blocks().
 
-
-def _sum_report(batch, weight, T, bound, mode, cutoff=None, identity_factor=1.0):
-    """SumReport of the weight over the symbols with norm <= bound plus the identity coset.
-
-    One pass: per block of _SUM_CHUNK positions, the mask norms <= bound,
-    then the streams Re and Im of the terms and the first-order bound
-    max(|v|,1)^(deg-1) * err on |d omega| from the per-symbol truncation
-    errors; at degree 0 there is no bound and the budget is 0.  A block's
-    copy of the values goes before the streams are read.  cutoff, if given,
-    maps a block of the masked norms to factors for its terms.  count is
-    every coset with N_z(gamma) <= T.
+    Each report sums the weight over the symbols with norm <= bound (times
+    phi_U(norm / T) if U is given) plus the identity coset (times
+    phi_U(1 / T)); its count is every coset with N_z(gamma) <= T.  Per
+    block and per cut: the mask norms <= bound, then the streams Re and Im
+    of the terms and the first-order bound max(|v|,1)^(deg-1) * err on
+    |d omega| from the per-symbol truncation errors; at degree 0 there is
+    no bound and the budget is 0.  Each cut has its own accumulators, and
+    its block temporaries are made only as its streams are read, after the
+    previous cut's; a block's copy of the values goes before its streams
+    are read.
     """
     deg = weight.total_degree
+    counts = []
+
+    def parts(block):
+        norms, values = block[:2]
+        for T, bound in cuts:
+            m = norms <= bound
+            v = values[m]
+            terms = weight.apply(v)
+            if U is not None:
+                terms = terms * smooth_cutoff(norms[m] / T, U)
+            if deg:
+                err = block[2][m]
+                err *= np.maximum(np.abs(v), 1.0) ** (deg - 1)
+            del v
+            yield terms.real
+            yield terms.imag
+            if deg:
+                yield err
 
     def blocks():
-        for s in range(0, len(batch.norms), _SUM_CHUNK):
-            norms = batch.norms[s : s + _SUM_CHUNK]
-            m = norms <= bound
-            v = batch.values[s : s + _SUM_CHUNK][m]
-            terms = weight.apply(v)
-            if cutoff is not None:
-                terms = terms * cutoff(norms[m])
-            parts = [terms.real, terms.imag]
-            if deg:
-                err = batch.per_symbol(batch.group_err_bounds, s, s + _SUM_CHUNK)[m]
-                err *= np.maximum(np.abs(v), 1.0) ** (deg - 1)
-                parts.append(err)
-            del v
-            yield parts
+        tally = [0] * len(cuts)
+        for block in batch.blocks(bounds=deg > 0):
+            for j, (T, _) in enumerate(cuts):
+                tally[j] += int(np.count_nonzero(block[0] <= T))
+            yield parts(block)
+        counts[:] = tally  # only a read to the end gets here, and each one counts the same
 
-    re, im, *err_sum = _block_sums(blocks, 3 if deg else 2)[-1]
-    value = complex(re, im) + weight.at_zero() * identity_factor
-    budget = float(deg * err_sum[0]) if deg else 0.0
-    return SumReport(
-        value=value,
-        count=_count_up_to(batch.norms, T) + 1,
-        mode=mode,
-        err_budget=budget,
-        err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
-    )
+    width = 3 if deg else 2
+    sums = _block_sums(blocks, width * len(cuts))[-1]
+    mode = "sharp" if U is None else f"smoothed(U={U:g})"
+    reports = []
+    for j, (T, _) in enumerate(cuts):
+        re, im, *err_sum = sums[width * j : width * (j + 1)]
+        value = complex(re, im) + weight.at_zero() * (1.0 if U is None else smooth_cutoff(1.0 / T, U))
+        budget = float(deg * err_sum[0]) if deg else 0.0
+        reports.append(SumReport(
+            value=value,
+            count=counts[j] + 1,
+            mode=mode,
+            err_budget=budget,
+            err_budget_exceeded=bool(budget > 1e-6 * abs(value)) if value != 0 else budget > 0,
+        ))
+    return reports
+
+
+def grid_sums(batch, weight, grid, U=None):
+    """[SumReport at each T of grid]: sharp_sum's, or smoothed_sum's at U, from one pass.
+
+    batch is any symbol source (a SymbolBatch or a SymbolStream), read
+    once whatever the grid's length, with one set of exact accumulators
+    per T; each report is bit-identical to a pass of its own.
+    """
+    if U is not None and not 2 <= U < math.inf:
+        raise ValueError("U must be >= 2 and finite")
+    cuts = [(T, T if U is None else T * (1 + 1.0 / U)) for T in map(batch.norm_bound, grid)]
+    for _, bound in cuts:
+        if bound > batch.T:
+            raise ValueError(f"batch covers norms <= {batch.T}, need {bound}")
+    return _sum_reports(batch, weight, cuts, U)
 
 
 def sharp_sum(batch, weight, T=None):
-    """Exact finite sum of the weight over cosets with N_z(gamma) <= T.
+    """Exact finite sum of the weight over cosets with N_z(gamma) <= T: grid_sums at one T.
 
     The identity coset contributes weight(0): 1 for kind 'one', 0 whenever a
     symbol factor is present.  A warning flag is set when the propagated
     truncation budget exceeds 1e-6 of the result.
     """
-    T = batch.norm_bound(T)
-    return _sum_report(batch, weight, T, T, "sharp")
+    return grid_sums(batch, weight, [T])[0]
 
 
 def smoothed_sum(batch, weight, T, U):
-    """Sum of omega_gamma * phi_U(N_z(gamma)/T) with the quintic cutoff.
+    """Sum of omega_gamma * phi_U(N_z(gamma)/T) with the quintic cutoff: grid_sums at one T.
 
     Requires the batch to cover norms up to T(1+1/U); for nonnegative
     weights the result sits between sharp(T(1-1/U)) and sharp(T(1+1/U)).
     phi is taken block by block with the weight.
     """
-    if not 2 <= U < math.inf:
-        raise ValueError("U must be >= 2 and finite")
-    T = batch.norm_bound(T)
-    if T * (1 + 1.0 / U) > batch.T:
-        raise ValueError(f"batch covers norms <= {batch.T}, need {T * (1 + 1/U)}")
-    return _sum_report(batch, weight, T, T * (1 + 1.0 / U), f"smoothed(U={U:g})",
-                       cutoff=lambda norms: smooth_cutoff(norms / T, U),
-                       identity_factor=smooth_cutoff(1.0 / T, U))
+    return grid_sums(batch, weight, [T], U)[0]
 
 
 @dataclass(frozen=True)
@@ -354,8 +371,8 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     only).  Negative m or n, non-finite s and Re(s) <= 1 (outside absolute
     convergence) are refused.  The tail estimate extrapolates the last
     decade's shell of |terms| geometrically and is reported separately,
-    never folded in.  The value and both shells come from one pass over
-    blocks of the terms.
+    never folded in.  The value, both shells and the count come from one
+    pass over the blocks of batch, any symbol source.
     """
     if m < 0 or n < 0:
         raise ValueError(f"exponents m={m}, n={n} must be >= 0")
@@ -364,16 +381,20 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         raise ValueError("s must be finite with Re(s) > 1 (absolute convergence region)")
     T_max = batch.norm_bound(T_max)
     y = batch.z.imag
+    count = []
 
     def blocks():
-        for v, norms in _blocks(batch.values, batch.norms):
+        tally = 0
+        for norms, v in batch.blocks():
             inside = norms <= T_max
+            tally += int(np.count_nonzero(inside))
             v, norms = v[inside], norms[inside]
             terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
             del v
             mags = np.abs(terms)
             yield (terms.real, terms.imag, mags[norms > T_max / 10],
                    mags[(norms > T_max / 100) & (norms <= T_max / 10)])
+        count[:] = [tally]  # only a read to the end gets here, and each one counts the same
 
     re, im, last, prev = _block_sums(blocks, 4)[-1]
     value = complex(re, im)
@@ -384,7 +405,7 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         tail = last * ratio / (1 - ratio)
     else:
         tail = last  # no decay observed; report the last shell mass itself
-    return EisensteinReport(value, tail, m, n, T_max, _count_up_to(batch.norms, T_max) + 1)
+    return EisensteinReport(value, tail, m, n, T_max, count[0] + 1)
 
 
 def _double_half_factorial(j):

@@ -15,14 +15,21 @@ Moment accumulation uses exact summation rounded once (series._ExactSum),
 so the reported values are permutation-invariant bit for bit.  Like the
 sums in series, every pass over the samples runs in blocks of
 series._SUM_CHUNK positions, which bounds its temporaries and moves no bit.
+symbol_moments and symbol_histogram normalize a symbol source (modsym)
+block by block on the way into the moments and the bin counts, so they
+hold no sample array; normalize_arrays, moments_from_arrays and histogram
+are the same passes over arrays.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import _SUM_CHUNK, _block_sums, _blocks, _double_half_factorial
+
+NO_SAMPLES = "no samples with N_z(gamma) > 1 at this T"
 
 
 @dataclass(frozen=True)
@@ -37,33 +44,40 @@ def tilde_factor(norm_f_sq, vol):
     return math.sqrt(vol / (8 * math.pi ** 2 * norm_f_sq))
 
 
-def normalize_arrays(values, norms, norm_f_sq, vol, out=None):
-    """Normalized symbols (x, y, dropped_count).
+def _normalized(blocks, norm_f_sq, vol):
+    """Per (norms, values) block: the normalized values of its samples with norm > 1.
 
-    Samples with norm <= 1 are dropped and counted; a non-finite normalized
-    value raises ValueError.  The kept samples' normalized complex values
-    are written to out[:kept], one block of _SUM_CHUNK positions at a time,
-    and x and y are the real and imaginary views of out[:kept].  out is a
-    new complex128 array by default; out=values normalizes the caller's
-    own array in place, which is safe because each block is a copy taken
-    before its write and the kept samples before a position never outnumber
-    it, so no write reaches a value not yet read.
+    Each block's kept samples are copied into a new complex array and
+    normalized there; a non-finite normalized value raises ValueError.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    norms = np.asarray(norms, dtype=np.float64)
-    keep = norms > 1.0
-    kept = int(keep.sum())
     scale = tilde_factor(norm_f_sq, vol)
-    out = np.empty(kept, dtype=np.complex128) if out is None else out
-    k = 0
-    for v, nrm in _blocks(values, norms, mask=keep):  # masked blocks are copies: work in place
+    for norms, values in blocks:
+        keep = norms > 1.0
+        v, nrm = values[keep], norms[keep]  # copies: work in place
         v *= scale
         v /= np.sqrt(np.log(nrm, out=nrm), out=nrm)
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite normalized sample")
+        yield v
+
+
+def normalize_arrays(values, norms, norm_f_sq, vol):
+    """Normalized symbols (x, y, dropped_count) as arrays.
+
+    Samples with norm <= 1 are dropped and counted; a non-finite normalized
+    value raises ValueError.  The kept samples are normalized one block of
+    _SUM_CHUNK positions at a time (_normalized) into one new complex
+    array, of which x and y are the real and imaginary views.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    norms = np.asarray(norms, dtype=np.float64)
+    kept = sum(int(np.count_nonzero(n > 1.0)) for n, in _blocks(norms))
+    out = np.empty(kept, dtype=np.complex128)
+    k = 0
+    for v in _normalized(_blocks(norms, values), norm_f_sq, vol):
         out[k : k + len(v)] = v
         k += len(v)
-    return out[:kept].real, out[:kept].imag, len(norms) - kept
+    return out.real, out.imag, len(norms) - kept
 
 
 def gaussian_moment(n, m):
@@ -90,11 +104,42 @@ def _power_chain(x, k):
         yield p
 
 
+def _moments(xy_blocks, n_max, m_max, empty):
+    """MomentReport of the (x, y) blocks xy_blocks() yields; ValueError(empty) if they hold no sample.
+
+    One pass: each block's power chains feed (n_max + 1)(m_max + 1)
+    running exact sums, one product x^i y^j at a time, in the order of the
+    keys; y's powers are held, x's made one at a time.  xy_blocks() is read
+    again only for a non-finite sum (series._block_sums).
+    """
+    keys = [(i, j) for i in range(n_max + 1) for j in range(m_max + 1)]
+    size = []
+
+    def products(xb, yb):
+        yp = [np.ones_like(yb), *_power_chain(yb, m_max)]
+        for xi in itertools.chain([np.ones_like(xb)], _power_chain(xb, n_max)):
+            for yj in yp:
+                yield xi * yj
+
+    def blocks():
+        n = 0
+        for xb, yb in xy_blocks():
+            n += len(xb)
+            yield products(xb, yb)
+        size[:] = [n]  # only a read to the end gets here, and each one counts the same
+
+    sums = _block_sums(blocks, len(keys))[-1]
+    if not size[0]:
+        raise ValueError(empty)
+    pairs = {key: s / size[0] for key, s in zip(keys, sums)}
+    limits = {key: gaussian_moment(*key) for key in pairs}
+    return MomentReport(pairs=pairs, gaussian_limit=limits)
+
+
 def moments_from_arrays(x, y, n_max, m_max):
     """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max.
 
-    One pass over blocks of _SUM_CHUNK samples: each block's power chains
-    feed (n_max + 1)(m_max + 1) running exact sums, one product at a time.
+    One pass over blocks of _SUM_CHUNK samples (_moments).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -102,18 +147,23 @@ def moments_from_arrays(x, y, n_max, m_max):
         raise ValueError("empty sample stream")
     if len(y) != len(x):
         raise ValueError("x and y must have the same length")
-    keys = [(i, j) for i in range(n_max + 1) for j in range(m_max + 1)]
+    return _moments(lambda: _blocks(x, y), n_max, m_max, "empty sample stream")
 
-    def blocks():
-        for xb, yb in _blocks(x, y):
-            xp = [np.ones_like(xb), *_power_chain(xb, n_max)]
-            yp = [np.ones_like(yb), *_power_chain(yb, m_max)]
-            yield (xp[i] * yp[j] for i, j in keys)
 
-    sums = _block_sums(blocks, len(keys))[-1]
-    pairs = {key: s / len(x) for key, s in zip(keys, sums)}
-    limits = {key: gaussian_moment(*key) for key in pairs}
-    return MomentReport(pairs=pairs, gaussian_limit=limits)
+def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
+    """moments_from_arrays of the normalized symbols of a symbol source, with no sample array.
+
+    symbols is a SymbolBatch or a SymbolStream: each of its blocks is
+    normalized (_normalized) and fed to the moments' exact sums, so the
+    result is bit-identical to normalize_arrays and moments_from_arrays
+    over the whole batch.  ValueError if no symbol has norm > 1.
+    """
+
+    def xy_blocks():
+        for v in _normalized(symbols.blocks(), norm_f_sq, vol):
+            yield v.real, v.imag
+
+    return _moments(xy_blocks, n_max, m_max, NO_SAMPLES)
 
 
 def normal_cdf(x):
@@ -148,21 +198,50 @@ def ks_distance(values):
     return float(max(np.max(above), np.max(below)))
 
 
-def histogram(values, bin_count, value_range):
-    """Per-bin (lo, hi, count, expected) against the standard Gaussian.
+def _histogram(blocks, bin_count, value_range):
+    """(rows, sample count) of histogram over the float64 arrays of blocks, summed block by block.
 
-    expected = sample_size * (Phi(hi) - Phi(lo)); expected masses over all
-    bins sum to sample_size * Phi-mass of the range.
+    np.histogram bins each value on its own, so the counts of the blocks
+    add up to those of their concatenation.
     """
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not hi > lo:
         raise ValueError("empty range")
-    v = np.asarray(values, dtype=np.float64)
-    counts, edges = np.histogram(v, bins=bin_count, range=(lo, hi))
-    out = []
+    counts = np.zeros(bin_count, dtype=np.int64)
+    n = 0
+    for v in blocks:
+        counts += np.histogram(v, bins=bin_count, range=(lo, hi))[0]
+        n += len(v)
+    edges = np.histogram(np.empty(0), bins=bin_count, range=(lo, hi))[1]
+    rows = []
     for k in range(bin_count):
-        expected = len(v) * (normal_cdf(edges[k + 1]) - normal_cdf(edges[k]))
-        out.append((float(edges[k]), float(edges[k + 1]), int(counts[k]), float(expected)))
-    return out
+        expected = n * (normal_cdf(edges[k + 1]) - normal_cdf(edges[k]))
+        rows.append((float(edges[k]), float(edges[k + 1]), int(counts[k]), float(expected)))
+    return rows, n
+
+
+def histogram(values, bin_count, value_range):
+    """Per-bin (lo, hi, count, expected) against the standard Gaussian.
+
+    expected = sample_size * (Phi(hi) - Phi(lo)); expected masses over all
+    bins sum to sample_size * Phi-mass of the range.  The values are
+    binned one block of _SUM_CHUNK at a time.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    return _histogram((b for b, in _blocks(v)), bin_count, value_range)[0]
+
+
+def symbol_histogram(symbols, norm_f_sq, vol, component, bin_count, value_range):
+    """histogram of the normalized symbols' component ("re" or "im") of a symbol source.
+
+    As symbol_moments: block by block, with no sample array, and
+    ValueError if no symbol has norm > 1.
+    """
+    part = {"re": np.real, "im": np.imag}[component]
+    parts = (part(v) for v in _normalized(symbols.blocks(), norm_f_sq, vol))
+    rows, size = _histogram(parts, bin_count, value_range)
+    if not size:
+        raise ValueError(NO_SAMPLES)
+    return rows

@@ -257,10 +257,7 @@ def crit_theorem_g_first(res, quick):
     batch = res.batch(10 ** 6)
     K = complex(res.h_at_i()) ** 2 / res.vol  # sign-free: the square
     w = series.WeightSpec("f_power", 2, 0)
-    devs = []
-    for T in grid:
-        S = series.sharp_sum(batch, w, T).value
-        devs.append(abs(S / T - K) / abs(K))
+    devs = [abs(rep.value / T - K) / abs(K) for T, rep in zip(grid, series.grid_sums(batch, w, grid))]
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
     ok = monotone and devs[-1] <= 0.25
     detail = (
@@ -277,10 +274,9 @@ def crit_abs2_slope(res, quick):
     batch = res.batch(grid[-1])
     w = series.WeightSpec("abs2m", 1)
     xs, ys = [], []
-    for T in grid:
-        S = series.sharp_sum(batch, w, T).value.real
+    for T, rep in zip(grid, series.grid_sums(batch, w, grid)):
         xs.append(math.log(T))
-        ys.append(S / T)
+        ys.append(rep.value.real / T)
     slope = float(np.polyfit(xs, ys, 1)[0])
     nfsq = res.rankin().value
     target = 16 * math.pi ** 2 * nfsq / res.vol ** 2
@@ -300,8 +296,8 @@ def crit_first_moment(res, quick):
     K_residue = h / res.vol    # first-moment residue (what the data approaches)
     w = series.WeightSpec("f_power", 1, 0)
     devs, devs_residue = [], []
-    for T in grid:
-        S = series.sharp_sum(batch, w, T).value
+    for T, rep in zip(grid, series.grid_sums(batch, w, grid)):
+        S = rep.value
         devs.append(abs(S / T - K_spec) / abs(K_spec))
         devs_residue.append(abs(S / T - K_residue) / abs(K_residue))
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
@@ -323,24 +319,37 @@ def _gaussian_free_moments(x, y, norms, decades):
     n + m <= 3 and n or m odd to M_{n,m}, both over all samples.  A
     sample's normalized value does not depend on T, so taking the samples
     decade shell by decade shell turns every T into a prefix, and every
-    moment is one running exact sum read at each shell's end.  The shells
-    are walked in blocks of at most _SUM_CHUNK positions, so only a block's
-    powers are ever held.  M_{n,m} sums x^n y^m from the chain
-    moments_from_arrays uses (which multiplies by an exact 1 when n or m is
-    0), and every sum is exact and rounded once, so each number is
+    moment is one running exact sum read at each shell's end.  Each shell
+    is walked in blocks of _SUM_CHUNK positions, whose shell index
+    (decades[k-1], decades[k]] -> k is taken there, so only a block's
+    index, mask and powers are ever held.  M_{n,m} sums x^n y^m from the
+    chain moments_from_arrays uses (which multiplies by an exact 1 when n
+    or m is 0), and every sum is exact and rounded once, so each number is
     bit-identical to moments_from_arrays on the samples with norm <= T.
     """
-    shell = np.searchsorted(decades, norms).astype(np.uint8)  # (decades[k-1], decades[k]] -> k
-    cuts = np.cumsum(np.bincount(shell, minlength=len(decades))).tolist()
+    tally = np.zeros(len(decades) + 1, dtype=np.int64)
+    for nb, in series._blocks(norms):
+        tally += np.bincount(np.searchsorted(decades, nb), minlength=len(decades) + 1)
+    if tally[-1]:
+        raise ValueError(f"a norm exceeds the last decade {decades[-1]}")
+    cuts = np.cumsum(tally[:-1]).tolist()
     if cuts[0] == 0:
         raise ValueError("empty sample stream")
 
+    def powers(xb, yb):  # the 11 streams of one block, each product made as it is read
+        x1, x2, x3, x4 = stats._power_chain(xb, 4)
+        y1, y2, y3, y4 = stats._power_chain(yb, 4)
+        yield from (x2, y2, x4, y4, x1, y1)
+        yield x1 * y1
+        yield x1 * y2
+        yield x2 * y1
+        yield from (x3, y3)
+
     def blocks():
         for k in range(len(cuts)):
-            for xb, yb in series._blocks(x, y, mask=shell == k):
-                x1, x2, x3, x4 = stats._power_chain(xb, 4)
-                y1, y2, y3, y4 = stats._power_chain(yb, 4)
-                yield x2, y2, x4, y4, x1, y1, x1 * y1, x1 * y2, x2 * y1, x3, y3
+            for xb, yb, nb in series._blocks(x, y, norms):
+                shell = np.searchsorted(decades, nb) == k
+                yield powers(xb[shell], yb[shell])
             yield None
 
     snaps = series._block_sums(blocks, 11)[:-1]  # one per decade; the last is every sample
@@ -460,11 +469,12 @@ def crit_sandwich(res, quick):
     batch = res.batch(int(T * 1.2))
     ok = True
     msgs = []
+    Us = (10, 100)
     for wtxt in ("one", "abs2:1"):
         w = series.WeightSpec.parse(wtxt)
-        for U in (10, 100):
-            lo = series.sharp_sum(batch, w, T * (1 - 1 / U)).value.real
-            hi = series.sharp_sum(batch, w, T * (1 + 1 / U)).value.real
+        edges = series.grid_sums(batch, w, [t for U in Us for t in (T * (1 - 1 / U), T * (1 + 1 / U))])
+        for U, lo_rep, hi_rep in zip(Us, edges[::2], edges[1::2]):
+            lo, hi = lo_rep.value.real, hi_rep.value.real
             mid = series.smoothed_sum(batch, w, T, U).value.real
             good = lo <= mid <= hi
             ok &= good
@@ -489,8 +499,7 @@ def _determinism_transcript(res, threads):
         rep = series.sharp_sum(batch, w)
         lines.append(f"{wtxt} {rep.count} {rep.value.real!r} {rep.value.imag!r}")
     nfsq = petersson.lattice_norm(res.lattice(), 1).value
-    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
-    rep = stats.moments_from_arrays(x, y, 4, 4)
+    rep = stats.symbol_moments(batch, nfsq, res.vol, 4, 4)
     for key in sorted(rep.pairs):
         lines.append(f"M{key[0]}{key[1]} {rep.pairs[key]!r}")
     return "\n".join(lines)

@@ -299,6 +299,18 @@ def test_criterion_08_refuses_a_dropped_sample(lattice11):
         verify.crit_gaussian_free(Res(), quick=True)
 
 
+def test_criterion_08_holds_its_sample_and_a_few_blocks(batch11_1e7, lattice11, traced_peak):
+    # beyond the shared batch, criterion 08 holds its normalized sample (16 bytes a
+    # symbol) and a few blocks: each shell index and mask exists one block at a time,
+    # and each block's products one at a time
+    res = verify.Resources(quick=False)
+    res._batches[res.top_T] = batch11_1e7
+    res._cache["lattice"] = lattice11
+    peak, (ok, detail, _) = traced_peak(lambda: verify.crit_gaussian_free(res, quick=False))
+    assert ok, detail
+    assert peak <= 16 * len(batch11_1e7.norms) + 8 * 16 * series._SUM_CHUNK, peak
+
+
 def test_gaussian_free_moments_on_decade_boundaries():
     # integer norms that hit every decade exactly: norm == T belongs to T's sample
     rng = np.random.default_rng(21)

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 import modsymdist
-from modsymdist import cosets, curve as curve_mod, modsym
-from modsymdist.cli import _batch_for, _check_shared, _csv_cell, _emit_rows, build_parser, main
+from modsymdist import cli, cosets, curve as curve_mod, modsym
+from modsymdist.cli import _check_shared, _symbols_for, _csv_cell, _emit_rows, build_parser, main
 from modsymdist.cosets import coset_arrays
 from modsymdist.curve import resolve_curve
 from modsymdist.series import _SUM_CHUNK
@@ -205,7 +205,7 @@ def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z)
     argv = [*_BATCH_COMMANDS[command], "--z", z]
     code, eta = run_cli(capsys, *argv)
     assert code == 0 and eta
-    # force _batch_for back onto point counting and Hecke expansion
+    # force _symbols_for back onto point counting and Hecke expansion
     monkeypatch.setattr(curve_mod, "eta_deep_table_level11",
                         lambda n_max: curve_mod.coefficient_table(curve_mod.PRESETS["11a"], n_max))
     assert run_cli(capsys, *argv) == (0, eta)
@@ -451,7 +451,8 @@ def _list_built_rows(argv):
         for c, ds, norms in coset_arrays(N, args.T, args.z):
             rows += [(c, d, nrm) for d, nrm in zip(ds.tolist(), norms.tolist())]
         return ["c", "d", "norm"], rows
-    crv, _, batch = _batch_for(args, args.T)
+    crv, table, _ = _symbols_for(args, args.T)
+    batch = modsym.symbols_up_to(table, crv.N, args.T, args.z, args.tol, args.threads)
     ds = [d for _, c_ds, _ in coset_arrays(crv.N, args.T, args.z) for d in c_ds.tolist()]
     rows = [(0, 1, 1.0, 0.0, 0.0, 0.0)]
     rows += [
@@ -487,25 +488,68 @@ def test_streamed_rows_match_the_list_built_output(capsys, argv, fmt):
     assert code == 0 and out == want
 
 
-# symbols with 1 < N_i(gamma) <= 1e7 at level 11
-SYMBOLS_11A_1E7 = 795910
+def test_symbols_enumerates_the_cosets_once(capsys, monkeypatch):
+    # each row's d comes from the enumeration its symbol is formed from, and no batch is built
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coset_arrays(*args)
+
+    monkeypatch.setattr(cosets, "coset_arrays", counted)
+    monkeypatch.setattr(modsym, "coset_arrays", counted)
+    monkeypatch.setattr(modsym, "symbols_up_to", lambda *a, **k: pytest.fail("built a batch"))
+    code, out = run_cli(capsys, "symbols", "--T", "1e4")
+    assert code == 0 and len(out.splitlines()) == 1 + cosets.coset_count(11, 10 ** 4) and len(calls) == 1
+
+
+def test_streaming_commands_keep_block_temporaries_on_the_heap(capsys, monkeypatch):
+    # every command that reads symbols first sets glibc's mmap and trim thresholds
+    calls = []
+
+    class Mallopt:  # takes argtypes and restype as a ctypes function does
+        def __call__(self, param, value):
+            calls.append((param, value))
+
+    class Libc:
+        mallopt = Mallopt()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    for command, argv in _BATCH_COMMANDS.items():
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)], command
+    calls.clear()
+    assert run_cli(capsys, "coeffs", "--n-max", "5")[0] == 0 and calls == []  # reads no symbols
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # not glibc: left alone
+    assert run_cli(capsys, *_BATCH_COMMANDS["sums"])[0] == 0 and calls == []
+
+
+# A stats command holds its table, a few blocks of the symbol stream and their
+# temporaries, whatever T is (one block of complex values is 16 * _SUM_CHUNK
+# bytes); at T = 1e7 a batch alone would hold 795,910 symbols at 24 bytes each.
+STATS_PEAK = 12 * 16 * _SUM_CHUNK
 
 
 def test_moments_holds_only_what_it_reads(capsys, traced_peak):
-    # the build holds the batch (24 bytes a symbol); the normalization writes into the
-    # values it reads, so it holds the values, the norms and the keep mask (25 bytes a
-    # symbol) and then the values alone, plus a few blocks; x and y are views
     peak, code = traced_peak(lambda: main(["moments", "--T", "1e7"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 26
-    assert peak <= 25 * SYMBOLS_11A_1E7 + 8 * 16 * _SUM_CHUNK, peak
+    assert peak <= STATS_PEAK, peak
 
 
 def test_histogram_holds_only_what_it_reads(capsys, traced_peak):
-    # the same normalization as moments; np.histogram then copies the strided
-    # component (8 bytes a symbol) beside the values, below the normalization's peak
     peak, code = traced_peak(lambda: main(["histogram", "--T", "1e7", "--component", "im"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 41
-    assert peak <= 25 * SYMBOLS_11A_1E7 + 8 * 16 * _SUM_CHUNK, peak
+    assert peak <= STATS_PEAK, peak
+
+
+@pytest.mark.parametrize("flags", [["--weight", "abs2:1"], ["--weight", "f:2,0", "--smooth-U", "10"]],
+                         ids=["sharp", "smoothed"])
+def test_sums_holds_only_what_it_reads(capsys, traced_peak, flags):
+    # the whole grid in one pass: one set of accumulators per T, no batch
+    peak, code = traced_peak(lambda: main(["sums", *flags, "--T-grid", "1e5,1e6,1e7"]))
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 4
+    assert peak <= STATS_PEAK, peak
 
 
 def test_python_m_runs_the_cli(capsys):

@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from modsymdist import series
+from modsymdist import modsym, series
 from modsymdist.cosets import volume
-from modsymdist.modsym import SymbolBatch, antiderivative, symbols_up_to
+from modsymdist.modsym import SymbolBatch, antiderivative, symbol_stream, symbols_up_to
 from modsymdist.series import (
     AsymptoticConstant,
     WeightSpec,
     _SUM_CHUNK,
     _block_sums,
     _blocks,
-    _sum_report,
+    _sum_reports,
     asymptotic_constants,
     eisenstein_twisted,
+    grid_sums,
     sharp_sum,
     smooth_cutoff,
     smoothed_sum,
@@ -549,7 +550,7 @@ def test_blocked_sums_match_full_arrays(n):
             assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(_sharp_reference(batch, w, T))
             # any norm bound: the terms above it are left out, the count still reads T
             mask = batch.norms <= 0.7 * T
-            rep = _sum_report(batch, w, T, 0.7 * T, "sharp")
+            (rep,) = _sum_reports(batch, w, [(T, 0.7 * T)])
             want = (_weighted_sum_reference(batch, w, mask), int((batch.norms <= T).sum()) + 1,
                     _error_budget_reference(batch, w, mask))
             assert _hexed((rep.value, rep.count, rep.err_budget)) == _hexed(want)
@@ -653,3 +654,135 @@ def test_blocked_sums_peak_memory(batch11_1e7, traced_peak):
     assert peak <= 7 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: eisenstein_twisted(batch11_1e7, 2.0, 1, 1))
     assert peak <= 7 * BLOCK_BYTES, peak
+
+
+# ---------------------------------------------------------------------------
+# One symbol source: the stream reads as the batch
+# ---------------------------------------------------------------------------
+
+
+def _stream_of(batch, monkeypatch):
+    """(SymbolStream whose c groups are the batch's, the list each read of it appends to)."""
+    reads = []
+
+    def groups(table, N, T, z, tol, threads):
+        reads.append(T)
+        ends = np.cumsum(batch.group_counts)
+        starts = ends - batch.group_counts
+        for c, a, b, err in zip(batch.group_cs.tolist(), starts.tolist(), ends.tolist(),
+                                batch.group_err_bounds.tolist()):
+            yield c, None, batch.norms[a:b], batch.values[a:b], err
+
+    monkeypatch.setattr(modsym, "_symbol_groups", groups)
+    return modsym.SymbolStream(None, 11, batch.T, batch.z, 1e-10, 1), reads
+
+
+def _block_bytes(source, bounds):
+    return [[a.tobytes() for a in block] for block in source.blocks(bounds)]
+
+
+def _reports(source, grid, U=None):
+    """Every field of grid_sums' reports over the source, in hex, for three weights."""
+    return [
+        [_hexed((r.value, r.count, r.mode, r.err_budget, r.err_budget_exceeded))
+         for r in grid_sums(source, WeightSpec.parse(wtxt), grid, U)]
+        for wtxt in ("one", "f:2,0", "abs2:1")
+    ]
+
+
+def _eisenstein_reports(source, T_maxes):
+    return [_hexed((r.value, r.tail_estimate, r.count))
+            for T in T_maxes for r in [eisenstein_twisted(source, 2.0, 1, 1, T),
+                                       eisenstein_twisted(source, 1.5 + 2j, 0, 0, T)]]
+
+
+def test_stream_blocks_and_sums_are_the_batch_ones(monkeypatch):
+    # c groups of 5 positions, of 2 blocks and 100 (it spans a whole block), of a
+    # block less 105, then of 7: blocks of the stream are exactly _SUM_CHUNK
+    # positions but the last, and hold the batch's bits
+    base = _synthetic_batch(4 * _SUM_CHUNK + 9, seed=3)
+    counts = np.array([5, 2 * _SUM_CHUNK + 100, _SUM_CHUNK - 105, 7, _SUM_CHUNK + 2])
+    batch = SymbolBatch(base.T, base.z, base.norms, base.values, 11 * np.arange(1, 6), counts,
+                        np.linspace(1e-12, 1e-11, 5))
+    stream, reads = _stream_of(batch, monkeypatch)
+    for bounds in (False, True):
+        blocks = _block_bytes(stream, bounds)
+        assert blocks == _block_bytes(batch, bounds)
+        assert [len(b[0]) for b in blocks] == [8 * _SUM_CHUNK] * 4 + [8 * 9]
+    # grid cuts that fall inside blocks, each T's report the one of its own pass
+    grid = [batch.T / 7, batch.T / 2, 0.95 * batch.T, batch.T]
+    want = [[_hexed((r.value, r.count, r.mode, r.err_budget, r.err_budget_exceeded))
+             for r in (sharp_sum(batch, WeightSpec.parse(wtxt), T) for T in grid)]
+            for wtxt in ("one", "f:2,0", "abs2:1")]
+    assert _reports(batch, grid) == _reports(stream, grid) == want
+    smooth = [T / 1.25 for T in grid]
+    want = [[_hexed((r.value, r.count, r.mode, r.err_budget, r.err_budget_exceeded))
+             for r in (smoothed_sum(batch, WeightSpec.parse(wtxt), T, 4) for T in smooth)]
+            for wtxt in ("one", "f:2,0", "abs2:1")]
+    assert _reports(batch, smooth, 4) == _reports(stream, smooth, 4) == want
+    assert _eisenstein_reports(stream, grid) == _eisenstein_reports(batch, grid)
+    # every value is finite, so each reduction read the stream once
+    assert len(reads) == 2 + 3 + 3 + 2 * len(grid)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_stream_sums_are_the_batch_sums(table11, threads):
+    # 79,591 symbols in two blocks, with a c group across the boundary between them
+    T = 10 ** 6
+    batch = symbols_up_to(table11, 11, T, z=1j, tol=1e-10, threads=threads)
+    stream = symbol_stream(table11, 11, T, z=1j, tol=1e-10, threads=threads)
+    ends = np.cumsum(batch.group_counts)
+    assert np.any((ends - batch.group_counts) // _SUM_CHUNK != (ends - 1) // _SUM_CHUNK)
+    assert _block_bytes(stream, True) == _block_bytes(batch, True)
+    grid = [2 * 10 ** 4, 3 * 10 ** 5, 8 * 10 ** 5, T]
+    assert _reports(stream, grid) == _reports(batch, grid)
+    assert _reports(stream, grid[:3], 4) == _reports(batch, grid[:3], 4)
+    assert _eisenstein_reports(stream, [3 * 10 ** 5, T]) == _eisenstein_reports(batch, [3 * 10 ** 5, T])
+
+
+def test_grid_sums_take_one_pass(monkeypatch):
+    # one _block_sums pass over the stream for the whole grid: one set of streams per T
+    batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=9)
+    stream, reads = _stream_of(batch, monkeypatch)
+    widths = []
+    block_sums = series._block_sums
+
+    def counted(blocks, k):
+        widths.append(k)
+        return block_sums(blocks, k)
+
+    monkeypatch.setattr(series, "_block_sums", counted)
+    grid = [batch.T / 3, batch.T / 2, batch.T]
+    grid_sums(stream, WeightSpec.parse("one"), grid)
+    grid_sums(stream, WeightSpec.parse("abs2:1"), grid[:2], 10)
+    assert widths == [2 * 3, 3 * 2] and len(reads) == 2
+
+
+@pytest.mark.parametrize("bad", [[math.inf], [math.nan], [math.inf, -math.inf], [1e308, 1e308, -1e308]])
+def test_stream_non_finite_sums_as_fsum(monkeypatch, bad):
+    # the offending values sit in the second block, above T / 2; every sum behaves as
+    # math.fsum, which reads the values again from a new pass over the stream
+    batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=5)
+    at = _SUM_CHUNK + 3
+    batch.values[at : at + len(bad)] = bad
+    stream, reads = _stream_of(batch, monkeypatch)
+    T = batch.T
+    with np.errstate(all="ignore"):
+        for w in (WeightSpec("f_power", 1, 0), WeightSpec("f_power", 2, 0)):
+
+            def sharp():
+                return [(r.value, r.count, r.err_budget) for r in grid_sums(stream, w, [T / 2, T])]
+
+            def smoothed():
+                return [(r.value, r.count, r.err_budget) for r in grid_sums(stream, w, [T / 2.5, T / 1.25], 4)]
+
+            assert _outcome(sharp) == _outcome(lambda: [_sharp_reference(batch, w, t) for t in (T / 2, T)])
+            assert _outcome(smoothed) == _outcome(
+                lambda: [_smoothed_reference(batch, w, t, 4) for t in (T / 2.5, T / 1.25)])
+
+        def eisenstein():
+            rep = eisenstein_twisted(stream, 2.0, 1, 0)
+            return rep.value, rep.tail_estimate, rep.count
+
+        assert _outcome(eisenstein) == _outcome(lambda: _eisenstein_reference(batch, 2 + 0j, 1, 0, T))
+    assert len(reads) > 5  # five reductions, and the non-finite sums read the stream again

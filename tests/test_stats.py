@@ -2,19 +2,24 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from modsymdist import series, stats
 from modsymdist.cosets import volume
+from modsymdist.modsym import SymbolBatch, symbol_stream, symbols_up_to
 from modsymdist.stats import (
+    NO_SAMPLES,
     gaussian_moment,
     histogram,
     ks_distance,
     moments_from_arrays,
     normal_cdf,
     normalize_arrays,
+    symbol_histogram,
+    symbol_moments,
 )
 
 VOL11 = 4 * math.pi
@@ -173,6 +178,23 @@ def _moments_reference(x, y, n_max, m_max):
     return {(i, j): math.fsum(xp[i] * yp[j]) / len(x) for i in range(n_max + 1) for j in range(m_max + 1)}
 
 
+def _histogram_reference(values, bin_count, value_range):
+    """histogram with one np.histogram over the whole array. Reference only."""
+    v = np.asarray(values, dtype=np.float64)
+    counts, edges = np.histogram(v, bins=bin_count, range=value_range)
+    return [
+        (float(edges[k]), float(edges[k + 1]), int(counts[k]),
+         float(len(v) * (normal_cdf(edges[k + 1]) - normal_cdf(edges[k]))))
+        for k in range(bin_count)
+    ]
+
+
+def _one_group(values, norms):
+    """The arrays as a SymbolBatch of one c group, so they can be read as a symbol source."""
+    return SymbolBatch(T=float(np.max(norms)), z=1j, norms=norms, values=values, group_cs=np.array([11]),
+                       group_counts=np.array([len(norms)]), group_err_bounds=np.array([0.0]))
+
+
 def _ks_reference(values):
     """ks_distance with one whole-array erf pass. Reference only."""
     v = np.sort(values)
@@ -195,44 +217,34 @@ def test_blocked_stats_match_full_arrays(n):
         assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
     x, y = got[:2]
     pairs = moments_from_arrays(x, y, 4, 4).pairs
-    assert {k: v.hex() for k, v in pairs.items()} == {
-        k: v.hex() for k, v in _moments_reference(x, y, 4, 4).items()
-    }
+    want = {k: v.hex() for k, v in _moments_reference(x, y, 4, 4).items()}
+    assert {k: v.hex() for k, v in pairs.items()} == want
     assert ks_distance(x).hex() == _ks_reference(x).hex()
+    # read as a symbol source, block by block with the drops inside the blocks
+    source = _one_group(values, norms)
+    assert {k: v.hex() for k, v in symbol_moments(source, 0.05, VOL11, 4, 4).pairs.items()} == want
+    for part, v in (("re", x), ("im", y)):
+        assert histogram(v, 40, (-4, 4)) == _histogram_reference(v, 40, (-4, 4))
+        assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == histogram(v, 40, (-4, 4))
     # every sample dropped: empty outputs, and no moments
     x, y, dropped = normalize_arrays(values, np.full(n, 0.75), 0.05, VOL11)
     assert (len(x), len(y), dropped) == (0, 0, n)
     with pytest.raises(ValueError):
         moments_from_arrays(x, y, 4, 4)
+    source = _one_group(values, np.full(n, 0.75))
+    with pytest.raises(ValueError, match=re.escape(NO_SAMPLES)):
+        symbol_moments(source, 0.05, VOL11, 4, 4)
+    with pytest.raises(ValueError, match=re.escape(NO_SAMPLES)):
+        symbol_histogram(source, 0.05, VOL11, "re", 40, (-4, 4))
 
 
 def test_normalize_non_finite_in_a_later_block():
     values = np.ones(CHUNK + 10, dtype=complex)
     values[CHUNK + 5] = complex(math.nan, 0)
-    for out in (None, values):  # in place too
-        with pytest.raises(ValueError, match="non-finite"):
-            normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11, out=out)
-
-
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5])
-def test_normalize_in_place_matches_a_new_output(n):
-    # drops mid-block and on both sides of each block boundary; out=values reads every
-    # block before any write reaches it, so both outputs hold the same bits
-    rng = np.random.default_rng(n)
-    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    norms = rng.uniform(2.0, 1e6, n)
-    for b in range(0, n + 2, CHUNK):
-        norms[max(0, b - 2) : b + 2] = 0.75
-    norms[CHUNK // 2 : CHUNK // 2 + 100] = 1.0
-    x, y, dropped = normalize_arrays(values, norms, 0.05, VOL11)
-    own = values.copy()
-    xi, yi, dropped_i = normalize_arrays(own, norms, 0.05, VOL11, out=own)
-    assert dropped_i == dropped == np.count_nonzero(norms <= 1)
-    assert np.shares_memory(xi, own) and np.shares_memory(yi, own)
-    for g, w in ((xi, x), (yi, y)):
-        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
-    # past the kept samples, out keeps what it held
-    assert own[len(x) :].tobytes() == values[len(x) :].tobytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11)
+    with pytest.raises(ValueError, match="non-finite"):
+        symbol_moments(_one_group(values, np.full(len(values), 10.0)), 0.05, VOL11, 2, 2)
 
 
 def test_moments_length_mismatch_rejected():
@@ -241,14 +253,30 @@ def test_moments_length_mismatch_rejected():
 
 
 def test_blocked_stats_peak_memory(batch11_1e7, traced_peak):
-    # beyond its output (16 bytes a kept sample) and the keep mask, the
-    # normalization holds a few blocks; in place it holds no output at all;
-    # the moments hold a block's powers only
+    # beyond its output (16 bytes a kept sample) the normalization holds a few
+    # blocks, and no full-length mask; the moments hold a block's powers only,
+    # and read from the batch itself they hold no sample array either
     b = batch11_1e7
     peak, (x, y, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
-    assert peak <= 16 * len(x) + len(b.norms) + 4 * BLOCK_BYTES, peak
-    own = b.values.copy()
-    peak, _ = traced_peak(lambda: normalize_arrays(own, b.norms, 0.05, VOL11, out=own))
-    assert peak <= len(b.norms) + 4 * BLOCK_BYTES, peak
+    assert peak <= 16 * len(x) + 4 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: moments_from_arrays(x, y, 4, 4))
     assert peak <= 12 * BLOCK_BYTES, peak
+    peak, _ = traced_peak(lambda: symbol_moments(b, 0.05, VOL11, 4, 4))
+    assert peak <= 12 * BLOCK_BYTES, peak
+    peak, _ = traced_peak(lambda: symbol_histogram(b, 0.05, VOL11, "im", 40, (-4, 4)))
+    assert peak <= 6 * BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_stream_moments_and_histogram_are_the_batch_ones(table11, threads):
+    # 79,591 symbols: two blocks, with a c group across the boundary between them
+    batch = symbols_up_to(table11, 11, 10 ** 6, z=1j, tol=1e-10, threads=threads)
+    stream = symbol_stream(table11, 11, 10 ** 6, z=1j, tol=1e-10, threads=threads)
+    ends = np.cumsum(batch.group_counts)
+    assert len(batch.norms) > CHUNK and np.any((ends - batch.group_counts) // CHUNK != (ends - 1) // CHUNK)
+    x, y, _ = normalize_arrays(batch.values, batch.norms, 0.05, VOL11)
+    want = {k: v.hex() for k, v in moments_from_arrays(x, y, 4, 4).pairs.items()}
+    for source in (batch, stream):
+        assert {k: v.hex() for k, v in symbol_moments(source, 0.05, VOL11, 4, 4).pairs.items()} == want
+        for part, v in (("re", x), ("im", y)):
+            assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == histogram(v, 40, (-4, 4))
