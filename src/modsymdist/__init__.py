@@ -41,10 +41,7 @@ from .series import (
 from .stats import (
     MomentReport,
     gaussian_moment,
-    histogram,
     ks_distance,
-    moments_from_arrays,
-    normalize_arrays,
     symbol_histogram,
     symbol_moments,
 )

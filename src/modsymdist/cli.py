@@ -187,7 +187,7 @@ def _theory_constant(weight, z, crv, table):
     if weight.kind in ("alphabeta", "abs2m") or (weight.kind == "f_power" and weight.m == weight.n):
         nfsq = _norm_f_sq(crv, table)
     if weight.kind == "f_power" and weight.m != weight.n:
-        hval = modsym.antiderivative(table, z, tol=1e-13)  # _batch_for sized the table for it
+        hval = modsym.antiderivative(table, z, tol=1e-13)  # _symbols_for sized the table for it
     try:
         return series.asymptotic_constants(
             weight, cosets.volume(crv.N), z.imag, norm_f_sq=nfsq, h_value=hval

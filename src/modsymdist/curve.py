@@ -8,7 +8,7 @@ whose coefficients are produced here by point counting over F_p plus the
 Hecke recursion, and whose complex period lattice Z*omega1 + Z*omega2 is
 computed by the arithmetic-geometric mean.  Level 11 has a second route:
 the newform of 11a is an eta product, and eta_deep_table_level11 expands it
-by FFT to the same a_n.  It serves every symbol batch that cli._batch_for
+by FFT to the same a_n.  It serves every symbol stream that cli._symbols_for
 builds on 11a's exact model and every table of `verify`; `coeffs`,
 `petersson` and every other curve count points.  The coefficients and the
 lattice feed everything downstream: the period lattice is the target of the

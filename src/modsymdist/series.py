@@ -251,12 +251,6 @@ def _stream(blocks, j):
             yield from next(islice(parts, j, None))
 
 
-def _blocks(*arrays):
-    """Per run of _SUM_CHUNK positions, a tuple of each array's entries there."""
-    for s in range(0, len(arrays[0]), _SUM_CHUNK):
-        yield tuple(a[s : s + _SUM_CHUNK] for a in arrays)
-
-
 def _sum_reports(batch, weight, cuts, U=None):
     """SumReport per (T, bound) in cuts, all from one pass over batch.blocks().
 
@@ -383,17 +377,22 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
     y = batch.z.imag
     count = []
 
+    def parts(norms, v):  # the four streams of one block, made as they are read
+        terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
+        del v
+        yield terms.real
+        yield terms.imag
+        mags = np.abs(terms)
+        del terms
+        yield mags[norms > T_max / 10]
+        yield mags[(norms > T_max / 100) & (norms <= T_max / 10)]
+
     def blocks():
         tally = 0
         for norms, v in batch.blocks():
             inside = norms <= T_max
             tally += int(np.count_nonzero(inside))
-            v, norms = v[inside], norms[inside]
-            terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
-            del v
-            mags = np.abs(terms)
-            yield (terms.real, terms.imag, mags[norms > T_max / 10],
-                   mags[(norms > T_max / 100) & (norms <= T_max / 10)])
+            yield parts(norms[inside], v[inside])
         count[:] = [tally]  # only a read to the end gets here, and each one counts the same
 
     re, im, last, prev = _block_sums(blocks, 4)[-1]

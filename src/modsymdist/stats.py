@@ -17,8 +17,8 @@ sums in series, every pass over the samples runs in blocks of
 series._SUM_CHUNK positions, which bounds its temporaries and moves no bit.
 symbol_moments and symbol_histogram normalize a symbol source (modsym)
 block by block on the way into the moments and the bin counts, so they
-hold no sample array; normalize_arrays, moments_from_arrays and histogram
-are the same passes over arrays.
+hold no sample array.  verify's criteria read the same blocks
+(_normalized, _moments) and ks_distance's walk (_ks_sorted).
 """
 
 import itertools
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import _SUM_CHUNK, _block_sums, _blocks, _double_half_factorial
+from .series import _SUM_CHUNK, _block_sums, _double_half_factorial
 
 NO_SAMPLES = "no samples with N_z(gamma) > 1 at this T"
 
@@ -56,28 +56,10 @@ def _normalized(blocks, norm_f_sq, vol):
         v, nrm = values[keep], norms[keep]  # copies: work in place
         v *= scale
         v /= np.sqrt(np.log(nrm, out=nrm), out=nrm)
+        del nrm
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite normalized sample")
         yield v
-
-
-def normalize_arrays(values, norms, norm_f_sq, vol):
-    """Normalized symbols (x, y, dropped_count) as arrays.
-
-    Samples with norm <= 1 are dropped and counted; a non-finite normalized
-    value raises ValueError.  The kept samples are normalized one block of
-    _SUM_CHUNK positions at a time (_normalized) into one new complex
-    array, of which x and y are the real and imaginary views.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    norms = np.asarray(norms, dtype=np.float64)
-    kept = sum(int(np.count_nonzero(n > 1.0)) for n, in _blocks(norms))
-    out = np.empty(kept, dtype=np.complex128)
-    k = 0
-    for v in _normalized(_blocks(norms, values), norm_f_sq, vol):
-        out[k : k + len(v)] = v
-        k += len(v)
-    return out.real, out.imag, len(norms) - kept
 
 
 def gaussian_moment(n, m):
@@ -92,10 +74,9 @@ def gaussian_moment(n, m):
 def _power_chain(x, k):
     """Yield x, x^2, ..., x^k, each power the previous one times x.
 
-    The moments are sums of x^n y^m over these powers, so every caller that
-    must agree with moments_from_arrays bit for bit takes its powers from
-    here: x^4 is ((x x) x) x, not (x^2)^2.  A generator, so a caller that
-    needs a few powers holds only those.
+    The moments are sums of x^n y^m over these powers (_moments), so x^4
+    is ((x x) x) x, not (x^2)^2.  A generator, so a caller that needs a
+    few powers holds only those.
     """
     p = x
     for n in range(k):
@@ -104,66 +85,61 @@ def _power_chain(x, k):
         yield p
 
 
-def _moments(xy_blocks, n_max, m_max, empty):
-    """MomentReport of the (x, y) blocks xy_blocks() yields; ValueError(empty) if they hold no sample.
+def _moments(xy_blocks, keys, empty):
+    """{(n, m): M_{n,m} for (n, m) in keys} at each snapshot of xy_blocks() and, last, over it all.
 
-    One pass: each block's power chains feed (n_max + 1)(m_max + 1)
-    running exact sums, one product x^i y^j at a time, in the order of the
-    keys; y's powers are held, x's made one at a time.  xy_blocks() is read
-    again only for a non-finite sum (series._block_sums).
+    xy_blocks() yields (x, y) blocks, or None for the moments of the
+    samples so far (a prefix snapshot, as in series._block_sums).  One
+    pass: each block's power chains feed one running exact sum per key,
+    one product x^n y^m at a time; y's powers are held and x's made one at
+    a time.  ValueError(empty) if a snapshot holds no sample.  xy_blocks()
+    is read again only for a non-finite sum.
     """
-    keys = [(i, j) for i in range(n_max + 1) for j in range(m_max + 1)]
-    size = []
+    keys = sorted(keys)
+    n_max = max((n for n, _ in keys), default=0)
+    m_max = max((m for _, m in keys), default=0)
+    sizes = []
 
     def products(xb, yb):
-        yp = [np.ones_like(yb), *_power_chain(yb, m_max)]
-        for xi in itertools.chain([np.ones_like(xb)], _power_chain(xb, n_max)):
-            for yj in yp:
-                yield xi * yj
+        yp = [1.0, *_power_chain(yb, m_max)]  # a zeroth power is 1.0, whose product moves no bit
+        for n, xn in enumerate(itertools.chain([1.0], _power_chain(xb, n_max))):
+            for m in (m for k, m in keys if k == n):
+                yield xn * yp[m] if n or m else np.ones_like(xb)
 
     def blocks():
-        n = 0
-        for xb, yb in xy_blocks():
-            n += len(xb)
-            yield products(xb, yb)
-        size[:] = [n]  # only a read to the end gets here, and each one counts the same
+        size, counts = 0, []
+        for xy in xy_blocks():
+            if xy is None:
+                counts.append(size)
+                yield None
+            else:
+                size += len(xy[0])
+                yield products(*xy)
+        sizes[:] = [*counts, size]  # only a full read gets here, and every read counts the same
 
-    sums = _block_sums(blocks, len(keys))[-1]
-    if not size[0]:
+    snaps = _block_sums(blocks, len(keys))
+    if not all(sizes):
         raise ValueError(empty)
-    pairs = {key: s / size[0] for key, s in zip(keys, sums)}
-    limits = {key: gaussian_moment(*key) for key in pairs}
-    return MomentReport(pairs=pairs, gaussian_limit=limits)
-
-
-def moments_from_arrays(x, y, n_max, m_max):
-    """Exact sample moments M_{n,m} for 0 <= n <= n_max, 0 <= m <= m_max.
-
-    One pass over blocks of _SUM_CHUNK samples (_moments).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) == 0:
-        raise ValueError("empty sample stream")
-    if len(y) != len(x):
-        raise ValueError("x and y must have the same length")
-    return _moments(lambda: _blocks(x, y), n_max, m_max, "empty sample stream")
+    return [{key: s / size for key, s in zip(keys, snap)} for snap, size in zip(snaps, sizes)]
 
 
 def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
-    """moments_from_arrays of the normalized symbols of a symbol source, with no sample array.
+    """MomentReport of M_{n,m}, n <= n_max, m <= m_max, over a symbol source's normalized symbols.
 
     symbols is a SymbolBatch or a SymbolStream: each of its blocks is
-    normalized (_normalized) and fed to the moments' exact sums, so the
-    result is bit-identical to normalize_arrays and moments_from_arrays
-    over the whole batch.  ValueError if no symbol has norm > 1.
+    normalized (_normalized) and fed to the moments' exact sums
+    (_moments), so no sample array is held and the result does not
+    depend on how the symbols are blocked or ordered.  ValueError if no
+    symbol has norm > 1.
     """
 
     def xy_blocks():
         for v in _normalized(symbols.blocks(), norm_f_sq, vol):
             yield v.real, v.imag
 
-    return _moments(xy_blocks, n_max, m_max, NO_SAMPLES)
+    keys = [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
+    pairs = _moments(xy_blocks, keys, NO_SAMPLES)[-1]
+    return MomentReport(pairs=pairs, gaussian_limit={key: gaussian_moment(*key) for key in pairs})
 
 
 def normal_cdf(x):
@@ -180,15 +156,19 @@ def _normal_cdf_values(v):
 
 
 def ks_distance(values):
-    """sup |F_empirical - Phi| against the standard normal CDF.
+    """sup |F_empirical - Phi| against the standard normal CDF, over a sorted copy of values."""
+    return _ks_sorted(np.sort(np.asarray(values, dtype=np.float64)))
 
-    The sorted sample is walked in blocks of _SUM_CHUNK values, so only one
-    block is ever turned into Python floats for math.erf.
+
+def _ks_sorted(v):
+    """ks_distance of the float64 array v, which is already ascending.
+
+    v is walked in blocks of _SUM_CHUNK values, so only one block is ever
+    turned into Python floats for math.erf.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    if len(v) == 0:
-        raise ValueError("empty sample")
     n = len(v)
+    if n == 0:
+        raise ValueError("empty sample")
     above, below = [], []
     for s in range(0, n, _SUM_CHUNK):
         cdf = _normal_cdf_values(v[s : s + _SUM_CHUNK])
@@ -199,10 +179,11 @@ def ks_distance(values):
 
 
 def _histogram(blocks, bin_count, value_range):
-    """(rows, sample count) of histogram over the float64 arrays of blocks, summed block by block.
+    """(rows, sample count) of the float64 arrays of blocks, binned block by block.
 
-    np.histogram bins each value on its own, so the counts of the blocks
-    add up to those of their concatenation.
+    A row is (lo, hi, count, expected) per bin, expected = sample count *
+    (Phi(hi) - Phi(lo)).  np.histogram bins each value on its own, so the
+    counts of the blocks add up to those of their concatenation.
     """
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
@@ -222,19 +203,8 @@ def _histogram(blocks, bin_count, value_range):
     return rows, n
 
 
-def histogram(values, bin_count, value_range):
-    """Per-bin (lo, hi, count, expected) against the standard Gaussian.
-
-    expected = sample_size * (Phi(hi) - Phi(lo)); expected masses over all
-    bins sum to sample_size * Phi-mass of the range.  The values are
-    binned one block of _SUM_CHUNK at a time.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    return _histogram((b for b, in _blocks(v)), bin_count, value_range)[0]
-
-
 def symbol_histogram(symbols, norm_f_sq, vol, component, bin_count, value_range):
-    """histogram of the normalized symbols' component ("re" or "im") of a symbol source.
+    """_histogram's rows of the normalized symbols' component ("re" or "im") of a symbol source.
 
     As symbol_moments: block by block, with no sample array, and
     ValueError if no symbol has norm > 1.

@@ -310,68 +310,51 @@ def crit_first_moment(res, quick):
     return ok, detail, None
 
 
-def _gaussian_free_moments(x, y, norms, decades):
-    """Criterion 08's numbers from one normalized sample: (kx_list, ky_list, corr, odd).
+def _gaussian_free_moments(batch, norm_f_sq, vol, decades):
+    """Criterion 08's numbers from a symbol source: (kx_list, ky_list, corr, odd).
 
-    kx_list and ky_list hold M40/M20^2 and M04/M02^2 over the samples with
+    kx_list and ky_list hold M40/M20^2 and M04/M02^2 over the symbols with
     norm <= T for each T in decades (ascending, the last covering every
     norm); corr is |M11|/sqrt(M20 M02) and odd maps each (n, m) with
-    n + m <= 3 and n or m odd to M_{n,m}, both over all samples.  A
-    sample's normalized value does not depend on T, so taking the samples
-    decade shell by decade shell turns every T into a prefix, and every
-    moment is one running exact sum read at each shell's end.  Each shell
-    is walked in blocks of _SUM_CHUNK positions, whose shell index
-    (decades[k-1], decades[k]] -> k is taken there, so only a block's
-    index, mask and powers are ever held.  M_{n,m} sums x^n y^m from the
-    chain moments_from_arrays uses (which multiplies by an exact 1 when n
-    or m is 0), and every sum is exact and rounded once, so each number is
-    bit-identical to moments_from_arrays on the samples with norm <= T.
+    n + m <= 3 and n or m odd to M_{n,m}, both over every symbol.  Taking the symbols
+    decade shell by decade shell turns every T into a prefix: each shell
+    is one pass over the blocks, whose symbols in the shell are normalized
+    there and fed to stats._moments, which reads the moments at each
+    shell's end.  So each number is bit-identical to symbol_moments over
+    the symbols with norm <= T.  A norm <= 1 (none at z = i) or above the
+    last decade raises ValueError.
     """
-    tally = np.zeros(len(decades) + 1, dtype=np.int64)
-    for nb, in series._blocks(norms):
-        tally += np.bincount(np.searchsorted(decades, nb), minlength=len(decades) + 1)
-    if tally[-1]:
-        raise ValueError(f"a norm exceeds the last decade {decades[-1]}")
-    cuts = np.cumsum(tally[:-1]).tolist()
-    if cuts[0] == 0:
-        raise ValueError("empty sample stream")
+    edges = [1.0, *decades]
 
-    def powers(xb, yb):  # the 11 streams of one block, each product made as it is read
-        x1, x2, x3, x4 = stats._power_chain(xb, 4)
-        y1, y2, y3, y4 = stats._power_chain(yb, 4)
-        yield from (x2, y2, x4, y4, x1, y1)
-        yield x1 * y1
-        yield x1 * y2
-        yield x2 * y1
-        yield from (x3, y3)
+    def shell(k):  # the (norms, values) of decade shell k, one block at a time
+        for norms, values in batch.blocks():
+            if not np.all((norms > 1.0) & (norms <= decades[-1])):
+                raise ValueError(f"a symbol with norm <= 1 or above the last decade {decades[-1]}")
+            inside = (norms > edges[k]) & (norms <= edges[k + 1])
+            yield norms[inside], values[inside]
 
-    def blocks():
-        for k in range(len(cuts)):
-            for xb, yb, nb in series._blocks(x, y, norms):
-                shell = np.searchsorted(decades, nb) == k
-                yield powers(xb[shell], yb[shell])
+    def xy_blocks():
+        for k in range(len(decades)):
+            for v in stats._normalized(shell(k), norm_f_sq, vol):
+                yield v.real, v.imag
             yield None
 
-    snaps = series._block_sums(blocks, 11)[:-1]  # one per decade; the last is every sample
-    m20, m02, m40, m04 = ([snap[i] / n for snap, n in zip(snaps, cuts)] for i in range(4))
-    odd = dict(zip([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 0), (0, 3)],
-                   (s / cuts[-1] for s in snaps[-1][4:])))
-    kx_list = [a / b ** 2 for a, b in zip(m40, m20)]
-    ky_list = [a / b ** 2 for a, b in zip(m04, m02)]
-    corr = abs(odd[(1, 1)]) / math.sqrt(m20[-1] * m02[-1])
-    return kx_list, ky_list, corr, odd
+    odd = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 0), (0, 3)]
+    snaps = stats._moments(xy_blocks, [(2, 0), (0, 2), (4, 0), (0, 4), *odd], "empty sample stream")
+    snaps.pop()  # every symbol: the last decade's snapshot again
+    kx_list = [M[(4, 0)] / M[(2, 0)] ** 2 for M in snaps]
+    ky_list = [M[(0, 4)] / M[(0, 2)] ** 2 for M in snaps]
+    M = snaps[-1]
+    corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
+    return kx_list, ky_list, corr, {key: M[key] for key in odd}
 
 
 def crit_gaussian_free(res, quick):
     T_top = 10 ** 6 if quick else 10 ** 7
     decades = [10 ** 4, 10 ** 5, 10 ** 6] if quick else [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7]
     band = (2.3, 3.7) if quick else (2.4, 3.6)
-    batch = res.batch(T_top)
     nfsq = petersson.lattice_norm(res.lattice(), 1).value  # any positive scale: ratios are free of it
-    x, y, dropped = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
-    if dropped:  # at z = i every norm is at least N^2, so x and y line up with the norms
-        raise ValueError(f"{dropped} samples with norm <= 1 at z = i")
-    kx_list, ky_list, corr, odd = _gaussian_free_moments(x, y, batch.norms, decades)
+    kx_list, ky_list, corr, odd = _gaussian_free_moments(res.batch(T_top), nfsq, res.vol, decades)
     odd_max = max(abs(v) for v in odd.values())
     kx, ky = kx_list[-1], ky_list[-1]
     trend = abs(kx - 3) < abs(kx_list[0] - 3) and abs(ky - 3) < abs(ky_list[0] - 3)
@@ -396,15 +379,19 @@ def crit_gaussian_normalized(res, quick):
     ks_tol = 0.09 if quick else 0.08
     batch = res.batch(T_top)
     nfsq = res.rankin().value
-    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
+    x = np.empty(sum(int(np.count_nonzero(norms > 1.0)) for norms, _ in batch.blocks()))
 
-    def squares():  # M20 and M02 one block at a time
-        for xb, yb in series._blocks(x, y):
-            yield xb * xb, yb * yb
+    def xy_blocks():  # M20 and M02 from the normalized blocks, gathering x alone for the KS sort
+        k = 0
+        for v in stats._normalized(batch.blocks(), nfsq, res.vol):
+            x[k : k + len(v)] = v.real
+            k += len(v)
+            yield v.real, v.imag
 
-    s20, s02 = series._block_sums(squares, 2)[-1]
-    m20, m02 = s20 / len(x), s02 / len(y)
-    ks = stats.ks_distance(x)
+    M = stats._moments(xy_blocks, [(2, 0), (0, 2)], stats.NO_SAMPLES)[-1]
+    m20, m02 = M[(2, 0)], M[(0, 2)]
+    x.sort()
+    ks = stats._ks_sorted(x)
     ok = band[0] <= m20 <= band[1] and band[0] <= m02 <= band[1] and ks <= ks_tol
     detail = (
         f"M20={m20:.4f}, M02={m02:.4f} in [{band[0]},{band[1]}] at T={T_top:.0e} "
@@ -433,6 +420,24 @@ def _three_digit_stable(a, b):
     return abs(a - b) <= EISENSTEIN_STABLE_TOL * max(abs(a), abs(b))
 
 
+def _decay_maxima(batch):
+    """Criterion 11's (shells, eichler) from one pass over the blocks of batch.
+
+    shells[k - 2] is max |v| / norm^0.1 over the shell (10^k, 10^(k+1)],
+    k = 2..5, and eichler max |v| / log(norm): maxima, so any blocking gives
+    the whole arrays' bits.
+    """
+    shells, eichler = [-math.inf] * 4, -math.inf
+    for norms, values in batch.blocks():
+        mags = np.abs(values)
+        for k in range(4):
+            inside = (norms > 10 ** (k + 2)) & (norms <= 10 ** (k + 3))
+            shell_max = np.max(mags[inside] / norms[inside] ** 0.1, initial=-math.inf)
+            shells[k] = max(shells[k], float(shell_max))
+        eichler = max(eichler, float(np.max(mags / np.log(norms))))
+    return shells, eichler
+
+
 def crit_convergence_decay(res, quick):
     batch = res.batch(10 ** 6)
     # (a) E^{m,n}(i,2) partial-sum stability between T=1e5 and 4e5
@@ -445,14 +450,9 @@ def crit_convergence_decay(res, quick):
         stab_ok &= good
         stab_msgs.append(f"E^{m},{n}: {abs(e1):.4e}->{abs(e4):.4e} {'ok' if good else 'UNSTABLE'}")
     # (b) shell maxima of |v| / norm^0.1 strictly decreasing over decade shells
-    shells = []
-    for k in range(2, 6):
-        msk = (batch.norms > 10 ** k) & (batch.norms <= 10 ** (k + 1))
-        shells.append(float(np.max(np.abs(batch.values[msk]) / batch.norms[msk] ** 0.1)))
+    shells, eichler = _decay_maxima(batch)
     decay_ok = all(shells[i] > shells[i + 1] for i in range(len(shells) - 1))
     # (c) Eichler ratio bounded by the recorded constant
-    ratios = np.abs(batch.values) / np.log(batch.norms)
-    eichler = float(np.max(ratios))
     eichler_ok = eichler <= EICHLER_RECORDED_BOUND
     ok = stab_ok and decay_ok and eichler_ok
     detail = (

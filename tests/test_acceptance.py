@@ -237,22 +237,14 @@ def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5)
         assert petersson.rankin_estimate(eta, 11, X) == petersson.rankin_estimate(table11, 11, X)
 
 
-def _moment_arrays(res, batch, T, nfsq):
-    b = batch.restricted(T)
-    x, y, _ = stats.normalize_arrays(b.values, b.norms, nfsq, res.vol)
-    return x, y
-
-
 def _moment_loop_reference(res, batch, decades, nfsq):
     """Criterion 08's moments as they were taken before the prefix pass: all 25 per decade."""
     kx_list, ky_list = [], []
     for T in decades:
-        x, y = _moment_arrays(res, batch, T, nfsq)
-        M = stats.moments_from_arrays(x, y, 4, 4).pairs
+        M = stats.symbol_moments(batch.restricted(T), nfsq, res.vol, 4, 4).pairs
         kx_list.append(M[(4, 0)] / M[(2, 0)] ** 2)
         ky_list.append(M[(0, 4)] / M[(0, 2)] ** 2)
-    x, y = _moment_arrays(res, batch, decades[-1], nfsq)
-    M = stats.moments_from_arrays(x, y, 4, 4).pairs
+    M = stats.symbol_moments(batch.restricted(decades[-1]), nfsq, res.vol, 4, 4).pairs
     corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
     odd = {
         (n, m): M[(n, m)]
@@ -268,6 +260,12 @@ def _hexed(kx_list, ky_list, corr, odd):
             {key: v.hex() for key, v in odd.items()})
 
 
+def _one_group(values, norms):
+    """The arrays as a SymbolBatch of one c group (any order of symbols reads the same)."""
+    return modsym.SymbolBatch(float(np.max(norms)), 1j, norms, values, np.array([11]),
+                              np.array([len(norms)]), np.array([0.0]))
+
+
 def test_gaussian_free_moments_match_the_per_decade_loop():
     # quick scale: decades 1e4..1e6 from one normalization at 1e6
     res = verify.Resources(quick=True)
@@ -275,16 +273,15 @@ def test_gaussian_free_moments_match_the_per_decade_loop():
     batch = res.batch(decades[-1])
     nfsq = petersson.lattice_norm(res.lattice(), 1).value
     want = _hexed(*_moment_loop_reference(res, batch, decades, nfsq))
-    x, y, _ = stats.normalize_arrays(batch.values, batch.norms, nfsq, res.vol)
-    norms = batch.norms[batch.norms > 1]
-    assert _hexed(*verify._gaussian_free_moments(x, y, norms, decades)) == want
-    perm = np.random.default_rng(8).permutation(len(x))
-    assert _hexed(*verify._gaussian_free_moments(x[perm], y[perm], norms[perm], decades)) == want
+    assert _hexed(*verify._gaussian_free_moments(batch, nfsq, res.vol, decades)) == want
+    perm = np.random.default_rng(8).permutation(len(batch.norms))
+    permuted = _one_group(batch.values[perm], batch.norms[perm])
+    assert _hexed(*verify._gaussian_free_moments(permuted, nfsq, res.vol, decades)) == want
 
 
 def test_criterion_08_refuses_a_dropped_sample(lattice11):
-    # criterion 08 reads the batch's norms beside x and y, so a dropped sample
-    # (norm <= 1, never seen at z = i) would misalign them: it raises instead
+    # criterion 08 reads symbols at z = i, where no norm is <= 1; a batch with
+    # such a sample, which the normalization would drop, is not one it reads
     class Res:
         vol = cosets.volume(11)
 
@@ -299,16 +296,31 @@ def test_criterion_08_refuses_a_dropped_sample(lattice11):
         verify.crit_gaussian_free(Res(), quick=True)
 
 
-def test_criterion_08_holds_its_sample_and_a_few_blocks(batch11_1e7, lattice11, traced_peak):
-    # beyond the shared batch, criterion 08 holds its normalized sample (16 bytes a
-    # symbol) and a few blocks: each shell index and mask exists one block at a time,
-    # and each block's products one at a time
+BLOCK_BYTES = 16 * series._SUM_CHUNK  # one block of complex values
+
+
+def test_criterion_08_holds_a_few_blocks(batch11_1e7, lattice11, traced_peak):
+    # beyond the shared batch, criterion 08 holds a few blocks whatever the symbol
+    # count: each shell index, mask and normalized shell exists one block at a time,
+    # and each block's powers one at a time
     res = verify.Resources(quick=False)
     res._batches[res.top_T] = batch11_1e7
     res._cache["lattice"] = lattice11
     peak, (ok, detail, _) = traced_peak(lambda: verify.crit_gaussian_free(res, quick=False))
     assert ok, detail
-    assert peak <= 16 * len(batch11_1e7.norms) + 8 * 16 * series._SUM_CHUNK, peak
+    assert peak <= 8 * BLOCK_BYTES, peak
+
+
+def test_criterion_09_holds_its_x_and_a_few_blocks(batch11_1e7, table11, traced_peak):
+    # beyond the shared batch, criterion 09 holds the real parts it sorts for the KS
+    # distance (8 bytes a symbol) and a few blocks: M20 and M02 come from the same
+    # normalized blocks, and no complex sample or sorted copy is made
+    res = verify.Resources(quick=False)
+    res._batches[res.top_T] = batch11_1e7
+    res._cache[("rankin", 20000)] = petersson.rankin_estimate(table11, 11, 20000)
+    peak, (ok, detail, _) = traced_peak(lambda: verify.crit_gaussian_normalized(res, quick=False))
+    assert ok, detail
+    assert peak <= 8 * len(batch11_1e7.norms) + 6 * BLOCK_BYTES, peak
 
 
 def test_gaussian_free_moments_on_decade_boundaries():
@@ -317,14 +329,18 @@ def test_gaussian_free_moments_on_decade_boundaries():
     decades = [10, 100, 1000]
     norms = np.concatenate([rng.integers(2, 1001, 3000), [10, 100, 1000] * 5]).astype(float)
     x, y = rng.standard_normal((2, len(norms)))
-    kx_list, ky_list, corr, odd = verify._gaussian_free_moments(x, y, norms, decades)
+    values = x + 1j * y
+    vol = cosets.volume(11)
+    source = _one_group(values, norms)
+    kx_list, ky_list, corr, odd = verify._gaussian_free_moments(source, 0.05, vol, decades)
     for T, kx, ky in zip(decades, kx_list, ky_list):
-        M = stats.moments_from_arrays(x[norms <= T], y[norms <= T], 4, 4).pairs
+        inside = norms <= T
+        M = stats.symbol_moments(_one_group(values[inside], norms[inside]), 0.05, vol, 4, 4).pairs
         assert (kx, ky) == (M[(4, 0)] / M[(2, 0)] ** 2, M[(0, 4)] / M[(0, 2)] ** 2), T
     assert corr == abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
     assert odd == {(n, m): M[(n, m)] for n, m in M if n + m <= 3 and (n % 2 or m % 2)}
     with pytest.raises(ValueError):
-        verify._gaussian_free_moments(x, y, norms, [1, 10, 1000])
+        verify._gaussian_free_moments(source, 0.05, vol, [1, 10, 1000])
 
 
 def test_deep_table_size_covers_drawn_pairs():
@@ -436,6 +452,10 @@ def test_criterion_11_convergence_and_decay(acceptance, table11):
         msk = (batch.norms > 10 ** k) & (batch.norms <= 10 ** (k + 1))
         shells.append(float(np.max(np.abs(batch.values[msk]) / batch.norms[msk] ** 0.1)))
     eichler = float(np.max(np.abs(batch.values) / np.log(batch.norms)))
+    # criterion 11 takes the same maxima block by block (two blocks here): the same bits
+    got_shells, got_eichler = verify._decay_maxima(batch)
+    assert len(batch.norms) > series._SUM_CHUNK and got_eichler.hex() == eichler.hex()
+    assert [s.hex() for s in got_shells] == [s.hex() for s in shells]
     print(
         f"(b) shell maxima |v|/norm^0.1 over decades 1e2..1e6 (not asserted): "
         f"{[f'{s:.3f}' for s in shells]}; (c) max |v|/log(norm) = {eichler:.3f}",

@@ -1,7 +1,7 @@
 """CLI surface: formats, flags, validation, determinism.
 
 Also checks that the README's library quickstart names only API that exists
-and that its command lines parse.
+and runs as written, and that its command lines parse.
 """
 
 import argparse
@@ -588,10 +588,15 @@ def test_tabular_output_pinned(tmp_path, capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def _quickstart():
+    """The python block of the README's library quickstart."""
+    text = README.read_text()
+    return text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 def test_readme_quickstart_names_resolve():
     # every M.<name> in the README's library quickstart must exist; nothing is run
-    text = README.read_text()
-    block = text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    block = _quickstart()
     assert "import modsymdist as M" in block
     names = sorted(set(re.findall(r"\bM\.([A-Za-z_][\w.]*\w)", block)))
     assert len(names) >= 5
@@ -600,6 +605,14 @@ def test_readme_quickstart_names_resolve():
         for part in name.split("."):
             assert hasattr(obj, part), f"README quickstart names M.{name}, which does not exist"
             obj = getattr(obj, part)
+
+
+def test_readme_quickstart_runs(capsys):
+    # the block as written, in a fresh namespace; its two prints are the batch's
+    # and the stream's M40, which it says are the same bits
+    exec(compile(_quickstart(), str(README), "exec"), {"__name__": "__quickstart__"})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2 and printed[0] == printed[1], printed
 
 
 def test_readme_commands_parse():

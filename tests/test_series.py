@@ -13,7 +13,6 @@ from modsymdist.series import (
     WeightSpec,
     _SUM_CHUNK,
     _block_sums,
-    _blocks,
     _sum_reports,
     asymptotic_constants,
     eisenstein_twisted,
@@ -24,6 +23,12 @@ from modsymdist.series import (
 )
 
 VOL11 = 4 * math.pi
+
+
+def _blocks(*arrays):
+    """Per run of _SUM_CHUNK positions, a tuple of each array's entries there."""
+    for s in range(0, len(arrays[0]), _SUM_CHUNK):
+        yield tuple(a[s : s + _SUM_CHUNK] for a in arrays)
 
 
 def _exact_prefix_sums(values, cuts):
@@ -654,6 +659,16 @@ def test_blocked_sums_peak_memory(batch11_1e7, traced_peak):
     assert peak <= 7 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: eisenstein_twisted(batch11_1e7, 2.0, 1, 1))
     assert peak <= 7 * BLOCK_BYTES, peak
+
+
+def test_eisenstein_holds_one_block_of_terms(table11, batch11_1e7, traced_peak):
+    # each block's four streams come from a generator that is done before the next
+    # block's terms are made, so beside the stream's own groups and block only one
+    # block's terms and magnitudes are held (two blocks' read 8.4 MiB here)
+    stream = symbol_stream(table11, 11, 10 ** 7, z=1j, tol=1e-10)
+    peak, rep = traced_peak(lambda: eisenstein_twisted(stream, 2.0, 1, 1))
+    assert rep == eisenstein_twisted(batch11_1e7, 2.0, 1, 1)
+    assert peak <= 7.5 * BLOCK_BYTES, peak
 
 
 # ---------------------------------------------------------------------------

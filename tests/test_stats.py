@@ -13,23 +13,54 @@ from modsymdist.modsym import SymbolBatch, symbol_stream, symbols_up_to
 from modsymdist.stats import (
     NO_SAMPLES,
     gaussian_moment,
-    histogram,
     ks_distance,
-    moments_from_arrays,
     normal_cdf,
-    normalize_arrays,
     symbol_histogram,
     symbol_moments,
 )
+from test_series import _blocks
 
 VOL11 = 4 * math.pi
+UNIT_NFSQ = VOL11 / (8 * math.pi ** 2)  # tilde_factor 1 up to rounding: at norm e, x + iy ~ the value
+
+
+def _normalize(values, norms, norm_f_sq, vol):
+    """(x, y, dropped) of plain arrays, normalized block by block (stats._normalized)."""
+    values = np.asarray(values, dtype=np.complex128)
+    norms = np.asarray(norms, dtype=np.float64)
+    blocks = stats._normalized(_blocks(norms, values), norm_f_sq, vol)
+    v = np.concatenate([np.empty(0, complex), *blocks])
+    return v.real, v.imag, len(norms) - len(v)
+
+
+def _moments(x, y, n_max, m_max):
+    """Every M_{n,m}, n <= n_max, m <= m_max, of plain arrays, block by block (stats._moments)."""
+    keys = [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
+    return stats._moments(lambda: _blocks(x, y), keys, "empty sample stream")[-1]
+
+
+def _histogram(values, bin_count, value_range):
+    """stats._histogram's rows of a plain array, binned block by block."""
+    blocks = (b for b, in _blocks(np.asarray(values, dtype=np.float64)))
+    return stats._histogram(blocks, bin_count, value_range)[0]
+
+
+def _one_group(values, norms):
+    """The arrays as a SymbolBatch of one c group, so they can be read as a symbol source."""
+    return SymbolBatch(T=float(np.max(norms)), z=1j, norms=norms, values=values, group_cs=np.array([11]),
+                       group_counts=np.array([len(norms)]), group_err_bounds=np.array([0.0]))
+
+
+def _unit_batch(x, y):
+    """x + iy at norm e, a source whose normalized symbols are x + iy up to rounding."""
+    return _one_group(x + 1j * y, np.full(len(x), math.e))
 
 
 def test_normalize_drops_identity(batch11_1e4):
     # the batch implies the identity coset (symbol 0, norm 1); put it back in front
     values = np.concatenate([[0j], batch11_1e4.values])
     norms = np.concatenate([[1.0], batch11_1e4.norms])
-    x, y, dropped = normalize_arrays(values, norms, 0.0469, VOL11)
+    x, y, dropped = _normalize(values, norms, 0.0469, VOL11)
     kept = norms[norms > 1]
     assert dropped == 1  # only the identity coset has norm <= 1 at z = i
     assert len(x) == len(y) == len(kept) == len(values) - 1
@@ -38,9 +69,9 @@ def test_normalize_drops_identity(batch11_1e4):
 def test_normalize_zero_and_scaling():
     vals = np.array([0j, 1 + 1j])
     nrms = np.array([100.0, 100.0])
-    x1, y1, _ = normalize_arrays(vals, nrms, 1.0, VOL11)
+    x1, y1, _ = _normalize(vals, nrms, 1.0, VOL11)
     assert x1[0] == 0 and y1[0] == 0
-    x2, y2, _ = normalize_arrays(vals, nrms, 4.0, VOL11)  # 4x norm -> halves
+    x2, y2, _ = _normalize(vals, nrms, 4.0, VOL11)  # 4x norm -> halves
     assert x2[1] == pytest.approx(x1[1] / 2, rel=1e-15)
     assert y2[1] == pytest.approx(y1[1] / 2, rel=1e-15)
 
@@ -60,10 +91,10 @@ def test_moments_basics_and_permutation_invariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=4000)
     y = rng.normal(size=4000)
-    rep = moments_from_arrays(x, y, 4, 4)
+    rep = symbol_moments(_unit_batch(x, y), UNIT_NFSQ, VOL11, 4, 4)
     assert rep.pairs[(0, 0)] == 1.0
     perm = rng.permutation(4000)
-    rep2 = moments_from_arrays(x[perm], y[perm], 4, 4)
+    rep2 = symbol_moments(_unit_batch(x[perm], y[perm]), UNIT_NFSQ, VOL11, 4, 4)
     assert rep.pairs == rep2.pairs  # exact: compensated summation
     assert rep.gaussian_limit[(4, 0)] == 3
     assert rep.pairs[(2, 0)] == pytest.approx(1.0, abs=0.1)
@@ -77,22 +108,23 @@ def test_power_chain_is_the_moment_chain():
     assert p[3].tobytes() == (((x * x) * x) * x).tobytes()
     assert p[3].tobytes() != ((x * x) * (x * x)).tobytes()
     assert list(stats._power_chain(x, 0)) == []
-    rep = moments_from_arrays(x, x[::-1], 4, 0)
-    assert rep.pairs[(4, 0)] == math.fsum(((x * x) * x) * x) / len(x)
+    assert _moments(x, x[::-1], 4, 0)[(4, 0)] == math.fsum(((x * x) * x) * x) / len(x)
 
 
 def test_moments_empty_stream_rejected():
     with pytest.raises(ValueError):
-        moments_from_arrays(np.zeros(0), np.zeros(0), 2, 2)
-    x, y, _ = normalize_arrays([0j], [1.0], 0.0469, VOL11)  # the identity alone
+        _moments(np.zeros(0), np.zeros(0), 2, 2)
+    x, y, _ = _normalize([0j], [1.0], 0.0469, VOL11)  # the identity alone
     with pytest.raises(ValueError):
-        moments_from_arrays(x, y, 2, 2)
+        _moments(x, y, 2, 2)
+    with pytest.raises(ValueError, match=re.escape(NO_SAMPLES)):
+        symbol_moments(_one_group(np.array([0j]), np.array([1.0])), 0.0469, VOL11, 2, 2)
 
 
 def test_moments_match_gaussian_on_synthetic():
     rng = np.random.default_rng(11)
     n = 200000
-    rep = moments_from_arrays(rng.normal(size=n), rng.normal(size=n), 4, 4)
+    rep = symbol_moments(_unit_batch(rng.normal(size=n), rng.normal(size=n)), UNIT_NFSQ, VOL11, 4, 4)
     for key, lim in rep.gaussian_limit.items():
         assert rep.pairs[key] == pytest.approx(lim, abs=0.08)
 
@@ -126,14 +158,14 @@ def test_normal_cdf_symmetry():
 
 def test_histogram_single_bin_counts_everything():
     v = np.random.default_rng(1).normal(size=500)
-    rows = histogram(v, 1, (-1e9, 1e9))
+    rows = _histogram(v, 1, (-1e9, 1e9))
     assert rows[0][2] == 500
     assert rows[0][3] == pytest.approx(500.0, abs=1e-6)
 
 
 def test_histogram_symmetric_masses():
     v = np.random.default_rng(2).normal(size=1000)
-    rows = histogram(v, 8, (-4, 4))
+    rows = _histogram(v, 8, (-4, 4))
     for k in range(4):
         assert rows[k][3] == pytest.approx(rows[7 - k][3], rel=1e-9)
     assert sum(r[2] for r in rows) <= 1000
@@ -142,18 +174,20 @@ def test_histogram_symmetric_masses():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        histogram(np.zeros(3), 0, (-1, 1))
-    with pytest.raises(ValueError):
-        histogram(np.zeros(3), 4, (1, -1))
+    source = _one_group(np.ones(3, dtype=complex), np.full(3, 10.0))
+    for bins, value_range in ((0, (-1, 1)), (4, (1, -1))):
+        with pytest.raises(ValueError):
+            _histogram(np.zeros(3), bins, value_range)
+        with pytest.raises(ValueError):
+            symbol_histogram(source, 0.05, VOL11, "re", bins, value_range)
 
 
 def test_normalized_sample_validation():
-    x, y, dropped = normalize_arrays([0j], [1.0], 1.0, VOL11)
+    x, y, dropped = _normalize([0j], [1.0], 1.0, VOL11)
     assert len(x) == len(y) == 0 and dropped == 1  # norm must exceed 1
     for bad in (complex(math.nan, 0.0), complex(0.0, math.nan)):
         with pytest.raises(ValueError, match="non-finite"):
-            normalize_arrays([bad], [2.0], 1.0, VOL11)
+            _normalize([bad], [2.0], 1.0, VOL11)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +199,21 @@ BLOCK_BYTES = 16 * CHUNK  # one block of complex values
 
 
 def _normalize_reference(values, norms, norm_f_sq, vol):
-    """normalize_arrays over whole arrays. Reference only."""
+    """_normalize over whole arrays. Reference only."""
     keep = norms > 1.0
     w = stats.tilde_factor(norm_f_sq, vol) * values[keep] / np.sqrt(np.log(norms[keep]))
     return w.real, w.imag, int(len(norms) - keep.sum())
 
 
 def _moments_reference(x, y, n_max, m_max):
-    """moments_from_arrays' pairs over whole power arrays, math.fsum for the sums. Reference only."""
+    """symbol_moments' pairs of x + iy over whole power arrays, math.fsum for the sums. Reference only."""
     xp = [np.ones_like(x), *stats._power_chain(x, n_max)]
     yp = [np.ones_like(y), *stats._power_chain(y, m_max)]
     return {(i, j): math.fsum(xp[i] * yp[j]) / len(x) for i in range(n_max + 1) for j in range(m_max + 1)}
 
 
 def _histogram_reference(values, bin_count, value_range):
-    """histogram with one np.histogram over the whole array. Reference only."""
+    """_histogram with one np.histogram over the whole array. Reference only."""
     v = np.asarray(values, dtype=np.float64)
     counts, edges = np.histogram(v, bins=bin_count, range=value_range)
     return [
@@ -187,12 +221,6 @@ def _histogram_reference(values, bin_count, value_range):
          float(len(v) * (normal_cdf(edges[k + 1]) - normal_cdf(edges[k]))))
         for k in range(bin_count)
     ]
-
-
-def _one_group(values, norms):
-    """The arrays as a SymbolBatch of one c group, so they can be read as a symbol source."""
-    return SymbolBatch(T=float(np.max(norms)), z=1j, norms=norms, values=values, group_cs=np.array([11]),
-                       group_counts=np.array([len(norms)]), group_err_bounds=np.array([0.0]))
 
 
 def _ks_reference(values):
@@ -210,27 +238,28 @@ def test_blocked_stats_match_full_arrays(n):
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     norms = rng.uniform(0.5, 1e6, n)
     norms[CHUNK : 2 * CHUNK] = 0.75  # the second block is dropped whole
-    got = normalize_arrays(values, norms, 0.05, VOL11)
+    got = _normalize(values, norms, 0.05, VOL11)
     want = _normalize_reference(values, norms, 0.05, VOL11)
     assert got[2] == want[2]
     for g, w in zip(got[:2], want[:2]):
         assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
     x, y = got[:2]
-    pairs = moments_from_arrays(x, y, 4, 4).pairs
     want = {k: v.hex() for k, v in _moments_reference(x, y, 4, 4).items()}
-    assert {k: v.hex() for k, v in pairs.items()} == want
+    assert {k: v.hex() for k, v in _moments(x, y, 4, 4).items()} == want
     assert ks_distance(x).hex() == _ks_reference(x).hex()
+    assert stats._ks_sorted(np.sort(x)).hex() == _ks_reference(x).hex()
     # read as a symbol source, block by block with the drops inside the blocks
     source = _one_group(values, norms)
     assert {k: v.hex() for k, v in symbol_moments(source, 0.05, VOL11, 4, 4).pairs.items()} == want
     for part, v in (("re", x), ("im", y)):
-        assert histogram(v, 40, (-4, 4)) == _histogram_reference(v, 40, (-4, 4))
-        assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == histogram(v, 40, (-4, 4))
+        rows = _histogram_reference(v, 40, (-4, 4))
+        assert _histogram(v, 40, (-4, 4)) == rows
+        assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == rows
     # every sample dropped: empty outputs, and no moments
-    x, y, dropped = normalize_arrays(values, np.full(n, 0.75), 0.05, VOL11)
+    x, y, dropped = _normalize(values, np.full(n, 0.75), 0.05, VOL11)
     assert (len(x), len(y), dropped) == (0, 0, n)
     with pytest.raises(ValueError):
-        moments_from_arrays(x, y, 4, 4)
+        _moments(x, y, 4, 4)
     source = _one_group(values, np.full(n, 0.75))
     with pytest.raises(ValueError, match=re.escape(NO_SAMPLES)):
         symbol_moments(source, 0.05, VOL11, 4, 4)
@@ -242,24 +271,20 @@ def test_normalize_non_finite_in_a_later_block():
     values = np.ones(CHUNK + 10, dtype=complex)
     values[CHUNK + 5] = complex(math.nan, 0)
     with pytest.raises(ValueError, match="non-finite"):
-        normalize_arrays(values, np.full(len(values), 10.0), 0.05, VOL11)
+        _normalize(values, np.full(len(values), 10.0), 0.05, VOL11)
     with pytest.raises(ValueError, match="non-finite"):
         symbol_moments(_one_group(values, np.full(len(values), 10.0)), 0.05, VOL11, 2, 2)
 
 
-def test_moments_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="same length"):
-        moments_from_arrays(np.ones(CHUNK + 1), np.ones(1), 2, 2)
-
-
 def test_blocked_stats_peak_memory(batch11_1e7, traced_peak):
-    # beyond its output (16 bytes a kept sample) the normalization holds a few
-    # blocks, and no full-length mask; the moments hold a block's powers only,
-    # and read from the batch itself they hold no sample array either
+    # the normalization holds a few blocks, and no full-length mask; the
+    # moments hold a block's powers only, and read from the batch itself they
+    # hold no sample array either
     b = batch11_1e7
-    peak, (x, y, _) = traced_peak(lambda: normalize_arrays(b.values, b.norms, 0.05, VOL11))
-    assert peak <= 16 * len(x) + 4 * BLOCK_BYTES, peak
-    peak, _ = traced_peak(lambda: moments_from_arrays(x, y, 4, 4))
+    peak, kept = traced_peak(lambda: sum(len(v) for v in stats._normalized(b.blocks(), 0.05, VOL11)))
+    assert kept == len(b.norms) and peak <= 4 * BLOCK_BYTES, peak
+    x, y, _ = _normalize_reference(b.values, b.norms, 0.05, VOL11)
+    peak, _ = traced_peak(lambda: _moments(x, y, 4, 4))
     assert peak <= 12 * BLOCK_BYTES, peak
     peak, _ = traced_peak(lambda: symbol_moments(b, 0.05, VOL11, 4, 4))
     assert peak <= 12 * BLOCK_BYTES, peak
@@ -274,9 +299,10 @@ def test_stream_moments_and_histogram_are_the_batch_ones(table11, threads):
     stream = symbol_stream(table11, 11, 10 ** 6, z=1j, tol=1e-10, threads=threads)
     ends = np.cumsum(batch.group_counts)
     assert len(batch.norms) > CHUNK and np.any((ends - batch.group_counts) // CHUNK != (ends - 1) // CHUNK)
-    x, y, _ = normalize_arrays(batch.values, batch.norms, 0.05, VOL11)
-    want = {k: v.hex() for k, v in moments_from_arrays(x, y, 4, 4).pairs.items()}
+    x, y, _ = _normalize_reference(batch.values, batch.norms, 0.05, VOL11)
+    want = {k: v.hex() for k, v in _moments_reference(x, y, 4, 4).items()}
     for source in (batch, stream):
         assert {k: v.hex() for k, v in symbol_moments(source, 0.05, VOL11, 4, 4).pairs.items()} == want
         for part, v in (("re", x), ("im", y)):
-            assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == histogram(v, 40, (-4, 4))
+            rows = _histogram_reference(v, 40, (-4, 4))
+            assert symbol_histogram(source, 0.05, VOL11, part, 40, (-4, 4)) == rows
