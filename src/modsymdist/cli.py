@@ -100,14 +100,17 @@ def _keep_block_temporaries():
     """Serve the stream's block temporaries from a heap that stays resident (glibc; else a no-op).
 
     A reduction over a symbol stream makes and drops temporaries of up to
-    one block (1 MiB) for every block it reads.  Under glibc's default
-    thresholds, which only rise when a larger array is freed, each of them
-    is a fresh mmap or lands on heap that is trimmed right after, so its
-    pages are faulted in again every block: a `sums --T-grid 1e5,1e6,1e7
-    --smooth-U 10` run took ~17,000 page faults and ~20% more time.  A
-    run that held a batch never paid this, since freeing the batch raised
-    the thresholds.  Arrays below 4 MiB now come from the heap, and up to
-    8 MiB of free heap is kept.
+    one block (256 KiB of complex values) for every block it reads.  Under
+    glibc's default thresholds, which only rise when a larger array is
+    freed, each of them is a fresh mmap or lands on heap that is trimmed
+    right after, so its pages are faulted in again every block: in one
+    process, a pass of perfbench's six `stats` jobs took 22,000-28,000
+    minor faults without this call against at most 95 with it, and ~5%
+    more time (medians of 12 passes, within this machine's spread).  A run
+    that held a batch never paid this, since freeing the batch raised the
+    thresholds.
+    Arrays below 4 MiB now come from the heap, and up to 8 MiB of free
+    heap is kept.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -16,7 +16,9 @@ off the fold with baby-step/giant-step phases, O(c) work per symbol.
 
 Truncation after n_used terms is certified by the geometric tail bound
 tail_constant * sum_{n > n_used} e^{-2 pi n y} < tol (one factor per
-evaluation point, both at height 1/c, hence the factor 2 below).
+evaluation point, both at height 1/c, hence the factor 2 below).  That
+bound, the err_bound of every symbol, covers the truncated tail only: the
+rounding of the fold's sums and of the DFT is not yet bounded.
 
 All symbols up to a norm bound come from one per-c producer,
 _symbol_groups, in ascending c.  symbols_up_to writes each c into its
@@ -163,7 +165,9 @@ def pairing(table, m, tol=1e-10):
     Exactly (0j, 0.0) for c = 0; otherwise the two-point closed form at
     height 1/c, read off the residue fold at u1 = -d and u2 = a (mod c) in
     O(c) work.  The value depends only on the coset Gamma_infty * (+-gamma):
-    the top row enters through a mod c alone.
+    the top row enters through a mod c alone.  err bounds the truncated
+    tail only; the rounding of the fold's sums and of the DFT at the two
+    residues is not yet bounded.
     """
     a_top, c, d = _canonical_row(m)
     if c == 0:

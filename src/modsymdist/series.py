@@ -138,7 +138,10 @@ def smooth_cutoff(t, U):
     return float(out[0]) if scalar else out
 
 
-_SUM_CHUNK = 1 << 16  # 2^16 halves keep every float bin sum within 44 significant bits
+# Every block of the symbol pipeline, and each _ExactSum segment: a sum of 2^14
+# halves has at most 42 significant bits (a multiple of 2^27 units below 2^67, or of
+# 1 unit below 2^42), so float64 bins are exact; any size up to 2^16 (44 bits) keeps that.
+_SUM_CHUNK = 1 << 14
 _SUM_BINS = 2047  # the exponent fields E of finite values
 _SUM_OFFSET = 1075  # bin E holds multiples of its unit 2^(E - _SUM_OFFSET)
 _SUM_UNITS = _SUM_OFFSET - np.arange(_SUM_BINS)  # ldexp by these turns bin sums into units
@@ -153,10 +156,11 @@ class _ExactSum:
     the spacing of the subnormals at E = 0.  Clearing the 27 low bits of
     its mantissa leaves a high half h, a multiple of 2^27 units, and the
     low half l = v - h is exact and below 2^28 units.  np.bincount sums
-    each half by sign and E over segments of at most _SUM_CHUNK values in
-    float64, where every partial sum has at most 44 significant bits (a
-    multiple of 2^27 units below 2^69, or of 1 unit below 2^44), hence is
-    exact in any order.  Per segment the float bins are
+    each half by sign and E over segments of at most _SUM_CHUNK = 2^14
+    values in float64, where every partial sum has at most 42 significant
+    bits (a multiple of 2^27 units below 2^67, or of 1 unit below 2^42),
+    hence is exact in any order; segments of up to 2^16 values (44 bits)
+    would be exact too.  Per segment the float bins are
     scaled to integers and added to the int64 bins hi (units of 2^26) and
     lo, which therefore hold the exact sum of everything fed so far,
     however it was split into blocks; fewer than 2^35 values keep them
@@ -191,7 +195,7 @@ class _ExactSum:
                 halves = ((high, self.hi, _SUM_UNITS - 26), (seg - high, self.lo, _SUM_UNITS))
                 for half, bins, units in halves:
                     sums = np.bincount(key, weights=half, minlength=4096)
-                    both = sums[:_SUM_BINS] + sums[2048 : 2048 + _SUM_BINS]  # exact: 45 bits at most
+                    both = sums[:_SUM_BINS] + sums[2048 : 2048 + _SUM_BINS]  # exact: 43 bits at most
                     bins += np.ldexp(both, units).astype(np.int64)
 
     def value(self):

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from modsymdist import curve as curve_mod
-from modsymdist import modsym
+from modsymdist import modsym, series
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +59,24 @@ def _traced_peak(fn):
 @pytest.fixture(scope="session")
 def traced_peak():
     return _traced_peak
+
+
+def _fixed_bytes(keys, group=0):
+    """Bytes a blocked reduction holds that do not shrink with the block.
+
+    Each of its `keys` exact sums holds two int64 bin arrays of
+    series._SUM_BINS entries.  While _ExactSum.add folds a segment in, it
+    holds one np.bincount output over both signs' exponent fields (4096
+    float64) and four arrays of _SUM_BINS entries: the shifted units, and
+    the folded bin sums with their scaled and integer copies.  A reduction
+    over a symbol stream also holds the current c group's ds, norms and
+    values: 32 bytes a symbol of the input's largest group.
+    """
+    bins = 8 * series._SUM_BINS
+    sums = (keys * 2 * bins + 8 * 4096 + 4 * bins) if keys else 0
+    return sums + 32 * group
+
+
+@pytest.fixture(scope="session")
+def fixed_bytes():
+    return _fixed_bytes

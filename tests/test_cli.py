@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import modsymdist
-from modsymdist import cli, cosets, curve as curve_mod, modsym
+from modsymdist import cli, cosets, curve as curve_mod, modsym, series, stats
 from modsymdist.cli import _check_shared, _symbols_for, _csv_cell, _emit_rows, build_parser, main
 from modsymdist.cosets import coset_arrays
 from modsymdist.curve import resolve_curve
@@ -209,6 +209,28 @@ def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z)
     monkeypatch.setattr(curve_mod, "eta_deep_table_level11",
                         lambda n_max: curve_mod.coefficient_table(curve_mod.PRESETS["11a"], n_max))
     assert run_cli(capsys, *argv) == (0, eta)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--curve", "11a", "--T", "1e5"],
+        ["sums", "--curve", "11a", "--weight", "abs2:1", "--T-grid", "1e3,1e4,1e5", "--smooth-U", "10"],
+        ["histogram", "--curve", "11a", "--T", "1e5", "--component", "im"],
+        ["eisenstein", "--curve", "11a", "--m", "1", "--n", "1", "--T-max", "1e5"],
+        ["moments", "--curve", "37a", "--z", "0.25,0.9", "--T", "1e5"],
+    ],
+    ids=["moments", "sums", "histogram", "eisenstein", "moments-37a"],
+)
+def test_stdout_does_not_depend_on_the_block_size(capsys, monkeypatch, argv):
+    # one constant sizes the stream's blocks, _ExactSum's segments, _fold's residue
+    # blocks and max_ratio's slices; at 1000, not a power of two, blocks straddle c groups
+    assert series._SUM_CHUNK <= 1 << 16  # _ExactSum's float bin sums are exact up to 2^16
+    code, want = run_cli(capsys, *argv)
+    assert code == 0 and want
+    for module in (series, modsym, stats, curve_mod):
+        monkeypatch.setattr(module, "_SUM_CHUNK", 1000)
+    assert run_cli(capsys, *argv) == (0, want)
 
 
 def test_eisenstein_json(capsys):
@@ -525,31 +547,39 @@ def test_streaming_commands_keep_block_temporaries_on_the_heap(capsys, monkeypat
     assert run_cli(capsys, *_BATCH_COMMANDS["sums"])[0] == 0 and calls == []
 
 
-# A stats command holds its table, a few blocks of the symbol stream and their
-# temporaries, whatever T is (one block of complex values is 16 * _SUM_CHUNK
-# bytes); at T = 1e7 a batch alone would hold 795,910 symbols at 24 bytes each.
-STATS_PEAK = 12 * 16 * _SUM_CHUNK
+def _stats_peak(fixed_bytes, keys):
+    """What a stats command at T = 1e7 may hold with `keys` exact sums.
+
+    Its table, a few blocks of the symbol stream and their temporaries,
+    whatever T is (one block of complex values is 16 * _SUM_CHUNK bytes),
+    and what does not shrink with the block: each sum's bins and the
+    stream's largest c group.  A batch alone would hold 795,910 symbols at
+    24 bytes each.
+    """
+    group = max(n for _, n in cosets._group_sizes(11, 1e7))
+    return 12 * 16 * _SUM_CHUNK + fixed_bytes(keys, group)
 
 
-def test_moments_holds_only_what_it_reads(capsys, traced_peak):
+def test_moments_holds_only_what_it_reads(capsys, traced_peak, fixed_bytes):
     peak, code = traced_peak(lambda: main(["moments", "--T", "1e7"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 26
-    assert peak <= STATS_PEAK, peak
+    assert peak <= _stats_peak(fixed_bytes, 25), peak
 
 
-def test_histogram_holds_only_what_it_reads(capsys, traced_peak):
+def test_histogram_holds_only_what_it_reads(capsys, traced_peak, fixed_bytes):
     peak, code = traced_peak(lambda: main(["histogram", "--T", "1e7", "--component", "im"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 41
-    assert peak <= STATS_PEAK, peak
+    assert peak <= _stats_peak(fixed_bytes, 0), peak
 
 
 @pytest.mark.parametrize("flags", [["--weight", "abs2:1"], ["--weight", "f:2,0", "--smooth-U", "10"]],
                          ids=["sharp", "smoothed"])
-def test_sums_holds_only_what_it_reads(capsys, traced_peak, flags):
-    # the whole grid in one pass: one set of accumulators per T, no batch
+def test_sums_holds_only_what_it_reads(capsys, traced_peak, fixed_bytes, flags):
+    # the whole grid in one pass: one set of accumulators per T (Re, Im and the
+    # error budget's), no batch
     peak, code = traced_peak(lambda: main(["sums", *flags, "--T-grid", "1e5,1e6,1e7"]))
     assert code == 0 and len(capsys.readouterr().out.splitlines()) == 4
-    assert peak <= STATS_PEAK, peak
+    assert peak <= _stats_peak(fixed_bytes, 9), peak
 
 
 def test_python_m_runs_the_cli(capsys):

@@ -304,9 +304,13 @@ def _fold_one_pass(a, c, n_used):
     return acc
 
 
-@pytest.mark.parametrize(
-    "c", [1, 2, 11, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 5]
-)
+# Lengths around multiples of SPAN straddle block boundaries at every block size
+# that divides it: every power of two up to 2^16, _ExactSum's limit.
+SPAN = 1 << 16
+C5 = 11 * (_SUM_CHUNK // 58)  # a group holds 5 rows of C5 residues, not 6
+
+
+@pytest.mark.parametrize("c", [1, 2, 11, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN + 5])
 def test_fold_blocks_match_one_pass(c):
     # every residue block sees the one-pass operations: bit-identical, float64 or int32 a_n
     rng = np.random.default_rng(c)
@@ -323,11 +327,14 @@ def test_fold_blocks_match_one_pass(c):
 @pytest.mark.parametrize(
     "c, n_used",
     [
-        (11 * 1009, 5 * 11 * 1009 - 1),  # 5 full rows, 55,495 < 2^16 entries: one group
-        (11 * 1009, 5 * 11 * 1009),  # 6 rows, 66,594 > 2^16: 5 full rows, then a last of one term
-        (11 * 1009, 6 * 11 * 1009 + 5),  # 7 rows: full rows in groups of 5 and 1, the last of 6 terms
-        (1, 3 * _SUM_CHUNK),  # one residue, more rows than a group holds
-        (2, 2 * _SUM_CHUNK + 3),
+        (11 * 1009, 5 * 11 * 1009 - 1),  # 5 full rows
+        (11 * 1009, 5 * 11 * 1009),  # 6 rows: 5 full rows, then a last of one term
+        (11 * 1009, 6 * 11 * 1009 + 5),  # 7 rows: 6 full rows, the last of 6 terms
+        (C5, 5 * C5 - 1),  # 5 full rows: one group
+        (C5, 5 * C5),  # 6 rows: 5 full rows in one group, then a last of one term
+        (C5, 6 * C5 + 5),  # 7 rows: full rows in groups of 5 and 1, the last of 6 terms
+        (1, 3 * SPAN),  # one residue, more rows than a group holds
+        (2, 2 * SPAN + 3),
     ],
 )
 def test_fold_rows_straddling_a_block_match_one_pass(c, n_used):
