@@ -23,9 +23,7 @@ time, so memory beyond the source is O(_SUM_CHUNK) whatever T is, and
 since the integer bins persist across blocks and are exact, the blocking
 never moves a bit of any result.  grid_sums covers a whole grid of T in
 one pass, with one set of accumulators per T; sharp_sum and smoothed_sum
-are its one-T calls.  Sums over nested prefixes take a single pass too: a
-snapshot of _block_sums reads the bins off at each cut, so samples sorted
-by norm shell give the sums at every norm bound at once.
+are its one-T calls.
 """
 
 import cmath
@@ -145,6 +143,7 @@ _SUM_CHUNK = 1 << 14
 _SUM_BINS = 2047  # the exponent fields E of finite values
 _SUM_OFFSET = 1075  # bin E holds multiples of its unit 2^(E - _SUM_OFFSET)
 _SUM_UNITS = _SUM_OFFSET - np.arange(_SUM_BINS)  # ldexp by these turns bin sums into units
+_HIGH_UNITS = _SUM_UNITS - 26  # the same for the high halves' bins, in units of 2^26
 _HIGH_HALF = np.uint64((1 << 64) - (1 << 27))  # every bit but the mantissa's 27 lowest
 
 
@@ -168,8 +167,8 @@ class _ExactSum:
 
     `exact` turns False, and binning stops, once a value is non-finite or
     the sum is large enough that math.fsum could overflow on the way; both
-    conditions only grow with what is fed.  `count` keeps counting, so the
-    caller can hand the same values to math.fsum instead.
+    conditions only grow with what is fed.  `count` is the number of
+    values fed either way.
     """
 
     def __init__(self):
@@ -192,7 +191,7 @@ class _ExactSum:
                 bits = seg.view(np.uint64)
                 key = (bits >> 52).view(np.int64)  # E, or 2048 + E below zero
                 high = (bits & _HIGH_HALF).view(np.float64)
-                halves = ((high, self.hi, _SUM_UNITS - 26), (seg - high, self.lo, _SUM_UNITS))
+                halves = ((high, self.hi, _HIGH_UNITS), (seg - high, self.lo, _SUM_UNITS))
                 for half, bins, units in halves:
                     sums = np.bincount(key, weights=half, minlength=4096)
                     both = sums[:_SUM_BINS] + sums[2048 : 2048 + _SUM_BINS]  # exact: 43 bits at most
@@ -217,42 +216,28 @@ class _ExactSum:
 
 
 def _block_sums(blocks, k):
-    """Exact sums of k float64 streams from one pass over their blocks.
+    """Exact sums of k float64 streams from one pass over their blocks: (sums, counts).
 
     blocks() iterates the blocks: each item is an iterable of k float64
     arrays, the next values of each stream (the streams may differ in
-    length), or None, which takes a snapshot of the running sums there.
-    Returns the snapshots in order and, last, the sums of the whole
-    streams, each a list of k floats that are math.fsum of their stream so
-    far, bit for bit.  A sum whose _ExactSum gave up is math.fsum of its
-    values read again from a new blocks() iterator, so inf, nan,
-    ValueError and OverflowError come out exactly as math.fsum gives them;
-    blocks() must yield the same values on every call.
+    length).  sums[j] is math.fsum of stream j, bit for bit, and counts[j]
+    the number of values it read.  A sum whose _ExactSum gave up is
+    math.fsum of its stream read again from a new blocks() iterator, so
+    inf, nan, ValueError and OverflowError come out exactly as math.fsum
+    gives them; blocks() must yield the same values on every call.
     """
     accs = [_ExactSum() for _ in range(k)]
-    snaps = []
-
-    def snapshot():
-        snaps.append([
-            acc.value() if acc.exact else math.fsum(islice(_stream(blocks, j), acc.count))
-            for j, acc in enumerate(accs)
-        ])
-
     for parts in blocks():
-        if parts is None:
-            snapshot()
-        else:
-            for acc, part in zip(accs, parts, strict=True):
-                acc.add(part)
-    snapshot()
-    return snaps
+        for acc, part in zip(accs, parts, strict=True):
+            acc.add(part)
+    sums = [acc.value() if acc.exact else math.fsum(_stream(blocks, j)) for j, acc in enumerate(accs)]
+    return sums, [acc.count for acc in accs]
 
 
 def _stream(blocks, j):
     """The values of stream j of blocks() (see _block_sums), one at a time."""
     for parts in blocks():
-        if parts is not None:
-            yield from next(islice(parts, j, None))
+        yield from next(islice(parts, j, None))
 
 
 def _sum_reports(batch, weight, cuts, U=None):
@@ -298,7 +283,7 @@ def _sum_reports(batch, weight, cuts, U=None):
         counts[:] = tally  # only a read to the end gets here, and each one counts the same
 
     width = 3 if deg else 2
-    sums = _block_sums(blocks, width * len(cuts))[-1]
+    sums, _ = _block_sums(blocks, width * len(cuts))
     mode = "sharp" if U is None else f"smoothed(U={U:g})"
     reports = []
     for j, (T, _) in enumerate(cuts):
@@ -379,7 +364,6 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         raise ValueError("s must be finite with Re(s) > 1 (absolute convergence region)")
     T_max = batch.norm_bound(T_max)
     y = batch.z.imag
-    count = []
 
     def parts(norms, v):  # the four streams of one block, made as they are read
         terms = (v ** m) * (np.conj(v) ** n) * (y / norms) ** s
@@ -392,14 +376,11 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         yield mags[(norms > T_max / 100) & (norms <= T_max / 10)]
 
     def blocks():
-        tally = 0
         for norms, v in batch.blocks():
             inside = norms <= T_max
-            tally += int(np.count_nonzero(inside))
             yield parts(norms[inside], v[inside])
-        count[:] = [tally]  # only a read to the end gets here, and each one counts the same
 
-    re, im, last, prev = _block_sums(blocks, 4)[-1]
+    (re, im, last, prev), (count, *_) = _block_sums(blocks, 4)
     value = complex(re, im)
     if m == 0 and n == 0:
         value += complex(y) ** s
@@ -408,7 +389,7 @@ def eisenstein_twisted(batch, s, m, n, T_max=None):
         tail = last * ratio / (1 - ratio)
     else:
         tail = last  # no decay observed; report the last shell mass itself
-    return EisensteinReport(value, tail, m, n, T_max, count[0] + 1)
+    return EisensteinReport(value, tail, m, n, T_max, count + 1)
 
 
 def _double_half_factorial(j):

@@ -85,20 +85,17 @@ def _power_chain(x, k):
         yield p
 
 
-def _moments(xy_blocks, keys, empty):
-    """{(n, m): M_{n,m} for (n, m) in keys} at each snapshot of xy_blocks() and, last, over it all.
+def _moments(xy_blocks, keys):
+    """{(n, m): M_{n,m} for (n, m) in keys} over the (x, y) blocks of xy_blocks().
 
-    xy_blocks() yields (x, y) blocks, or None for the moments of the
-    samples so far (a prefix snapshot, as in series._block_sums).  One
-    pass: each block's power chains feed one running exact sum per key,
-    one product x^n y^m at a time; y's powers are held and x's made one at
-    a time.  ValueError(empty) if a snapshot holds no sample.  xy_blocks()
-    is read again only for a non-finite sum.
+    One pass: each block's power chains feed one running exact sum per
+    key, one product x^n y^m at a time; y's powers are held and x's made
+    one at a time.  ValueError(NO_SAMPLES) if there is no sample.
+    xy_blocks() is read again only for a non-finite sum.
     """
     keys = sorted(keys)
     n_max = max((n for n, _ in keys), default=0)
     m_max = max((m for _, m in keys), default=0)
-    sizes = []
 
     def products(xb, yb):
         yp = [1.0, *_power_chain(yb, m_max)]  # a zeroth power is 1.0, whose product moves no bit
@@ -106,21 +103,10 @@ def _moments(xy_blocks, keys, empty):
             for m in (m for k, m in keys if k == n):
                 yield xn * yp[m] if n or m else np.ones_like(xb)
 
-    def blocks():
-        size, counts = 0, []
-        for xy in xy_blocks():
-            if xy is None:
-                counts.append(size)
-                yield None
-            else:
-                size += len(xy[0])
-                yield products(*xy)
-        sizes[:] = [*counts, size]  # only a full read gets here, and every read counts the same
-
-    snaps = _block_sums(blocks, len(keys))
-    if not all(sizes):
-        raise ValueError(empty)
-    return [{key: s / size for key, s in zip(keys, snap)} for snap, size in zip(snaps, sizes)]
+    sums, (size, *_) = _block_sums(lambda: (products(*xy) for xy in xy_blocks()), len(keys))
+    if not size:
+        raise ValueError(NO_SAMPLES)
+    return {key: s / size for key, s in zip(keys, sums)}
 
 
 def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
@@ -138,7 +124,7 @@ def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
             yield v.real, v.imag
 
     keys = [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
-    pairs = _moments(xy_blocks, keys, NO_SAMPLES)[-1]
+    pairs = _moments(xy_blocks, keys)
     return MomentReport(pairs=pairs, gaussian_limit={key: gaussian_moment(*key) for key in pairs})
 
 

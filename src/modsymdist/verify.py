@@ -316,35 +316,31 @@ def _gaussian_free_moments(batch, norm_f_sq, vol, decades):
     kx_list and ky_list hold M40/M20^2 and M04/M02^2 over the symbols with
     norm <= T for each T in decades (ascending, the last covering every
     norm); corr is |M11|/sqrt(M20 M02) and odd maps each (n, m) with
-    n + m <= 3 and n or m odd to M_{n,m}, both over every symbol.  Taking the symbols
-    decade shell by decade shell turns every T into a prefix: each shell
-    is one pass over the blocks, whose symbols in the shell are normalized
-    there and fed to stats._moments, which reads the moments at each
-    shell's end.  So each number is bit-identical to symbol_moments over
+    n + m <= 3 and n or m odd to M_{n,m}, both over every symbol.  Each T
+    is one pass over the blocks, masked at norm <= T and normalized there
+    into stats._moments: the four even moments below the last decade, all
+    eleven at it.  So each number is bit-identical to symbol_moments over
     the symbols with norm <= T.  A norm <= 1 (none at z = i) or above the
     last decade raises ValueError.
     """
-    edges = [1.0, *decades]
 
-    def shell(k):  # the (norms, values) of decade shell k, one block at a time
+    def below(T):  # the (norms, values) of the symbols with norm <= T, one block at a time
         for norms, values in batch.blocks():
             if not np.all((norms > 1.0) & (norms <= decades[-1])):
                 raise ValueError(f"a symbol with norm <= 1 or above the last decade {decades[-1]}")
-            inside = (norms > edges[k]) & (norms <= edges[k + 1])
+            inside = norms <= T
             yield norms[inside], values[inside]
 
-    def xy_blocks():
-        for k in range(len(decades)):
-            for v in stats._normalized(shell(k), norm_f_sq, vol):
-                yield v.real, v.imag
-            yield None
+    def moments(T, keys):
+        return stats._moments(
+            lambda: ((v.real, v.imag) for v in stats._normalized(below(T), norm_f_sq, vol)), keys)
 
+    even = [(2, 0), (0, 2), (4, 0), (0, 4)]
     odd = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 0), (0, 3)]
-    snaps = stats._moments(xy_blocks, [(2, 0), (0, 2), (4, 0), (0, 4), *odd], "empty sample stream")
-    snaps.pop()  # every symbol: the last decade's snapshot again
-    kx_list = [M[(4, 0)] / M[(2, 0)] ** 2 for M in snaps]
-    ky_list = [M[(0, 4)] / M[(0, 2)] ** 2 for M in snaps]
-    M = snaps[-1]
+    Ms = [moments(T, even) for T in decades[:-1]] + [moments(decades[-1], even + odd)]
+    kx_list = [M[(4, 0)] / M[(2, 0)] ** 2 for M in Ms]
+    ky_list = [M[(0, 4)] / M[(0, 2)] ** 2 for M in Ms]
+    M = Ms[-1]
     corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
     return kx_list, ky_list, corr, {key: M[key] for key in odd}
 
@@ -388,7 +384,7 @@ def crit_gaussian_normalized(res, quick):
             k += len(v)
             yield v.real, v.imag
 
-    M = stats._moments(xy_blocks, [(2, 0), (0, 2)], stats.NO_SAMPLES)[-1]
+    M = stats._moments(xy_blocks, [(2, 0), (0, 2)])
     m20, m02 = M[(2, 0)], M[(0, 2)]
     x.sort()
     ks = stats._ks_sorted(x)

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy.fft  # noqa: F401  np.fft imports it on first use: no traced peak counts that load
 import pytest
 
 from modsymdist import curve as curve_mod
@@ -47,7 +48,12 @@ def batch11_1e7(table11):
 
 
 def _traced_peak(fn):
-    """(peak bytes tracemalloc sees while fn() runs, fn's result); numpy's buffers count."""
+    """(peak bytes tracemalloc sees while fn() runs, fn's result); numpy's buffers count.
+
+    modsym's cached prime-power inverse tables are dropped first, so fn
+    builds every table it reads whatever ran before it in the process.
+    """
+    modsym._prime_power_inverses.cache_clear()
     tracemalloc.start()
     try:
         result = fn()
@@ -67,13 +73,13 @@ def _fixed_bytes(keys, group=0):
     Each of its `keys` exact sums holds two int64 bin arrays of
     series._SUM_BINS entries.  While _ExactSum.add folds a segment in, it
     holds one np.bincount output over both signs' exponent fields (4096
-    float64) and four arrays of _SUM_BINS entries: the shifted units, and
-    the folded bin sums with their scaled and integer copies.  A reduction
-    over a symbol stream also holds the current c group's ds, norms and
-    values: 32 bytes a symbol of the input's largest group.
+    float64) and three arrays of _SUM_BINS entries: the folded bin sums
+    with their scaled and integer copies.  A reduction over a symbol
+    stream also holds the current c group's ds, norms and values: 32 bytes
+    a symbol of the input's largest group.
     """
     bins = 8 * series._SUM_BINS
-    sums = (keys * 2 * bins + 8 * 4096 + 4 * bins) if keys else 0
+    sums = (keys * 2 * bins + 8 * 4096 + 3 * bins) if keys else 0
     return sums + 32 * group
 
 

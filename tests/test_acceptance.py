@@ -238,7 +238,7 @@ def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5)
 
 
 def _moment_loop_reference(res, batch, decades, nfsq):
-    """Criterion 08's moments as they were taken before the prefix pass: all 25 per decade."""
+    """Criterion 08's moments from symbol_moments over each decade's restricted batch: all 25 per decade."""
     kx_list, ky_list = [], []
     for T in decades:
         M = stats.symbol_moments(batch.restricted(T), nfsq, res.vol, 4, 4).pairs

@@ -36,27 +36,22 @@ def _blocks(*arrays):
 
 
 def _exact_prefix_sums(values, cuts):
-    """math.fsum(values[:n]) bit for bit, for every n in cuts, from one pass. Reference only.
+    """math.fsum(values[:n]) bit for bit, for every n in cuts. Reference only.
 
-    The array is fed to _block_sums in views of at most _SUM_CHUNK values
-    that also end at every cut, with a snapshot at each cut.  Past the
-    first prefix that trips the guard, each cut is math.fsum of the prefix.
+    Each prefix is one _block_sums pass over views of at most _SUM_CHUNK
+    of its values, so a prefix that trips the guard is math.fsum of it.
     """
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     cuts = [int(n) for n in cuts]
     if any(n < 0 or n > len(v) for n in cuts):
         raise ValueError(f"cuts must lie in [0, {len(v)}]")
-    stops = sorted(set(cuts))
 
-    def blocks():
-        s = 0
-        for n in stops:
-            for b in range(s, n, _SUM_CHUNK):
-                yield (v[b : min(b + _SUM_CHUNK, n)],)
-            s = n
-            yield None
+    def prefix_sum(n):
+        starts = range(0, n, _SUM_CHUNK)
+        (total,), _ = _block_sums(lambda: ((v[b : min(b + _SUM_CHUNK, n)],) for b in starts), 1)
+        return total
 
-    sums = {n: snap[0] for n, snap in zip(stops, _block_sums(blocks, 1))}
+    sums = {n: prefix_sum(n) for n in sorted(set(cuts))}
     return [sums[n] for n in cuts]
 
 
@@ -75,7 +70,7 @@ def cfsum(values):
     if v.dtype.kind != "c":
         return complex(_exact_sum(v), 0.0)
     v = v.astype(np.complex128, copy=False).reshape(-1)
-    return complex(*_block_sums(lambda: ((b.real, b.imag) for (b,) in _blocks(v)), 2)[-1])
+    return complex(*_block_sums(lambda: ((b.real, b.imag) for (b,) in _blocks(v)), 2)[0])
 
 
 def test_weight_parse_roundtrip():
@@ -219,7 +214,7 @@ def test_exact_prefix_sums_are_fsum_of_each_prefix(monkeypatch):
         cuts = sorted(rng.integers(0, n + 1, 6).tolist())
         cuts += [0, n, 5, 7, _SUM_CHUNK - 1, _SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK + 3]
         cases.append((v, cuts, [math.fsum(v[:c]).hex() for c in cuts]))
-    # finite data never falls back: every cut is a snapshot of the bins
+    # finite data never falls back: every cut is read off the bins
     monkeypatch.setattr(math, "fsum", lambda v: pytest.fail("fell back to math.fsum"))
     for v, cuts, want in cases:
         assert [g.hex() for g in _exact_prefix_sums(v, cuts)] == want
@@ -635,24 +630,33 @@ def test_block_sums_any_blocking_and_streams():
     for v in _adversarial_sums():
         cuts = np.sort(rng.integers(0, len(v) + 1, 4))
         parts = np.split(v, cuts)  # empty parts and parts longer than one chunk included
-        snaps = _block_sums(lambda: ((p, p[::2]) for p in parts), 2)
+        sums, _ = _block_sums(lambda: ((p, p[::2]) for p in parts), 2)
         halves = np.concatenate([p[::2] for p in parts])
-        assert [s.hex() for s in snaps[-1]] == [math.fsum(v).hex(), math.fsum(halves).hex()]
-    # a snapshot at every None reads each stream's sum so far
+        assert [s.hex() for s in sums] == [math.fsum(v).hex(), math.fsum(halves).hex()]
+    # a pass over the first i blocks reads each stream's sum so far
     v = rng.standard_normal(3 * _SUM_CHUNK)
     v[2 * _SUM_CHUNK] = math.inf  # both streams trip in their third block
+    for i in range(1, 4):
+        starts = range(0, i * _SUM_CHUNK, _SUM_CHUNK)
+        (a, b), _ = _block_sums(lambda: ((v[s : s + _SUM_CHUNK], -v[s : s + 100]) for s in starts), 2)
+        assert a.hex() == math.fsum(v[: i * _SUM_CHUNK]).hex()
+        heads = [-v[k : k + 100] for k in starts]
+        assert b.hex() == math.fsum(np.concatenate(heads)).hex()
+
+
+def test_block_sums_count_each_stream():
+    # counts[j] is stream j's length, also when its sum tripped and fell back to math.fsum
+    v = np.random.default_rng(23).standard_normal(2 * _SUM_CHUNK + 7)
+    v[_SUM_CHUNK + 3] = math.inf  # the first stream trips in its second block
 
     def blocks():
-        for b in range(0, len(v), _SUM_CHUNK):
-            yield v[b : b + _SUM_CHUNK], -v[b : b + 100]
-            yield None
+        for s in range(0, len(v), _SUM_CHUNK):
+            yield v[s : s + _SUM_CHUNK], -v[s : s + 2], v[:0]
 
-    snaps = _block_sums(blocks, 2)
-    assert len(snaps) == 4 and snaps[-1] == snaps[-2]
-    for i, (a, b) in enumerate(snaps[:3]):
-        assert a.hex() == math.fsum(v[: (i + 1) * _SUM_CHUNK]).hex()
-        heads = [-v[k : k + 100] for k in range(0, (i + 1) * _SUM_CHUNK, _SUM_CHUNK)]
-        assert b.hex() == math.fsum(np.concatenate(heads)).hex()
+    sums, counts = _block_sums(blocks, 3)
+    assert counts == [len(v), 6, 0]
+    heads = np.concatenate([-v[s : s + 2] for s in range(0, len(v), _SUM_CHUNK)])
+    assert sums == [math.inf, math.fsum(heads), 0.0]
 
 
 def test_blocked_sums_peak_memory(batch11_1e7, traced_peak, fixed_bytes):
