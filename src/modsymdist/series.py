@@ -13,17 +13,24 @@ variant replaces the sharp cutoff by a C^2 quintic ramp supported on
 
 All reductions are exact sums rounded once (_ExactSum, a vectorized
 superaccumulator that returns math.fsum's result bit for bit), so results
-are bit-identical regardless of thread count or sample permutation.
+are bit-identical regardless of thread count or sample permutation.  Each
+sum bins its values' high and low halves by exponent in float64, two
+np.bincounts a segment; the bins stay exact for 2^26 values and are then
+carried into one Python integer, and once more when the sum is read.  The
+guard that hands a sum to math.fsum (an inf, a nan, or a size at which
+math.fsum could overflow on the way) is read off the same bin counts.
+Sums whose value is known are not taken: _sum_reports sums no Im for the
+real kinds one and abs2m, and stats._moments takes M00 from the count.
 
 Block-size invariant: every reduction reads the symbols in blocks of
 _SUM_CHUNK positions from a symbol source (modsym: a SymbolBatch, or a
 SymbolStream that holds no symbols) and feeds exact sums (_block_sums).
 The weight, the cutoff and every other temporary exist one block at a
 time, so memory beyond the source is O(_SUM_CHUNK) whatever T is, and
-since the integer bins persist across blocks and are exact, the blocking
-never moves a bit of any result.  grid_sums covers a whole grid of T in
-one pass, with one set of accumulators per T; sharp_sum and smoothed_sum
-are its one-T calls.
+since the bins persist across blocks and are exact, the blocking never
+moves a bit of any result.  grid_sums covers a whole grid of T in one
+pass, with one set of accumulators per T; sharp_sum and smoothed_sum are
+its one-T calls.
 """
 
 import cmath
@@ -136,83 +143,110 @@ def smooth_cutoff(t, U):
     return float(out[0]) if scalar else out
 
 
-# Every block of the symbol pipeline, and each _ExactSum segment: a sum of 2^14
-# halves has at most 42 significant bits (a multiple of 2^27 units below 2^67, or of
-# 1 unit below 2^42), so float64 bins are exact; any size up to 2^16 (44 bits) keeps that.
+# Every block of the symbol pipeline, and each _ExactSum segment: any size up to
+# _CARRY keeps the float bins exact.
 _SUM_CHUNK = 1 << 14
 _SUM_BINS = 2047  # the exponent fields E of finite values
 _SUM_OFFSET = 1075  # bin E holds multiples of its unit 2^(E - _SUM_OFFSET)
 _SUM_UNITS = _SUM_OFFSET - np.arange(_SUM_BINS)  # ldexp by these turns bin sums into units
-_HIGH_UNITS = _SUM_UNITS - 26  # the same for the high halves' bins, in units of 2^26
+_HIGH_UNITS = _SUM_UNITS - 27  # the same for the high halves' bins, in units of 2^27
 _HIGH_HALF = np.uint64((1 << 64) - (1 << 27))  # every bit but the mantissa's 27 lowest
+# A bin count over both signs dotted with this: the sum of |values| times 2^-64, which
+# no finite count overflows
+_MAGNITUDE = np.repeat([2.0 ** -64, -(2.0 ** -64)], 2048)
+_MASS_LIMIT = 2.0 ** (1019 - 64)  # below it (times 2^64), math.fsum cannot overflow on the way
+_CARRY = 1 << 26  # values the float bins take between carries into the integer total
 
 
 class _ExactSum:
     """Exact sum of float64 values fed block by block, rounded on demand.
 
     A finite value v with biased exponent field E is an integer multiple
-    of the unit 2^(E - 1075), below 2^53 of them: its ulp for E >= 1, half
-    the spacing of the subnormals at E = 0.  Clearing the 27 low bits of
-    its mantissa leaves a high half h, a multiple of 2^27 units, and the
-    low half l = v - h is exact and below 2^28 units.  np.bincount sums
-    each half by sign and E over segments of at most _SUM_CHUNK = 2^14
-    values in float64, where every partial sum has at most 42 significant
-    bits (a multiple of 2^27 units below 2^67, or of 1 unit below 2^42),
-    hence is exact in any order; segments of up to 2^16 values (44 bits)
-    would be exact too.  Per segment the float bins are
-    scaled to integers and added to the int64 bins hi (units of 2^26) and
-    lo, which therefore hold the exact sum of everything fed so far,
-    however it was split into blocks; fewer than 2^35 values keep them
-    below 2^63.
+    of its spacing g, below 2^53 of them: g is its ulp 2^(E - 1075) for
+    E >= 1 and 2^-1074 for the subnormals at E = 0.  Clearing the 27 low
+    bits of its mantissa leaves a high half h, a multiple of 2^27 g, and
+    the low half l = v - h, exact and below 2^27 g.  Per segment of at
+    most _SUM_CHUNK values, np.bincount sums each half by sign and E in
+    float64, and both signs of each E are added into the float bins hi
+    and lo.  Every partial sum of a bin, in any order, is a sum of at most
+    N of its halves: a multiple of 2^27 g below N 2^26 of them for hi, a
+    multiple of g below N 2^27 of them for lo.  So while N <= 2^26 both
+    are below 2^53 of their granularity and exact.  The bins take at most
+    _CARRY = 2^26 values (one segment if that is set lower) before they
+    are carried into the Python integer total, counted in the units
+    2^(E - 1075) (g/2 at E = 0), and value() carries what is left; total
+    is thus the exact sum of everything fed, however it was split into
+    blocks.
 
-    `exact` turns False, and binning stops, once a value is non-finite or
-    the sum is large enough that math.fsum could overflow on the way; both
-    conditions only grow with what is fed.  `count` is the number of
-    values fed either way.
+    `exact` turns False, and binning stops, once mass, the sum of the
+    high halves' magnitudes (each segment's bin counts dotted with
+    _MAGNITUDE), reaches 2^1019: with room for rounding and the low
+    halves, the sum of |values| fed stays below 2^1020, where math.fsum
+    cannot overflow on the way and the float bins cannot either.  An inf
+    or a nan lands in the top exponent field and makes mass inf or nan,
+    which fails the test too.  mass is read off the counts before both
+    signs are added into one bin, since a bin can cancel to 0 although
+    math.fsum overflows on the way to it (2^1023 + 1.5 * 2^1022 + 1.5 *
+    2^1022 - ...).  Both conditions only grow with what is fed.  `count`
+    is the number of values fed either way.
     """
 
     def __init__(self):
-        self.hi = np.zeros(_SUM_BINS, dtype=np.int64)
-        self.lo = np.zeros(_SUM_BINS, dtype=np.int64)
-        self.amax = 0.0
+        self.hi = np.zeros(_SUM_BINS)
+        self.lo = np.zeros(_SUM_BINS)
+        self.total = 0  # in units of 2^-1075
+        self.fed = 0  # values in the float bins since the last carry
+        self.mass = 0.0  # times 2^-64
         self.count = 0
         self.exact = True
 
     def add(self, block):
         """Fold in a float64 array of any length."""
-        block = np.asarray(block, dtype=np.float64)
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        self.count += len(block)
         for s in range(0, len(block), _SUM_CHUNK):
+            if not self.exact:
+                return
             seg = block[s : s + _SUM_CHUNK]
-            self.count += len(seg)
+            if self.fed + len(seg) > _CARRY:
+                self._carry()
+            self.fed += len(seg)
+            bits = seg.view(np.uint64)
+            key = (bits >> 52).view(np.int64)  # E, or 2048 + E below zero
+            half = (bits & _HIGH_HALF).view(np.float64)  # the high halves, then the low ones
+            sums = np.bincount(key, weights=half, minlength=4096)
+            self.mass += float(sums.dot(_MAGNITUDE))
+            self.exact = self.mass < _MASS_LIMIT  # False for nan too
             if self.exact:
-                self.amax = max(max(float(seg.max()), -float(seg.min())), self.amax)  # a nan stays
-                self.exact = self.count < 1 << 35 and self.amax * self.count < 2.0 ** 1020
-            if self.exact:
-                bits = seg.view(np.uint64)
-                key = (bits >> 52).view(np.int64)  # E, or 2048 + E below zero
-                high = (bits & _HIGH_HALF).view(np.float64)
-                halves = ((high, self.hi, _HIGH_UNITS), (seg - high, self.lo, _SUM_UNITS))
-                for half, bins, units in halves:
-                    sums = np.bincount(key, weights=half, minlength=4096)
-                    both = sums[:_SUM_BINS] + sums[2048 : 2048 + _SUM_BINS]  # exact: 43 bits at most
-                    bins += np.ldexp(both, units).astype(np.int64)
+                self.hi += sums[:_SUM_BINS]
+                self.hi += sums[2048 : 2048 + _SUM_BINS]
+                sums = np.bincount(key, weights=np.subtract(seg, half, out=half), minlength=4096)
+                self.lo += sums[:_SUM_BINS]
+                self.lo += sums[2048 : 2048 + _SUM_BINS]
+
+    def _carry(self):
+        """Move the float bins into the integer total and clear them."""
+        used = np.flatnonzero(np.logical_or(self.hi, self.lo))
+        if len(used):
+            hi = np.ldexp(self.hi[used], _HIGH_UNITS[used]).astype(np.int64).tolist()
+            lo = np.ldexp(self.lo[used], _SUM_UNITS[used]).astype(np.int64).tolist()
+            base = int(used[0])
+            total = 0
+            for e, h, l in zip(used.tolist(), hi, lo):
+                total += ((h << 27) + l) << (e - base)
+            self.total += total << base
+            self.hi[:] = 0.0
+            self.lo[:] = 0.0
+        self.fed = 0
 
     def value(self):
         """The exact sum, rounded once.
 
-        The bins are combined as one Python integer and divided by a power
-        of two: int/int true division is correctly rounded (half to even),
-        the same rounding math.fsum applies to the exact sum.
+        int/int true division is correctly rounded (half to even), the
+        same rounding math.fsum applies to the exact sum.
         """
-        used = np.nonzero(self.hi | self.lo)[0].tolist()
-        if not used:
-            return 0.0
-        base = used[0]
-        total = 0
-        for i in used:
-            total += ((int(self.hi[i]) << 26) + int(self.lo[i])) << (i - base)
-        shift = base - _SUM_OFFSET
-        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+        self._carry()
+        return self.total / (1 << _SUM_OFFSET) if self.total else 0.0
 
 
 def _block_sums(blocks, k):
@@ -249,12 +283,17 @@ def _sum_reports(batch, weight, cuts, U=None):
     block and per cut: the mask norms <= bound, then the streams Re and Im
     of the terms and the first-order bound max(|v|,1)^(deg-1) * err on
     |d omega| from the per-symbol truncation errors; at degree 0 there is
-    no bound and the budget is 0.  Each cut has its own accumulators, and
+    no bound and the budget is 0.  The kinds one and abs2m have real terms
+    whose Im is +0.0 (times phi, r * 0 + 0 * phi: +0.0 while both are
+    finite, else nan, and Re's sum is then not finite), so their Im stream
+    is not summed: it is 0.0, or nan beside a smoothed Re that is not
+    finite, as math.fsum of it would be.  Each cut has its own accumulators, and
     its block temporaries are made only as its streams are read, after the
     previous cut's; a block's copy of the values goes before its streams
     are read.
     """
     deg = weight.total_degree
+    real = weight.kind in ("one", "abs2m")
     counts = []
 
     def parts(block):
@@ -270,7 +309,8 @@ def _sum_reports(batch, weight, cuts, U=None):
                 err *= np.maximum(np.abs(v), 1.0) ** (deg - 1)
             del v
             yield terms.real
-            yield terms.imag
+            if not real:
+                yield terms.imag
             if deg:
                 yield err
 
@@ -282,14 +322,15 @@ def _sum_reports(batch, weight, cuts, U=None):
             yield parts(block)
         counts[:] = tally  # only a read to the end gets here, and each one counts the same
 
-    width = 3 if deg else 2
-    sums, _ = _block_sums(blocks, width * len(cuts))
+    width = 1 + (not real) + (deg > 0)
+    sums = iter(_block_sums(blocks, width * len(cuts))[0])
     mode = "sharp" if U is None else f"smoothed(U={U:g})"
     reports = []
     for j, (T, _) in enumerate(cuts):
-        re, im, *err_sum = sums[width * j : width * (j + 1)]
+        re = next(sums)
+        im = next(sums) if not real else 0.0 if U is None or math.isfinite(re) else math.nan
         value = complex(re, im) + weight.at_zero() * (1.0 if U is None else smooth_cutoff(1.0 / T, U))
-        budget = float(deg * err_sum[0]) if deg else 0.0
+        budget = float(deg * next(sums)) if deg else 0.0
         reports.append(SumReport(
             value=value,
             count=counts[j] + 1,

@@ -90,23 +90,36 @@ def _moments(xy_blocks, keys):
 
     One pass: each block's power chains feed one running exact sum per
     key, one product x^n y^m at a time; y's powers are held and x's made
-    one at a time.  ValueError(NO_SAMPLES) if there is no sample.
+    one at a time.  The sums that are already known are not taken: the
+    (0, 0) key's is the sample count, and an (n, 0) or (0, m) key sums
+    the power itself.  ValueError(NO_SAMPLES) if there is no sample.
     xy_blocks() is read again only for a non-finite sum.
     """
     keys = sorted(keys)
-    n_max = max((n for n, _ in keys), default=0)
-    m_max = max((m for _, m in keys), default=0)
+    summed = [key for key in keys if key != (0, 0)]
+    n_max = max((n for n, _ in summed), default=0)
+    m_max = max((m for _, m in summed), default=0)
+    sizes = []
 
     def products(xb, yb):
-        yp = [1.0, *_power_chain(yb, m_max)]  # a zeroth power is 1.0, whose product moves no bit
-        for n, xn in enumerate(itertools.chain([1.0], _power_chain(xb, n_max))):
-            for m in (m for k, m in keys if k == n):
-                yield xn * yp[m] if n or m else np.ones_like(xb)
+        yp = [None, *_power_chain(yb, m_max)]
+        for n, xn in enumerate(itertools.chain([None], _power_chain(xb, n_max))):
+            for m in (m for k, m in summed if k == n):
+                yield xn * yp[m] if n and m else xn if n else yp[m]
 
-    sums, (size, *_) = _block_sums(lambda: (products(*xy) for xy in xy_blocks()), len(keys))
+    def blocks():
+        size = 0
+        for xb, yb in xy_blocks():
+            size += len(xb)
+            yield products(xb, yb)
+        sizes[:] = [size]  # only a read to the end gets here, and each one counts the same
+
+    sums, _ = _block_sums(blocks, len(summed))
+    size = sizes[0]
     if not size:
         raise ValueError(NO_SAMPLES)
-    return {key: s / size for key, s in zip(keys, sums)}
+    known = dict(zip(summed, sums))
+    return {key: known.get(key, size) / size for key in keys}
 
 
 def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
@@ -115,14 +128,16 @@ def symbol_moments(symbols, norm_f_sq, vol, n_max, m_max):
     symbols is a SymbolBatch or a SymbolStream: each of its blocks is
     normalized (_normalized) and fed to the moments' exact sums
     (_moments), so no sample array is held and the result does not
-    depend on how the symbols are blocked or ordered.  ValueError if no
-    symbol has norm > 1.
+    depend on how the symbols are blocked or ordered.  ValueError if an
+    order is negative or no symbol has norm > 1.
     """
 
     def xy_blocks():
         for v in _normalized(symbols.blocks(), norm_f_sq, vol):
             yield v.real, v.imag
 
+    if n_max < 0 or m_max < 0:
+        raise ValueError(f"moment orders must be >= 0, got n_max={n_max}, m_max={m_max}")
     keys = [(n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
     pairs = _moments(xy_blocks, keys)
     return MomentReport(pairs=pairs, gaussian_limit={key: gaussian_moment(*key) for key in pairs})

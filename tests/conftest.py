@@ -70,16 +70,18 @@ def traced_peak():
 def _fixed_bytes(keys, group=0):
     """Bytes a blocked reduction holds that do not shrink with the block.
 
-    Each of its `keys` exact sums holds two int64 bin arrays of
+    Each of its `keys` exact sums holds two float64 bin arrays of
     series._SUM_BINS entries.  While _ExactSum.add folds a segment in, it
-    holds one np.bincount output over both signs' exponent fields (4096
-    float64) and three arrays of _SUM_BINS entries: the folded bin sums
-    with their scaled and integer copies.  A reduction over a symbol
-    stream also holds the current c group's ds, norms and values: 32 bytes
-    a symbol of the input's largest group.
+    holds at most two np.bincount outputs over both signs' exponent fields
+    (4096 float64 each), and adds them into the bins in place.  (A carry
+    into the integer total mid-stream, once per 2^26 values, is not
+    modelled: no input here is that long, and value() carries after the
+    blocks are gone.)  A reduction over a symbol stream also holds the
+    current c group's ds, norms and values: 32 bytes a symbol of the
+    input's largest group.
     """
     bins = 8 * series._SUM_BINS
-    sums = (keys * 2 * bins + 8 * 4096 + 3 * bins) if keys else 0
+    sums = (keys * 2 * bins + 2 * 8 * 4096) if keys else 0
     return sums + 32 * group
 
 

@@ -225,7 +225,7 @@ def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z)
 def test_stdout_does_not_depend_on_the_block_size(capsys, monkeypatch, argv):
     # one constant sizes the stream's blocks, _ExactSum's segments, _fold's residue
     # blocks and max_ratio's slices; at 1000, not a power of two, blocks straddle c groups
-    assert series._SUM_CHUNK <= 1 << 16  # _ExactSum's float bin sums are exact up to 2^16
+    assert series._SUM_CHUNK <= 1 << 16  # the tests' 2^16 spans straddle its blocks
     code, want = run_cli(capsys, *argv)
     assert code == 0 and want
     for module in (series, modsym, stats, curve_mod):
@@ -606,11 +606,25 @@ def test_python_m_runs_the_cli(capsys):
          "43ae1f6eb53107321f5065cbd2fbb814ca5f28694a7c1f7363acd2d66ee938d2"),
         (["symbols", "--curve", "37a", "--T", "1000", "--format", "json"],
          "5e2f54c2754dca29febc25f5718940a4c78084c16f394640a243cc04661258cd"),
+        (["moments", "--curve", "11a", "--nmax", "4", "--mmax", "4", "--T", "1e5"],
+         "d50d253838f144614c8c51129fdaa4cdf0d522bc4cc70824e0a8d7c8bdb88623"),
+        (["moments", "--curve", "37a", "--z", "0.25,0.9", "--T", "1e5"],
+         "af92aea0487d791f01b8e7789cbb1e324135902e6aa5f2d45ce877c0f75cbb93"),
+        (["sums", "--curve", "11a", "--weight", "abs2:1", "--T-grid", "1e3,1e4,1e5"],
+         "7a5cc0262f456ee0dc1a21f863daeed65fdbcffea1c074449b75181b8d7aec58"),
+        (["sums", "--curve", "11a", "--weight", "f:2,0", "--smooth-U", "10", "--T", "1e5"],
+         "c20589cd767643ec3813a0e0105abb28e77e9713cdc581188b5c3083122070af"),
+        (["histogram", "--curve", "11a", "--component", "im", "--bins", "40", "--T", "1e5"],
+         "bf49594a270601e1da2faeb214b47f0b8b31bc1f341ec63dfb7b7f29626a479b"),
+        (["eisenstein", "--curve", "11a", "--m", "1", "--n", "1", "--T-max", "1e5"],
+         "d90b5d7cb0da5a5a615856c50f89182250ffe783ef8f668c7fad47a53b810d7f"),
     ],
-    ids=["coeffs-csv", "coeffs-json", "symbols-csv", "symbols-json"],
+    ids=["coeffs-csv", "coeffs-json", "symbols-csv", "symbols-json", "moments-11a", "moments-37a",
+         "sums-abs2", "sums-f20-smooth", "histogram-im", "eisenstein"],
 )
 def test_tabular_output_pinned(tmp_path, capsys, argv, sha256):
-    # stdout and --out FILE carry the same bytes, pinned from the list-built writer
+    # stdout and --out FILE carry the same bytes, pinned from the list-built writer; the
+    # reductions' rows are pinned too, so no last bit of a moment or a sum moves unseen
     code, out = run_cli(capsys, *argv)
     target = tmp_path / "out.txt"
     assert main(argv + ["--out", str(target)]) == code == 0

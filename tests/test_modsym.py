@@ -305,7 +305,7 @@ def _fold_one_pass(a, c, n_used):
 
 
 # Lengths around multiples of SPAN straddle block boundaries at every block size
-# that divides it: every power of two up to 2^16, _ExactSum's limit.
+# that divides it: every power of two up to 2^16.
 SPAN = 1 << 16
 C5 = 11 * (_SUM_CHUNK // 58)  # a group holds 5 rows of C5 residues, not 6
 

@@ -25,7 +25,7 @@ from modsymdist.series import (
 VOL11 = 4 * math.pi
 
 # Lengths around multiples of SPAN straddle block boundaries at every block size
-# that divides it: every power of two up to 2^16, _ExactSum's limit.
+# that divides it: every power of two up to 2^16.
 SPAN = 1 << 16
 
 
@@ -195,6 +195,57 @@ def test_exact_sum_non_finite_turns_exact_off(bad):
         assert acc.exact
         acc.add(np.array([1.0, bad, 2.0]))
         assert not acc.exact and acc.count == len(first) + 3
+
+
+def test_exact_sum_cancelled_overflow_as_fsum():
+    # the large bins cancel to 0, but math.fsum overflows on the way: the guard sees the
+    # magnitudes fed, not the folded bins, in one block or spread over several
+    v = np.array([2.0 ** 1023, 1.5 * 2.0 ** 1022, 1.5 * 2.0 ** 1022] * 2) * np.repeat([1.0, -1.0], 3)
+    with pytest.raises(OverflowError) as ref:
+        math.fsum(v)
+    for size in (len(v), 2, 1):
+        with pytest.raises(OverflowError) as ours:
+            _block_sums(lambda: ((v[s : s + size],) for s in range(0, len(v), size)), 1)
+        assert str(ours.value) == str(ref.value)
+
+
+def _fed_whole_and_in_pieces(v):
+    """_ExactSums fed v in one add and in pieces of uneven length."""
+    whole, pieces = series._ExactSum(), series._ExactSum()
+    whole.add(v)
+    for s in range(0, len(v), 5 * _SUM_CHUNK // 3):
+        pieces.add(v[s : s + 5 * _SUM_CHUNK // 3])
+    return whole, pieces
+
+
+@pytest.mark.parametrize("carry", [_SUM_CHUNK, _SUM_CHUNK + 1, 2 * _SUM_CHUNK])
+def test_exact_sum_carries_are_fsum(monkeypatch, carry):
+    # the float bins carried into the integer total every `carry` values or so, not every 2^26
+    cases = [(v, math.fsum(v)) for v in (*_adversarial_sums(), *_split_edge_sums())]
+    monkeypatch.setattr(series, "_CARRY", carry)
+    carries = []
+    carry_fn = series._ExactSum._carry
+    monkeypatch.setattr(series._ExactSum, "_carry", lambda acc: (carries.append(acc.fed), carry_fn(acc)))
+    for v, want in cases:
+        for acc in _fed_whole_and_in_pieces(v):
+            if acc.exact:
+                assert acc.value().hex() == want.hex(), len(v)
+            else:  # only a sum that reaches 2^1019 gives up
+                assert np.sum(np.abs(v)) >= 2.0 ** 1019
+    assert max(carries) <= carry and carries.count(0) < len(carries) // 2
+
+
+def test_exact_sum_add_is_two_bincounts(monkeypatch):
+    # one segment: a bin count per half and no scaling into integers, which waits for a carry
+    calls = []
+    for name in ("bincount", "ldexp"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    acc = series._ExactSum()
+    acc.add(np.random.default_rng(31).standard_normal(_SUM_CHUNK))
+    assert calls == ["bincount", "bincount"]
+    acc.value()
+    assert calls[2:] == ["ldexp", "ldexp"]
 
 
 def _assert_prefixes_are_fsum(v, cuts):
@@ -422,7 +473,8 @@ def test_sum_report_error_budget_flag(batch11_1e4):
 
 
 def test_summatory_functions_take_one_pass(batch11_1e5, monkeypatch):
-    # value and budget come from one _block_sums pass: Re, Im, then the budget from degree 1 on
+    # value and budget come from one _block_sums pass: Re, Im unless the kind's terms are
+    # real (one, abs2m), then the budget from degree 1 on
     streams = []
     block_sums = series._block_sums
 
@@ -431,17 +483,17 @@ def test_summatory_functions_take_one_pass(batch11_1e5, monkeypatch):
         return block_sums(blocks, k)
 
     monkeypatch.setattr(series, "_block_sums", counted)
-    for wtxt, k in (("one", 2), ("f:0,0", 2), ("f:2,0", 3), ("abs2:1", 3)):
+    for wtxt, k in (("one", 1), ("f:0,0", 2), ("f:2,0", 3), ("abs2:1", 2)):
         w = WeightSpec.parse(wtxt)
         with monkeypatch.context() as mp:
-            if k == 2:  # degree 0: no truncation bound is spelled out
+            if not w.total_degree:  # no truncation bound is spelled out
                 mp.setattr(SymbolBatch, "per_symbol", lambda *a: pytest.fail("read the bounds"))
             for run in (lambda: sharp_sum(batch11_1e5, w, 2 * 10 ** 4),
                         lambda: smoothed_sum(batch11_1e5, w, 2 * 10 ** 4, 10)):
                 rep = run()
                 assert streams == [k], (wtxt, rep.mode)
                 streams.clear()
-                if k == 2:
+                if not w.total_degree:
                     assert rep.err_budget.hex() == "0x0.0p+0" and not rep.err_budget_exceeded
                 else:
                     assert 0 < rep.err_budget < 1e-6
@@ -766,7 +818,8 @@ def test_stream_sums_are_the_batch_sums(table11, threads):
 
 
 def test_grid_sums_take_one_pass(monkeypatch):
-    # one _block_sums pass over the stream for the whole grid: one set of streams per T
+    # one _block_sums pass over the stream for the whole grid: one set of streams per T,
+    # Re for one, Re and the budget for abs2:1
     batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=9)
     stream, reads = _stream_of(batch, monkeypatch)
     widths = []
@@ -780,7 +833,7 @@ def test_grid_sums_take_one_pass(monkeypatch):
     grid = [batch.T / 3, batch.T / 2, batch.T]
     grid_sums(stream, WeightSpec.parse("one"), grid)
     grid_sums(stream, WeightSpec.parse("abs2:1"), grid[:2], 10)
-    assert widths == [2 * 3, 3 * 2] and len(reads) == 2
+    assert widths == [1 * 3, 2 * 2] and len(reads) == 2
 
 
 @pytest.mark.parametrize("bad", [[math.inf], [math.nan], [math.inf, -math.inf], [1e308, 1e308, -1e308]])
@@ -811,3 +864,25 @@ def test_stream_non_finite_sums_as_fsum(monkeypatch, bad):
 
         assert _outcome(eisenstein) == _outcome(lambda: _eisenstein_reference(batch, 2 + 0j, 1, 0, T))
     assert len(reads) > 5  # five reductions, and the non-finite sums read the stream again
+
+
+@pytest.mark.parametrize("bad", [[math.inf], [math.nan], [1e200, -1e200]])
+def test_real_weights_sum_no_im_stream(bad):
+    # one and abs2m read no Im stream, yet report math.fsum's Im: 0.0, or nan where phi meets
+    # a term that is not finite; the bad values sit in the second block, above T / 2
+    batch = _synthetic_batch(2 * _SUM_CHUNK + 7, seed=5)
+    at = _SUM_CHUNK + 3
+    batch.values[at : at + len(bad)] = bad
+    T = batch.T
+    with np.errstate(all="ignore"):
+        for w in (WeightSpec("one"), WeightSpec("abs2m", 0), WeightSpec("abs2m", 1), WeightSpec("abs2m", 2)):
+
+            def sharp():
+                return [(r.value, r.count, r.err_budget) for r in grid_sums(batch, w, [T / 2, T])]
+
+            def smoothed():
+                return [(r.value, r.count, r.err_budget) for r in grid_sums(batch, w, [T / 2.5, T / 1.25], 4)]
+
+            assert _outcome(sharp) == _outcome(lambda: [_sharp_reference(batch, w, t) for t in (T / 2, T)])
+            assert _outcome(smoothed) == _outcome(
+                lambda: [_smoothed_reference(batch, w, t, 4) for t in (T / 2.5, T / 1.25)])

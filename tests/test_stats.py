@@ -121,6 +121,32 @@ def test_moments_empty_stream_rejected():
         symbol_moments(_one_group(np.array([0j]), np.array([1.0])), 0.0469, VOL11, 2, 2)
 
 
+def test_moments_negative_orders_rejected():
+    batch = _unit_batch(np.ones(3), np.ones(3))
+    for n_max, m_max in ((-1, 4), (4, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="moment orders must be >= 0"):
+            symbol_moments(batch, UNIT_NFSQ, VOL11, n_max, m_max)
+
+
+def test_moments_sum_only_the_unknown_keys(monkeypatch):
+    # M00 is the count over itself and takes no sum; every other key takes one
+    widths = []
+    block_sums = stats._block_sums
+
+    def counted(blocks, k):
+        widths.append(k)
+        return block_sums(blocks, k)
+
+    monkeypatch.setattr(stats, "_block_sums", counted)
+    x, y = np.random.default_rng(8).standard_normal((2, CHUNK + 5))
+    for n_max, m_max in ((4, 4), (0, 0), (2, 0), (0, 3)):
+        got = _moments(x, y, n_max, m_max)
+        assert widths == [(n_max + 1) * (m_max + 1) - 1] and got[(0, 0)] == 1.0
+        widths.clear()
+        want = _moments_reference(x, y, n_max, m_max)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
 def test_moments_match_gaussian_on_synthetic():
     rng = np.random.default_rng(11)
     n = 200000
@@ -197,7 +223,7 @@ def test_normalized_sample_validation():
 CHUNK = series._SUM_CHUNK
 BLOCK_BYTES = 16 * CHUNK  # one block of complex values
 # Lengths around multiples of SPAN straddle block boundaries at every block size
-# that divides it: every power of two up to 2^16, _ExactSum's limit.
+# that divides it: every power of two up to 2^16.
 SPAN = 1 << 16
 
 
