@@ -132,12 +132,10 @@ def _symbols_for(args, T):
     cmax = max(crv.N, int(math.isqrt(int(T / args.z.imag ** 2))) + 1)
     n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol),
                 modsym.tail_terms_needed(args.z.imag, 2.0, 1e-13, two_sided=False))
-    # 11a's newform is an eta product: the same a_n as the point count, in milliseconds.
-    # The test is on the exact model, so a wrong conductor never gets 11a's newform.
-    if crv == curve_mod.PRESETS["11a"]:
-        table = curve_mod.eta_deep_table_level11(n_max)
-    else:
-        table = curve_mod.coefficient_table(crv, n_max)
+    # the same bytes as coefficient_table, by a cheaper route: the eta product on 11a's
+    # exact model, else baby-step/giant-step lanes for good p above 10^3 and the count
+    # for the rest; `coeffs` and `petersson` keep the count
+    table = curve_mod._symbol_table(crv, n_max)
     return crv, table, modsym.symbol_stream(table, crv.N, T, args.z, args.tol, args.threads)
 
 

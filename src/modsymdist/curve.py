@@ -5,15 +5,17 @@ A rational elliptic curve of conductor N carries a weight-2 newform
     f(z) = sum_{n>=1} a_n e^{2 pi i n z},   a_1 = 1,
 
 whose coefficients are produced here by point counting over F_p plus the
-Hecke recursion, and whose complex period lattice Z*omega1 + Z*omega2 is
-computed by the arithmetic-geometric mean.  Level 11 has a second route:
-the newform of 11a is an eta product, and eta_deep_table_level11 expands it
-by FFT to the same a_n.  It serves every symbol stream that cli._symbols_for
-builds on 11a's exact model and every table of `verify`; `coeffs`,
-`petersson` and every other curve count points.  The coefficients and the
-lattice feed everything downstream: the period lattice is the target of the
-Eichler-Shimura membership checks and the source of one of the two
-Petersson-norm estimates.
+Hecke recursion (coefficient_table, the reference route, which `coeffs`
+and `petersson` read), and whose complex period lattice Z*omega1 + Z*omega2
+is computed by the arithmetic-geometric mean.  The symbol commands take
+their tables from _symbol_table, which gives the same bytes by cheaper
+routes: on 11a's exact model the eta product (eta_deep_table_level11 expands
+it by FFT; every table of `verify` is built this way too), on any other
+curve a_p found by baby-step/giant-step lanes (_lane_aps, many primes at
+once) for good p above _LANE_MIN_PRIME and counted for the rest.  The
+coefficients and the lattice feed everything downstream: the period lattice
+is the target of the Eichler-Shimura membership checks and the source of
+one of the two Petersson-norm estimates.
 """
 
 import math
@@ -265,31 +267,31 @@ def _checked_n_max(n_max):
     return n_max
 
 
-def coefficient_table(curve, n_max):
-    """Point-count a_p for p <= n_max and Hecke-expand them in one array.
-
-    The primes are taken in increasing order.  Each p sets a_p = ap_count,
-    then its powers by a_{p^k} = a_p a_{p^{k-1}} - chi(p) p a_{p^{k-2}}
-    (chi(p) = 0 if p | N, else 1; a[0] = 0 stands in for a_{p^{-1}}), then
-    sweeps a[q m] = a[q] a[m] over every power q = p^k and every m >= 2
-    prime to p.  Invariant: when p's turn starts, a_m is final for every m
-    whose primes are all below p, and 0 for every other m > 1.  So each n is
-    written last by the sweep of its largest prime, from final factors.
-
-    Every count shares one CountScratch sized for the largest prime, so the
-    loop allocates no O(p) array per prime.
-    """
-    n_max = _checked_n_max(n_max)
-    curve = resolve_curve(curve)
+def _table_primes(n_max):
+    """The primes <= n_max, refused before any a_p is found if one passes AP_PRIME_BOUND."""
     primes = sieve_primes(n_max).tolist()
     if primes and primes[-1] > AP_PRIME_BOUND:
         raise ValueError(f"p={primes[-1]} exceeds point-counting bound {AP_PRIME_BOUND}")
-    work = CountScratch(primes[-1] if primes else 0)
+    return primes
+
+
+def _hecke_table(curve, primes, aps, n_max):
+    """Hecke-expand a_p, in the order of `primes` (all primes <= n_max), into a table.
+
+    The primes are taken in increasing order.  Each p sets a_p from the
+    iterable `aps`, then its powers by a_{p^k} = a_p a_{p^{k-1}} - chi(p) p
+    a_{p^{k-2}} (chi(p) = 0 if p | N, else 1; a[0] = 0 stands in for
+    a_{p^{-1}}), then sweeps a[q m] = a[q] a[m] over every power q = p^k and
+    every m >= 2 prime to p.  Invariant: when p's turn starts, a_m is final
+    for every m whose primes are all below p, and 0 for every other m > 1.
+    So each n is written last by the sweep of its largest prime, from final
+    factors, and the bytes depend only on the a_p.
+    """
     a = np.zeros(n_max + 1, dtype=np.float64)
     a[1] = 1.0
-    for p in primes:
+    for p, ap in zip(primes, aps, strict=True):
         chi = 0 if curve.N % p == 0 else 1
-        a[p] = ap_count(curve, p, work)
+        a[p] = ap
         q = p
         while q * p <= n_max:
             a[q * p] = a[p] * a[q] - chi * p * a[q // p]
@@ -301,6 +303,257 @@ def coefficient_table(curve, n_max):
             a[q * m] = a[q] * a[m]
             q *= p
     return CoefficientTable(a)
+
+
+def coefficient_table(curve, n_max):
+    """Point-count a_p for p <= n_max and Hecke-expand them in one array (_hecke_table).
+
+    Each a_p is counted just before its sweep, and every count shares one
+    CountScratch sized for the largest prime, so the loop allocates no O(p)
+    array per prime.  This is the reference route: `coeffs`, `petersson`
+    and the tests read it; the symbol commands take _symbol_table.
+    """
+    n_max = _checked_n_max(n_max)
+    curve = resolve_curve(curve)
+    primes = _table_primes(n_max)
+    work = CountScratch(primes[-1] if primes else 0)
+    return _hecke_table(curve, primes, (ap_count(curve, p, work) for p in primes), n_max)
+
+
+# ---------------------------------------------------------------------------
+# a_p by baby-step/giant-step lanes (Shanks-Mestre: Cohen, GTM 138, 7.4;
+# Schoof, J. Theor. Nombres Bordeaux 7, 1995).  A lane is one prime: one entry
+# of every int64 array, and all lanes step through their searches together,
+# so numpy's per-call cost is paid once per step, not once per prime.  By
+# Mestre's theorem E or its twist has a point of order > 4 sqrt(p) for
+# p > 457, and such a point leaves one a_p in the Hasse window.
+# ---------------------------------------------------------------------------
+
+# Crossover: below it, counts are as cheap as lanes (37a's route at n_max = 17,192
+# takes the same time with it anywhere from 200 to 2000).  Lanes need p >= 5.
+_LANE_MIN_PRIME = 1000
+_LANE_CHUNK = 1024  # lanes searched together: bounds the search's working arrays
+_LANE_POINTS = 4  # points a lane tries before it is left to ap_count
+_NO_A = 1 << 40  # an empty candidate slot: beyond every Hasse window
+
+
+def _pow_lanes(base, e, p):
+    """base^e mod p in every lane, by binary powering over the lanes' exponents e >= 0."""
+    out = np.ones_like(base)
+    e = e.copy()
+    while e.any():
+        odd = e % 2 == 1
+        out = np.where(odd, out * base % p, out)
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _dbl(P, a, p):
+    """2P in Jacobian coordinates on Y^2 = X^3 + aX + b, and where that is exceptional.
+
+    Exceptional: P is 2-torsion (Y = 0) or at infinity (Z = 0), so 2P is O.
+    """
+    X, Y, Z = P
+    YY = Y * Y % p
+    S = 4 * (X * YY % p) % p
+    ZZ = Z * Z % p
+    M = (3 * (X * X % p) + a * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * ((S - X3) % p) - 8 * (YY * YY % p)) % p
+    return (X3, Y3, 2 * (Y * Z % p) % p), (Y == 0) | (Z == 0)
+
+
+def _add(P, x, y, p):
+    """P + (x, y), Jacobian plus affine, and where that is exceptional.
+
+    Exceptional: equal x (the sum is a doubling or O) or P at infinity.
+    """
+    X, Y, Z = P
+    ZZ = Z * Z % p
+    H = (x * ZZ - X) % p
+    R = (y * (ZZ * Z % p) - Y) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    Y3 = (R * ((V - X3) % p) - Y * HHH) % p
+    return (X3, Y3, Z * H % p), (H == 0) | (Z == 0)
+
+
+def _pick(mask, P, Q):
+    return tuple(np.where(mask, u, v) for u, v in zip(P, Q))
+
+
+def _search(p, W, A, B, attempt):
+    """Baby-step/giant-step search of one point per lane: (candidates, clean).
+
+    Lane i is the prime p[i] with the short model's A, B mod p[i].  The
+    point: x0 = 4 attempt + (1..4), the first with r = x0^3 + A x0 + B != 0;
+    (r x0, r^2) lies on the twist Y^2 = X^3 + A r^2 X + B r^3, whose order M
+    gives a_p = chi(r) (p + 1 - M), chi(r) = r^((p-1)/2) by Euler's
+    criterion.  Every t with (p + 1 - t) P = O and |t| <= W is found as
+    t - c = k s + j: the giant point (p + 1 - c - k s) P equals a baby step
+    jP (j = 1..m) or its negative, with stride s = 2m + 1 and the offset
+    c = attempt (m + 1) mod s, so the attempts meet O (j = 0, which the
+    search cannot match) at different t.  m = isqrt(W) balances the m baby
+    steps against the ~2W / s giant ones.  Row i of `candidates` holds
+    a = chi t for each such t, one giant step a column, _NO_A where a step
+    matched nothing.  A lane is clean unless its search met an exceptional
+    addition, a repeated baby x or a baby y = 0 (a point of order <= 2m),
+    or a giant x match with neither sign; a lane that is not clean trusts
+    none of its candidates.  Every product is of two residues below
+    p < 2^20 (AP_PRIME_BOUND), so below 2^40, and int64 holds every sum of
+    a few of them.
+    """
+    L = len(p)
+    m = max(2, math.isqrt(W))
+    s = 2 * m + 1
+    c = attempt * (m + 1) % s
+    x0 = np.full(L, 4 * attempt + 1, dtype=np.int64)
+    r = (x0 * x0 * x0 + A * x0 + B) % p
+    for _ in range(3):  # a cubic has at most three roots
+        x0 = np.where(r == 0, x0 + 1, x0)
+        r = (x0 * x0 * x0 + A * x0 + B) % p
+    chi = np.where(_pow_lanes(r, (p - 1) // 2, p) == 1, 1, -1)
+    rr = r * r % p
+    a = A * rr % p
+    x1, y1 = r * x0 % p, rr
+    one = np.ones(L, dtype=np.int64)
+
+    # baby steps jP, j = 1..m, and the stride S = sP = 2 (mP) + P, in Jacobian coordinates
+    X, Y, Z = (np.empty((m + 1, L), dtype=np.int64) for _ in range(3))
+    X[0], Y[0], Z[0] = x1, y1, one
+    (X[1], Y[1], Z[1]), bad = _dbl((x1, y1, one), a, p)
+    for j in range(2, m):
+        (X[j], Y[j], Z[j]), hit = _add((X[j - 1], Y[j - 1], Z[j - 1]), x1, y1, p)
+        bad |= hit
+    D, hit = _dbl((X[m - 1], Y[m - 1], Z[m - 1]), a, p)
+    bad |= hit
+    (X[m], Y[m], Z[m]), hit = _add(D, x1, y1, p)
+    bad |= hit
+    # Montgomery's trick along the baby axis: one Fermat inverse per lane
+    prefix = np.empty_like(Z)
+    prefix[0] = Z[0]
+    for j in range(1, m + 1):
+        prefix[j] = prefix[j - 1] * Z[j] % p
+    inv = _pow_lanes(prefix[m], p - 2, p)
+    for j in range(m, 0, -1):
+        zi = inv * prefix[j - 1] % p
+        inv = inv * Z[j] % p
+        zz = zi * zi % p
+        X[j] = X[j] * zz % p
+        Y[j] = Y[j] * (zz * zi % p) % p
+    del Z, prefix
+    xs, ys = X[m], (p - Y[m]) % p  # -S
+    xb, yb = X[:m], Y[:m]
+    bad |= (yb == 0).any(axis=0)
+    for d in range(1, m):  # no sort: numpy's sorts would page in code no other step runs
+        bad |= (xb[d:] == xb[:-d]).any(axis=0)
+
+    # the first giant point (p + 1 - c - k0 s) P by double-and-add, then k0 + 1, ... by -S
+    k0 = -((W + c + m) // s)
+    n = p + 1 - c - k0 * s
+    G, at_inf = (x1, y1, one), np.ones(L, dtype=bool)
+    for bit in range(int(n.max()).bit_length() - 1, -1, -1):
+        D, hit = _dbl(G, a, p)
+        bad |= hit & ~at_inf
+        G = _pick(at_inf, G, D)
+        on = (n >> bit) % 2 == 1
+        E, hit = _add(G, x1, y1, p)
+        bad |= hit & on & ~at_inf
+        G = _pick(on & ~at_inf, E, G)
+        at_inf &= ~on
+    cands = np.full((L, (2 * W + 2 * m) // s + 1), _NO_A, dtype=np.int64)  # covers k0..k1
+    for i in range(cands.shape[1]):
+        if i:
+            G, hit = _add(G, xs, ys, p)
+            bad |= hit
+        GX, GY, GZ = G
+        ZZ = GZ * GZ % p
+        eq = xb * ZZ % p == GX
+        rows = np.flatnonzero(eq.any(axis=0))
+        if len(rows):
+            j = eq[:, rows].argmax(axis=0)
+            pr = p[rows]
+            yz = yb[j, rows] * (ZZ[rows] * GZ[rows] % pr) % pr
+            sign = np.where(yz == GY[rows], 1, np.where(pr - yz == GY[rows], -1, 0))
+            bad[rows[sign == 0]] = True
+            cands[rows, i] = chi[rows] * (c + (k0 + i) * s + sign * (j + 1))
+    return cands, ~bad
+
+
+def _lane_aps(curve, primes):
+    """a_p for good primes p >= 5 (p not dividing the discriminant) by lanes: (a, resolved).
+
+    The primes, in increasing order, are searched _LANE_CHUNK at a time on
+    the short model Y^2 = X^3 - 27 c4 X - 54 c6 (see _search).  A lane
+    starts with every a in its Hasse window |a| <= isqrt(4p) (2 isqrt(p)
+    is too narrow: 37a has a_953 = 61) and, from its first clean point on,
+    holds the a's consistent with every clean point it tried; it is
+    resolved when exactly one is left, and tries at most _LANE_POINTS
+    points.  Where `resolved` is False, a holds 0 and the caller counts
+    that prime.
+    """
+    b2, b4, b6, _ = curve.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    out = np.zeros(len(primes), dtype=np.int64)
+    resolved = np.zeros(len(primes), dtype=bool)
+    for lo in range(0, len(primes), _LANE_CHUNK):
+        plist = primes[lo : lo + _LANE_CHUNK]
+        p = np.array(plist, dtype=np.int64)
+        A = np.array([-27 * c4 % q for q in plist], dtype=np.int64)
+        B = np.array([-54 * c6 % q for q in plist], dtype=np.int64)
+        w = np.array([math.isqrt(4 * q) for q in plist], dtype=np.int64)
+        W = int(w.max())
+        held, tried = None, np.zeros(len(p), dtype=bool)
+        live = np.arange(len(p))
+        for attempt in range(_LANE_POINTS):
+            new, clean = _search(p[live], W, A[live], B[live], attempt)
+            new[np.abs(new) > w[live, None]] = _NO_A
+            if held is None:  # the first attempt searches every lane
+                held = np.full_like(new, _NO_A)
+            again = tried[live]  # intersect these lanes' candidates with the new ones
+            old = held[live[again]]
+            keep = np.zeros(old.shape, dtype=bool)
+            for col in new[again].T:
+                keep |= old == col[:, None]
+            new[again] = np.where(keep, old, _NO_A)
+            held[live[clean]] = new[clean]
+            tried[live[clean]] = True
+            done = tried & ((held != _NO_A).sum(axis=1) == 1)
+            live = np.flatnonzero(~done)
+            if not len(live):
+                break
+        out[lo : lo + len(p)][done] = held[done].min(axis=1)
+        resolved[lo : lo + len(p)] = done
+    return out, resolved
+
+
+def _symbol_table(curve, n_max):
+    """The coefficient table the symbol commands read: the same bytes as coefficient_table.
+
+    11a's exact model takes the eta product (eta_deep_table_level11): the
+    test is on the model, so a wrong conductor never gets 11a's newform.
+    Any other curve finds a_p by lanes (_lane_aps) for good p >= 5 above
+    _LANE_MIN_PRIME and counts (ap_count) the rest: p below that, p = 2
+    and 3, every p dividing the discriminant and every lane left
+    unresolved.  Then _hecke_table expands them as coefficient_table does.
+    """
+    curve = resolve_curve(curve)
+    if curve == PRESETS["11a"]:
+        return eta_deep_table_level11(n_max)
+    n_max = _checked_n_max(n_max)
+    primes = _table_primes(n_max)
+    delta = curve.discriminant()
+    laned = [p for p in primes if p >= _LANE_MIN_PRIME and delta % p]
+    lane_a, resolved = _lane_aps(curve, laned)
+    found = {p: a for p, a, ok in zip(laned, lane_a.tolist(), resolved.tolist()) if ok}
+    counted = [p for p in primes if p not in found]
+    work = CountScratch(counted[-1] if counted else 0)
+    aps = (found[p] if p in found else ap_count(curve, p, work) for p in primes)
+    return _hecke_table(curve, primes, aps, n_max)
 
 
 def _eta_half_length(n_max):

@@ -283,10 +283,11 @@ def _sum_reports(batch, weight, cuts, U=None):
     block and per cut: the mask norms <= bound, then the streams Re and Im
     of the terms and the first-order bound max(|v|,1)^(deg-1) * err on
     |d omega| from the per-symbol truncation errors; at degree 0 there is
-    no bound and the budget is 0.  The kinds one and abs2m have real terms
-    whose Im is +0.0 (times phi, r * 0 + 0 * phi: +0.0 while both are
-    finite, else nan, and Re's sum is then not finite), so their Im stream
-    is not summed: it is 0.0, or nan beside a smoothed Re that is not
+    no bound and the budget is 0.  The kinds one and abs2m have real terms,
+    1 and |v|^(2m), taken in float64 (times phi: the same bits as the Re of the
+    complex product).  Their Im would be +0.0 (times phi, r * 0 + 0 * phi:
+    +0.0 while both are finite, else nan, and Re's sum is then not finite),
+    so it is not summed: it is 0.0, or nan beside a smoothed Re that is not
     finite, as math.fsum of it would be.  Each cut has its own accumulators, and
     its block temporaries are made only as its streams are read, after the
     previous cut's; a block's copy of the values goes before its streams
@@ -301,7 +302,12 @@ def _sum_reports(batch, weight, cuts, U=None):
         for T, bound in cuts:
             m = norms <= bound
             v = values[m]
-            terms = weight.apply(v)
+            if weight.kind == "one":
+                terms = np.ones(len(v))
+            elif weight.kind == "abs2m":
+                terms = np.abs(v) ** (2 * weight.m)
+            else:
+                terms = weight.apply(v)
             if U is not None:
                 terms = terms * smooth_cutoff(norms[m] / T, U)
             if deg:

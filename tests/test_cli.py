@@ -181,6 +181,26 @@ def test_11a_batches_count_no_points(capsys, ap_count_raises, command, curve):
     assert code == 0 and out
 
 
+@pytest.fixture
+def table_routes(monkeypatch):
+    """(primes ap_count counted, {prime: resolved} of every lane), recorded as tables build."""
+    counted, laned = [], {}
+    count, lanes = curve_mod.ap_count, curve_mod._lane_aps
+
+    def counting(curve, p, work=None):
+        counted.append(p)
+        return count(curve, p, work)
+
+    def laning(curve, primes):
+        a, resolved = lanes(curve, primes)
+        laned.update(zip(primes, resolved.tolist()))
+        return a, resolved
+
+    monkeypatch.setattr(curve_mod, "ap_count", counting)
+    monkeypatch.setattr(curve_mod, "_lane_aps", laning)
+    return counted, laned
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -191,12 +211,25 @@ def test_11a_batches_count_no_points(capsys, ap_count_raises, command, curve):
         ["symbols", "--curve", "0,-1,1,-7,10,11", "--T", "1e3"],
         ["coeffs", "--curve", "11a"],
         ["petersson", "--curve", "11a"],
+        ["coeffs", "--curve", "37a", "--n-max", "3000"],
+        ["petersson", "--curve", "37a", "--X", "5000"],
     ],
-    ids=["37a", "14a", "121b-at-11", "coeffs-11a", "petersson-11a"],
+    ids=["37a", "14a", "121b-at-11", "coeffs-11a", "petersson-11a", "coeffs-37a", "petersson-37a"],
 )
-def test_other_tables_count_points(ap_count_raises, argv):
-    with pytest.raises(_PointCounted):
-        main(argv)
+def test_other_tables_count_points(capsys, table_routes, argv):
+    # the symbol commands count only below the lanes' crossover, at p | 6 Delta and
+    # where a lane is left unresolved; coeffs and petersson count every prime
+    counted, laned = table_routes
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+    primes = curve_mod.sieve_primes(max(counted + list(laned))).tolist()
+    if argv[0] in ("coeffs", "petersson"):
+        assert counted == primes and not laned
+        return
+    delta = resolve_curve(argv[2]).discriminant()
+    assert list(laned) == [p for p in primes if p >= curve_mod._LANE_MIN_PRIME and 6 * delta % p]
+    assert counted == [p for p in primes if not laned.get(p)]
+    assert sum(laned.values()) >= 0.95 * len(laned) > 0
 
 
 @pytest.mark.parametrize("z", ["0,1", "0.25,0.9"])
@@ -209,6 +242,20 @@ def test_eta_table_prints_the_point_count_bytes(capsys, monkeypatch, command, z)
     monkeypatch.setattr(curve_mod, "eta_deep_table_level11",
                         lambda n_max: curve_mod.coefficient_table(curve_mod.PRESETS["11a"], n_max))
     assert run_cli(capsys, *argv) == (0, eta)
+
+
+@pytest.mark.parametrize("z", ["0,1", "0.25,0.9"])
+@pytest.mark.parametrize("curve", ["37a", "1,0,1,4,-6,14"], ids=["37a", "14a"])
+@pytest.mark.parametrize("command", _BATCH_COMMANDS)
+def test_lane_table_prints_the_point_count_bytes(capsys, monkeypatch, command, curve, z):
+    argv = [*_BATCH_COMMANDS[command], "--curve", curve, "--z", z]
+    code, want = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0 and want
+    assert run_cli(capsys, *argv, "--threads", "1") == (0, want)
+    # force _symbols_for back onto point counting for every prime
+    monkeypatch.setattr(curve_mod, "_symbol_table", curve_mod.coefficient_table)
+    assert run_cli(capsys, *argv, "--threads", "1") == (0, want)
+    assert run_cli(capsys, *argv, "--threads", "2") == (0, want)
 
 
 @pytest.mark.parametrize(
@@ -614,13 +661,20 @@ def test_python_m_runs_the_cli(capsys):
          "7a5cc0262f456ee0dc1a21f863daeed65fdbcffea1c074449b75181b8d7aec58"),
         (["sums", "--curve", "11a", "--weight", "f:2,0", "--smooth-U", "10", "--T", "1e5"],
          "c20589cd767643ec3813a0e0105abb28e77e9713cdc581188b5c3083122070af"),
+        (["sums", "--curve", "11a", "--weight", "abs2:1", "--smooth-U", "10",
+          "--T-grid", "1e3,1e4,1e5"],
+         "c80f6d866c0c4746c5c4986cd17ad2394e261b6419257f755eacbfb3276ed428"),
+        (["sums", "--curve", "11a", "--weight", "one", "--smooth-U", "10",
+          "--T-grid", "1e3,1e4,1e5"],
+         "40f7a546f859b53a6804dc7ecf5904521e620b00e7ebfadf8d5711292f236a19"),
         (["histogram", "--curve", "11a", "--component", "im", "--bins", "40", "--T", "1e5"],
          "bf49594a270601e1da2faeb214b47f0b8b31bc1f341ec63dfb7b7f29626a479b"),
         (["eisenstein", "--curve", "11a", "--m", "1", "--n", "1", "--T-max", "1e5"],
          "d90b5d7cb0da5a5a615856c50f89182250ffe783ef8f668c7fad47a53b810d7f"),
     ],
     ids=["coeffs-csv", "coeffs-json", "symbols-csv", "symbols-json", "moments-11a", "moments-37a",
-         "sums-abs2", "sums-f20-smooth", "histogram-im", "eisenstein"],
+         "sums-abs2", "sums-f20-smooth", "sums-abs2-smooth", "sums-one-smooth", "histogram-im",
+         "eisenstein"],
 )
 def test_tabular_output_pinned(tmp_path, capsys, argv, sha256):
     # stdout and --out FILE carry the same bytes, pinned from the list-built writer; the

@@ -1,5 +1,6 @@
 """Coefficient and period-lattice tests, with independent oracles."""
 
+import functools
 import math
 import random
 
@@ -570,6 +571,114 @@ def test_coefficient_table_checks_in_chunks(traced_peak):
     a[2::7] = -2.0
     peak, _ = traced_peak(lambda: CoefficientTable(a))
     assert peak <= 8 * 8 * _SUM_CHUNK  # a few chunk-sized buffers, not length-n_max ones
+
+
+# --- a_p by baby-step/giant-step lanes --------------------------------------
+
+
+@functools.cache
+def _counted_table(spec, n_max):
+    """coefficient_table, built once for the lane tests: a[p] is ap_count's a_p."""
+    return coefficient_table(spec, n_max)
+
+
+def _lane_primes(crv, n_max):
+    """The primes the lanes may take: p >= 5 not dividing the discriminant, any size."""
+    delta = crv.discriminant()
+    return [p for p in curve_mod.sieve_primes(n_max).tolist() if p >= 5 and delta % p]
+
+
+def _check_lanes(crv, primes, want):
+    """Every resolved lane's a_p equals want[p]; nearly every lane above 10^3 resolves."""
+    a, resolved = curve_mod._lane_aps(crv, primes)
+    wrong = [(p, x, want[p]) for p, x, ok in zip(primes, a.tolist(), resolved.tolist())
+             if ok and x != want[p]]
+    assert not wrong, wrong[:5]
+    big = np.array(primes) > 1000
+    assert np.count_nonzero(~resolved & big) <= 0.02 * np.count_nonzero(big)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(spec, 30000) for spec in ("11a", "37a", CURVE_14A, CURVE_43A, CURVE_389A)]
+    + [(spec, 3000) for spec in (CURVE_27A, CURVE_36A, CURVE_20A)],
+)
+def test_lanes_match_the_count(table11, spec, n_max):
+    # every good p >= 5, the ones below the route's crossover too
+    crv = resolve_curve(spec)
+    primes = _lane_primes(crv, n_max)
+    a = (table11 if spec == "11a" else _counted_table(spec, n_max)).a
+    _check_lanes(crv, primes, {p: int(a[p]) for p in primes})
+
+
+def test_lanes_match_the_eta_product_to_200000(curve11):
+    # an oracle that counts no points: 11a's eta product
+    primes = _lane_primes(curve11, 2 * 10 ** 5)
+    a = eta_deep_table_level11(2 * 10 ** 5).a
+    _check_lanes(curve11, primes, {p: int(a[p]) for p in primes})
+
+
+@pytest.mark.parametrize("spec, p", [("11a", 1091), ("37a", 953), ("37a", 2671)])
+def test_lanes_named_primes(spec, p):
+    # 37a: a_953 = 61 and a_2671 = 103 lie one past 2 isqrt(p), inside isqrt(4p).
+    # 11a at 1091: one point has order 17, so its search meets O and
+    # leaves eight a's in the window; it must not be trusted
+    crv = resolve_curve(spec)
+    want = ap_count(crv, p)
+    a, resolved = curve_mod._lane_aps(crv, [p])
+    assert resolved.tolist() == [True] and a.tolist() == [want]
+    b2, b4, b6, _ = crv.b_invariants()
+    c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    lane = [np.array([x], dtype=np.int64) for x in (p, -27 * c4 % p, -54 * c6 % p)]
+    unclean = 0
+    for attempt in range(curve_mod._LANE_POINTS):
+        cands, clean = curve_mod._search(lane[0], math.isqrt(4 * p), *lane[1:], attempt)
+        if clean[0]:
+            assert want in cands[0].tolist()
+        else:
+            unclean += 1
+    if spec == "37a":
+        assert abs(want) > 2 * math.isqrt(p)
+    else:
+        assert unclean  # the order-17 point
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(spec, 30000) for spec in ("37a", CURVE_14A, CURVE_43A, CURVE_389A)] + [("37a", 17192)],
+)
+def test_symbol_table_is_the_count_bytes(spec, n_max):
+    assert curve_mod._symbol_table(spec, n_max).a.tobytes() == _counted_table(spec, n_max).a.tobytes()
+
+
+def test_symbol_table_falls_back_to_the_count(monkeypatch):
+    # no lane may resolve: every prime is counted, and the bytes are the count's
+    def unclean(p, W, A, B, attempt):
+        return np.full((len(p), 1), curve_mod._NO_A), np.zeros(len(p), dtype=bool)
+
+    monkeypatch.setattr(curve_mod, "_search", unclean)
+    counted = []
+
+    def counting(curve, p, work=None):
+        counted.append(p)
+        return ap_count(curve, p, work)
+
+    monkeypatch.setattr(curve_mod, "ap_count", counting)
+    table = curve_mod._symbol_table("37a", 5000)
+    assert counted == curve_mod.sieve_primes(5000).tolist()
+    assert table.a.tobytes() == _counted_table("37a", 5000).a.tobytes()
+
+
+def test_symbol_table_peak_memory(traced_peak):
+    # the lanes run in chunks: the stats job's 37a table at n_max = 17,192
+    peak, table = traced_peak(lambda: curve_mod._symbol_table("37a", 17192))
+    assert table.n_max == 17192
+    assert peak <= 2 * 2 ** 20, peak
+
+
+def test_lane_products_stay_below_2_40():
+    # every product in the lanes is of two residues below p <= AP_PRIME_BOUND
+    assert AP_PRIME_BOUND ** 2 < 2 ** 40
 
 
 def test_lattice_distance_zero_for_lattice_points(lattice11):
