@@ -133,7 +133,7 @@ def _symbols_for(args, T):
     n_max = max(2000, modsym.tail_terms_needed(1.0 / cmax, 2.0, args.tol),
                 modsym.tail_terms_needed(args.z.imag, 2.0, 1e-13, two_sided=False))
     # the same bytes as coefficient_table, by a cheaper route: the eta product on 11a's
-    # exact model, else baby-step/giant-step lanes for good p above 10^3 and the count
+    # exact model, else baby-step/giant-step lanes for every good p >= 5 and the count
     # for the rest; `coeffs` and `petersson` keep the count
     table = curve_mod._symbol_table(crv, n_max)
     return crv, table, modsym.symbol_stream(table, crv.N, T, args.z, args.tol, args.threads)

@@ -12,7 +12,7 @@ their tables from _symbol_table, which gives the same bytes by cheaper
 routes: on 11a's exact model the eta product (eta_deep_table_level11 expands
 it by FFT; every table of `verify` is built this way too), on any other
 curve a_p found by baby-step/giant-step lanes (_lane_aps, many primes at
-once) for good p above _LANE_MIN_PRIME and counted for the rest.  The
+once) for every good p >= 5 and counted for the rest.  The
 coefficients and the lattice feed everything downstream: the period lattice
 is the target of the Eichler-Shimura membership checks and the source of
 one of the two Petersson-norm estimates.
@@ -329,12 +329,8 @@ def coefficient_table(curve, n_max):
 # p > 457, and such a point leaves one a_p in the Hasse window.
 # ---------------------------------------------------------------------------
 
-# Crossover: below it, counts are as cheap as lanes (37a's route at n_max = 17,192
-# takes the same time with it anywhere from 200 to 2000).  Lanes need p >= 5.
-_LANE_MIN_PRIME = 1000
 _LANE_CHUNK = 1024  # lanes searched together: bounds the search's working arrays
 _LANE_POINTS = 4  # points a lane tries before it is left to ap_count
-_NO_A = 1 << 40  # an empty candidate slot: beyond every Hasse window
 
 
 def _pow_lanes(base, e, p):
@@ -385,28 +381,30 @@ def _pick(mask, P, Q):
     return tuple(np.where(mask, u, v) for u, v in zip(P, Q))
 
 
-def _search(p, W, A, B, attempt):
-    """Baby-step/giant-step search of one point per lane: (candidates, clean).
+def _search(p, w, A, B, attempt):
+    """Baby-step/giant-step search of one point per lane: (a, ok).
 
-    Lane i is the prime p[i] with the short model's A, B mod p[i].  The
-    point: x0 = 4 attempt + (1..4), the first with r = x0^3 + A x0 + B != 0;
-    (r x0, r^2) lies on the twist Y^2 = X^3 + A r^2 X + B r^3, whose order M
-    gives a_p = chi(r) (p + 1 - M), chi(r) = r^((p-1)/2) by Euler's
-    criterion.  Every t with (p + 1 - t) P = O and |t| <= W is found as
-    t - c = k s + j: the giant point (p + 1 - c - k s) P equals a baby step
-    jP (j = 1..m) or its negative, with stride s = 2m + 1 and the offset
-    c = attempt (m + 1) mod s, so the attempts meet O (j = 0, which the
-    search cannot match) at different t.  m = isqrt(W) balances the m baby
-    steps against the ~2W / s giant ones.  Row i of `candidates` holds
-    a = chi t for each such t, one giant step a column, _NO_A where a step
-    matched nothing.  A lane is clean unless its search met an exceptional
-    addition, a repeated baby x or a baby y = 0 (a point of order <= 2m),
-    or a giant x match with neither sign; a lane that is not clean trusts
-    none of its candidates.  Every product is of two residues below
-    p < 2^20 (AP_PRIME_BOUND), so below 2^40, and int64 holds every sum of
-    a few of them.
+    Lane i is the prime p[i] with the short model's A, B mod p[i] and the
+    Hasse window |a| <= w[i].  The point: x0 = 4 attempt + (1..4), the first
+    with r = x0^3 + A x0 + B != 0; (r x0, r^2) lies on the twist
+    Y^2 = X^3 + A r^2 X + B r^3, whose order M gives a_p = chi(r) (p + 1 - M),
+    chi(r) = r^((p-1)/2) by Euler's criterion.  Every t with (p + 1 - t) P = O
+    and |t| <= W, the largest window of the call, is found as t - c = k s + j:
+    the giant point (p + 1 - c - k s) P equals a baby step jP (j = 1..m) or
+    its negative, with stride s = 2m + 1 and the offset c = attempt (m + 1)
+    mod s, so the attempts meet O (j = 0, which the search cannot match) at
+    different t.  m = isqrt(W) balances the m baby steps against the ~2W / s
+    giant ones.  A search is clean unless it met an exceptional addition, a
+    repeated baby x or a baby y = 0 (a point of order <= 2m), or a giant x
+    match with neither sign.  A clean search misses no t, and the trace lies
+    in the lane's own window, so a lane is ok when its search is clean and
+    exactly one a = chi t lands in that window: that a is a_p.  Where ok is
+    False, a holds 0.  Every product is of two residues below p < 2^20
+    (AP_PRIME_BOUND), so below 2^40, and int64 holds every sum of a few of
+    them.
     """
     L = len(p)
+    W = int(w.max())
     m = max(2, math.isqrt(W))
     s = 2 * m + 1
     c = attempt * (m + 1) % s
@@ -464,8 +462,9 @@ def _search(p, W, A, B, attempt):
         bad |= hit & on & ~at_inf
         G = _pick(on & ~at_inf, E, G)
         at_inf &= ~on
-    cands = np.full((L, (2 * W + 2 * m) // s + 1), _NO_A, dtype=np.int64)  # covers k0..k1
-    for i in range(cands.shape[1]):
+    found = np.zeros(L, dtype=np.int64)
+    hits = np.zeros(L, dtype=np.int64)
+    for i in range((2 * W + 2 * m) // s + 1):  # k0..k1 covers |t| <= W
         if i:
             G, hit = _add(G, xs, ys, p)
             bad |= hit
@@ -479,56 +478,40 @@ def _search(p, W, A, B, attempt):
             yz = yb[j, rows] * (ZZ[rows] * GZ[rows] % pr) % pr
             sign = np.where(yz == GY[rows], 1, np.where(pr - yz == GY[rows], -1, 0))
             bad[rows[sign == 0]] = True
-            cands[rows, i] = chi[rows] * (c + (k0 + i) * s + sign * (j + 1))
-    return cands, ~bad
+            t = chi[rows] * (c + (k0 + i) * s + sign * (j + 1))
+            mine = np.abs(t) <= w[rows]
+            found[rows[mine]] = t[mine]
+            hits[rows[mine]] += 1
+    ok = ~bad & (hits == 1)
+    return np.where(ok, found, 0), ok
 
 
 def _lane_aps(curve, primes):
     """a_p for good primes p >= 5 (p not dividing the discriminant) by lanes: (a, resolved).
 
-    The primes, in increasing order, are searched _LANE_CHUNK at a time on
-    the short model Y^2 = X^3 - 27 c4 X - 54 c6 (see _search).  A lane
-    starts with every a in its Hasse window |a| <= isqrt(4p) (2 isqrt(p)
-    is too narrow: 37a has a_953 = 61) and, from its first clean point on,
-    holds the a's consistent with every clean point it tried; it is
-    resolved when exactly one is left, and tries at most _LANE_POINTS
-    points.  Where `resolved` is False, a holds 0 and the caller counts
-    that prime.
+    Every lane is searched on the short model Y^2 = X^3 - 27 c4 X - 54 c6
+    (see _search) in its Hasse window |a| <= isqrt(4p) (2 isqrt(p) is too
+    narrow: 37a has a_953 = 61), and is resolved by the first point that
+    leaves it exactly one a.  Each attempt searches the lanes still
+    unresolved, in increasing order, _LANE_CHUNK at a time, so a retry pools
+    the leftovers of every chunk; a lane tries at most _LANE_POINTS points.
+    Where `resolved` is False, a holds 0 and the caller counts that prime.
     """
     b2, b4, b6, _ = curve.b_invariants()
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    out = np.zeros(len(primes), dtype=np.int64)
+    p = np.array(primes, dtype=np.int64)
+    A = np.array([-27 * c4 % q for q in primes], dtype=np.int64)
+    B = np.array([-54 * c6 % q for q in primes], dtype=np.int64)
+    w = np.array([math.isqrt(4 * q) for q in primes], dtype=np.int64)
+    a = np.zeros(len(primes), dtype=np.int64)
     resolved = np.zeros(len(primes), dtype=bool)
-    for lo in range(0, len(primes), _LANE_CHUNK):
-        plist = primes[lo : lo + _LANE_CHUNK]
-        p = np.array(plist, dtype=np.int64)
-        A = np.array([-27 * c4 % q for q in plist], dtype=np.int64)
-        B = np.array([-54 * c6 % q for q in plist], dtype=np.int64)
-        w = np.array([math.isqrt(4 * q) for q in plist], dtype=np.int64)
-        W = int(w.max())
-        held, tried = None, np.zeros(len(p), dtype=bool)
-        live = np.arange(len(p))
-        for attempt in range(_LANE_POINTS):
-            new, clean = _search(p[live], W, A[live], B[live], attempt)
-            new[np.abs(new) > w[live, None]] = _NO_A
-            if held is None:  # the first attempt searches every lane
-                held = np.full_like(new, _NO_A)
-            again = tried[live]  # intersect these lanes' candidates with the new ones
-            old = held[live[again]]
-            keep = np.zeros(old.shape, dtype=bool)
-            for col in new[again].T:
-                keep |= old == col[:, None]
-            new[again] = np.where(keep, old, _NO_A)
-            held[live[clean]] = new[clean]
-            tried[live[clean]] = True
-            done = tried & ((held != _NO_A).sum(axis=1) == 1)
-            live = np.flatnonzero(~done)
-            if not len(live):
-                break
-        out[lo : lo + len(p)][done] = held[done].min(axis=1)
-        resolved[lo : lo + len(p)] = done
-    return out, resolved
+    for attempt in range(_LANE_POINTS):
+        live = np.flatnonzero(~resolved)
+        for lo in range(0, len(live), _LANE_CHUNK):
+            i = live[lo : lo + _LANE_CHUNK]
+            a[i], resolved[i] = _search(p[i], w[i], A[i], B[i], attempt)
+    return a, resolved
 
 
 def _symbol_table(curve, n_max):
@@ -536,10 +519,10 @@ def _symbol_table(curve, n_max):
 
     11a's exact model takes the eta product (eta_deep_table_level11): the
     test is on the model, so a wrong conductor never gets 11a's newform.
-    Any other curve finds a_p by lanes (_lane_aps) for good p >= 5 above
-    _LANE_MIN_PRIME and counts (ap_count) the rest: p below that, p = 2
-    and 3, every p dividing the discriminant and every lane left
-    unresolved.  Then _hecke_table expands them as coefficient_table does.
+    Any other curve finds a_p by lanes (_lane_aps) for every good p >= 5
+    and counts (ap_count) the rest: p = 2 and 3, every p dividing the
+    discriminant and every lane left unresolved.  Then _hecke_table expands
+    them as coefficient_table does.
     """
     curve = resolve_curve(curve)
     if curve == PRESETS["11a"]:
@@ -547,7 +530,7 @@ def _symbol_table(curve, n_max):
     n_max = _checked_n_max(n_max)
     primes = _table_primes(n_max)
     delta = curve.discriminant()
-    laned = [p for p in primes if p >= _LANE_MIN_PRIME and delta % p]
+    laned = [p for p in primes if 6 * delta % p]
     lane_a, resolved = _lane_aps(curve, laned)
     found = {p: a for p, a, ok in zip(laned, lane_a.tolist(), resolved.tolist()) if ok}
     counted = [p for p in primes if p not in found]

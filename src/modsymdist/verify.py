@@ -67,9 +67,10 @@ class Resources:
         pins, in milliseconds instead of ~0.4 s.  The two arrays differ only
         in the sign of zero: the eta table stores +0.0, the point count keeps
         some -0.0, and no symbol, antiderivative or Rankin sum built here
-        tells them apart.  The CLI builds every symbol batch on 11a's exact
-        model the same way; its `coeffs` and `petersson`, which report the
-        point count, and every other curve keep the point count.
+        tells them apart.  The CLI's symbol commands take 11a's exact model's
+        table the same way, and every other curve's by baby-step/giant-step
+        lanes (curve._symbol_table); `coeffs` and `petersson`, which report
+        the point count, keep it.
         """
         if "table" not in self._cache:
             self._cache["table"] = curve_mod.eta_deep_table_level11(TABLE_TERMS)

@@ -217,8 +217,8 @@ def table_routes(monkeypatch):
     ids=["37a", "14a", "121b-at-11", "coeffs-11a", "petersson-11a", "coeffs-37a", "petersson-37a"],
 )
 def test_other_tables_count_points(capsys, table_routes, argv):
-    # the symbol commands count only below the lanes' crossover, at p | 6 Delta and
-    # where a lane is left unresolved; coeffs and petersson count every prime
+    # the symbol commands count only at p | 6 Delta and where a lane is left
+    # unresolved; coeffs and petersson count every prime
     counted, laned = table_routes
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out
@@ -227,9 +227,11 @@ def test_other_tables_count_points(capsys, table_routes, argv):
         assert counted == primes and not laned
         return
     delta = resolve_curve(argv[2]).discriminant()
-    assert list(laned) == [p for p in primes if p >= curve_mod._LANE_MIN_PRIME and 6 * delta % p]
+    assert list(laned) == [p for p in primes if 6 * delta % p]
     assert counted == [p for p in primes if not laned.get(p)]
-    assert sum(laned.values()) >= 0.95 * len(laned) > 0
+    # Mestre's bound covers p > 457: below it a lane resolves less often
+    big = [ok for p, ok in laned.items() if p > 1000]
+    assert sum(big) >= 0.95 * len(big) > 0
 
 
 @pytest.mark.parametrize("z", ["0,1", "0.25,0.9"])

@@ -589,11 +589,12 @@ def _lane_primes(crv, n_max):
 
 
 def _check_lanes(crv, primes, want):
-    """Every resolved lane's a_p equals want[p]; nearly every lane above 10^3 resolves."""
+    """Resolved lanes hold want[p], the rest 0; nearly every lane above 10^3 resolves."""
     a, resolved = curve_mod._lane_aps(crv, primes)
     wrong = [(p, x, want[p]) for p, x, ok in zip(primes, a.tolist(), resolved.tolist())
              if ok and x != want[p]]
     assert not wrong, wrong[:5]
+    assert not a[~resolved].any()
     big = np.array(primes) > 1000
     assert np.count_nonzero(~resolved & big) <= 0.02 * np.count_nonzero(big)
 
@@ -604,7 +605,7 @@ def _check_lanes(crv, primes, want):
     + [(spec, 3000) for spec in (CURVE_27A, CURVE_36A, CURVE_20A)],
 )
 def test_lanes_match_the_count(table11, spec, n_max):
-    # every good p >= 5, the ones below the route's crossover too
+    # every good p >= 5
     crv = resolve_curve(spec)
     primes = _lane_primes(crv, n_max)
     a = (table11 if spec == "11a" else _counted_table(spec, n_max)).a
@@ -621,31 +622,61 @@ def test_lanes_match_the_eta_product_to_200000(curve11):
 @pytest.mark.parametrize("spec, p", [("11a", 1091), ("37a", 953), ("37a", 2671)])
 def test_lanes_named_primes(spec, p):
     # 37a: a_953 = 61 and a_2671 = 103 lie one past 2 isqrt(p), inside isqrt(4p).
-    # 11a at 1091: one point has order 17, so its search meets O and
-    # leaves eight a's in the window; it must not be trusted
+    # 11a at 1091: one point has order 17, so its search meets O and would
+    # leave eight a's in the window; it must not be trusted
     crv = resolve_curve(spec)
     want = ap_count(crv, p)
     a, resolved = curve_mod._lane_aps(crv, [p])
     assert resolved.tolist() == [True] and a.tolist() == [want]
     b2, b4, b6, _ = crv.b_invariants()
     c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    lane = [np.array([x], dtype=np.int64) for x in (p, -27 * c4 % p, -54 * c6 % p)]
+    lane = [np.array([x], dtype=np.int64) for x in (p, math.isqrt(4 * p), -27 * c4 % p, -54 * c6 % p)]
     unclean = 0
     for attempt in range(curve_mod._LANE_POINTS):
-        cands, clean = curve_mod._search(lane[0], math.isqrt(4 * p), *lane[1:], attempt)
-        if clean[0]:
-            assert want in cands[0].tolist()
-        else:
-            unclean += 1
+        x, ok = curve_mod._search(*lane, attempt)
+        assert x.tolist() == [want if ok[0] else 0]
+        unclean += not ok[0]
     if spec == "37a":
         assert abs(want) > 2 * math.isqrt(p)
     else:
         assert unclean  # the order-17 point
 
 
+def test_lane_retries_pool_every_chunk(monkeypatch):
+    # attempt 0 searches every lane once, a chunk at a time; each later attempt
+    # searches the lanes still unresolved, pooled across chunks
+    calls = []
+    search = curve_mod._search
+
+    def recording(p, w, A, B, attempt):
+        a, ok = search(p, w, A, B, attempt)
+        calls.append((attempt, p.tolist(), ok.tolist()))
+        return a, ok
+
+    monkeypatch.setattr(curve_mod, "_search", recording)
+    crv = resolve_curve("37a")
+    primes = live = _lane_primes(crv, 17192)
+    curve_mod._lane_aps(crv, live)
+    chunk = curve_mod._LANE_CHUNK
+    for attempt in range(curve_mod._LANE_POINTS):
+        these = [(p, ok) for at, p, ok in calls if at == attempt]
+        assert [q for p, _ in these for q in p] == live
+        assert len(these) == -(-len(live) // chunk)
+        assert all(len(p) <= chunk for p, _ in these)
+        live = [q for p, ok in these for q, done in zip(p, ok) if not done]
+    # attempt 0 took two chunks, and attempt 1 searched the leftovers of both in one call
+    second_chunk = [p for at, p, _ in calls if at == 0][1][0]
+    (retry,) = [p for at, p, _ in calls if at == 1]
+    assert retry[0] < second_chunk <= retry[-1]
+    # each lane's own window, not the call's, decides: the small primes resolve too
+    assert len(live) <= 0.02 * len(primes)
+
+
 @pytest.mark.parametrize(
     "spec, n_max",
-    [(spec, 30000) for spec in ("37a", CURVE_14A, CURVE_43A, CURVE_389A)] + [("37a", 17192)],
+    [(spec, 30000) for spec in ("37a", CURVE_14A, CURVE_43A, CURVE_389A)]
+    + [("37a", 17192)]
+    + [(spec, 3000) for spec in (CURVE_27A, CURVE_36A, CURVE_20A)],
 )
 def test_symbol_table_is_the_count_bytes(spec, n_max):
     assert curve_mod._symbol_table(spec, n_max).a.tobytes() == _counted_table(spec, n_max).a.tobytes()
@@ -653,8 +684,8 @@ def test_symbol_table_is_the_count_bytes(spec, n_max):
 
 def test_symbol_table_falls_back_to_the_count(monkeypatch):
     # no lane may resolve: every prime is counted, and the bytes are the count's
-    def unclean(p, W, A, B, attempt):
-        return np.full((len(p), 1), curve_mod._NO_A), np.zeros(len(p), dtype=bool)
+    def unclean(p, w, A, B, attempt):
+        return np.zeros(len(p), dtype=np.int64), np.zeros(len(p), dtype=bool)
 
     monkeypatch.setattr(curve_mod, "_search", unclean)
     counted = []
