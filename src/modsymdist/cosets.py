@@ -6,7 +6,9 @@ with (0, 1) for the identity coset.  coset_arrays yields the non-identity
 cosets as per-c arrays; the identity (norm 1) is implied.  At z = i the
 ordering norm is the integer c^2 + d^2, so enumeration is exact; for
 general z bounds are computed with a safety margin and every candidate's
-norm is re-checked.
+norm is re-checked.  One keep mask per c (_candidates) decides which
+cosets are up to T: coset_arrays reads its entries, and coset_count and
+the batch sizes (_group_sizes) its count.
 """
 
 import math
@@ -103,7 +105,7 @@ def _denominators(N, T, z):
         raise ValueError("N must be a positive integer")
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    if T < 1:
+    if not T >= 1:  # NaN too
         raise ValueError("T must be >= 1")
     c = N
     while (c * z.imag) ** 2 <= T:
@@ -128,29 +130,10 @@ def coset_arrays(N, T, z=1j):
 
 
 def _group_sizes(N, T, z=1j):
-    """(c, len(ds)) for each group (c, ds, norms) of coset_arrays(N, T, z), from no arrays.
-
-    Along a candidate range the norm |cz+d|^2 falls and then rises, in
-    floating point too: c x + d, its square and the sum are each monotone
-    in d on either side of -c x.  So the d with norm <= T form one run,
-    whose ends are found by stepping in from the range's ends with the
-    same float operations as _candidates (T as the float64 numpy compares
-    with); the d in the run coprime to c are counted by inclusion-exclusion
-    over the primes of c.
-    """
+    """(c, len(ds)) for each group (c, ds, norms) of coset_arrays(N, T, z): its keep mask's count."""
     z = complex(z)
-    x, y, bound = z.real, z.imag, float(T)
     for c in _denominators(int(N), T, z):
-        lo, hi = _candidate_range(c, T, x, y)
-        cx, cy2 = c * x, (c * y) ** 2
-        while lo <= hi and (cx + lo) * (cx + lo) + cy2 > bound:
-            lo += 1
-        while hi >= lo and (cx + hi) * (cx + hi) + cy2 > bound:
-            hi -= 1
-        divisors = [(1, 1)]  # (e, mu(e)) for the squarefree e | c
-        for p, _ in _prime_factors(c):
-            divisors += [(e * p, -mu) for e, mu in divisors]
-        count = sum(mu * (hi // e - (lo - 1) // e) for e, mu in divisors)
+        count = np.count_nonzero(_candidates(c, T, z.real, z.imag)[2])
         if count:
             yield c, count
 

@@ -165,10 +165,10 @@ def ap_count(curve, p, work=None):
     built for this call.
     """
     p = int(p)
+    if p > AP_PRIME_BOUND:  # before is_prime, whose trial division takes sqrt(p) steps
+        raise ValueError(f"p={p} exceeds point-counting bound {AP_PRIME_BOUND}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    if p > AP_PRIME_BOUND:
-        raise ValueError(f"p={p} exceeds point-counting bound {AP_PRIME_BOUND}")
 
     if p == 2:
         a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
@@ -268,8 +268,13 @@ def _checked_n_max(n_max):
 
 
 def _table_primes(n_max):
-    """The primes <= n_max, refused before any a_p is found if one passes AP_PRIME_BOUND."""
-    primes = sieve_primes(n_max).tolist()
+    """The primes <= n_max, refused before any a_p is found if one passes AP_PRIME_BOUND.
+
+    The sieve stops at 2 AP_PRIME_BOUND: by Bertrand's postulate a prime
+    lies above the bound and below twice it, so a longer table is refused
+    all the same, without sieving to n_max.
+    """
+    primes = sieve_primes(min(n_max, 2 * AP_PRIME_BOUND)).tolist()
     if primes and primes[-1] > AP_PRIME_BOUND:
         raise ValueError(f"p={primes[-1]} exceeds point-counting bound {AP_PRIME_BOUND}")
     return primes

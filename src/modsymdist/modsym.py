@@ -355,19 +355,6 @@ class SymbolBatch(_SymbolSource):
         """Enumeration count at T including the identity coset."""
         return len(self.norms) + 1
 
-    def restricted(self, T):
-        """The batch restricted to norms <= T (identity still implied); c groups left empty go."""
-        T = self.norm_bound(T)
-        m = self.norms <= T
-        counts = self.group_counts
-        if len(m):  # every group is non-empty, so the starts are distinct positions of m
-            counts = np.add.reduceat(m, np.cumsum(counts) - counts, dtype=np.int64)
-        g = counts > 0
-        return SymbolBatch(
-            T, self.z, self.norms[m], self.values[m],
-            self.group_cs[g], counts[g], self.group_err_bounds[g],
-        )
-
 
 @dataclass(frozen=True)
 class SymbolStream(_SymbolSource):
@@ -532,12 +519,12 @@ def _symbol_groups(table, N, T, z, tol, threads, out=None):
 def symbols_up_to(table, N, T, z=1j, tol=1e-10, threads=1):
     """SymbolBatch of every coset with N_z(gamma) <= T (identity excluded).
 
-    Work is partitioned by c.  One pass counts each c's cosets without
-    building them (cosets._group_sizes); norms and values are allocated at
-    that size.  _symbol_groups then forms each c's group, whose norms are
-    copied into its slice and whose symbols are written straight into
-    theirs.  Each c writes only its own slice, so output is bit-identical
-    for any `threads`.
+    Work is partitioned by c.  One pass counts each c's cosets off its
+    keep mask (cosets._group_sizes), holding one c's candidates at a time;
+    norms and values are allocated at that size.  _symbol_groups then
+    forms each c's group, whose norms are copied into its slice and whose
+    symbols are written straight into theirs.  Each c writes only its
+    own slice, so output is bit-identical for any `threads`.
     """
     z = complex(z)
     groups = list(_group_sizes(N, T, z))

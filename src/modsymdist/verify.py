@@ -46,8 +46,9 @@ class CriterionResult:
 class Resources:
     """Lazily built shared inputs for the acceptance criteria (curve 11a).
 
-    Each input is built where a criterion first reads it.  Criterion 01's
-    deep table is not one of them: it builds and drops its own.
+    Each input, every symbol batch included, is built where a criterion
+    first reads it and kept for the rest of the run.  Criterion 01's deep
+    table is not one of them: it builds and drops its own.
     """
 
     def __init__(self, threads=1, seed=11, quick=False):
@@ -60,20 +61,15 @@ class Resources:
         self._batches = {}  # symbol batches at z = i, keyed by their norm bound T
 
     def table(self):
-        """11a's 30000-term table, from the eta product.
+        """11a's 30000-term table, as the symbol commands take it (curve._symbol_table).
 
-        eta_deep_table_level11 gives the same a_n as coefficient_table (the
-        point count and Hecke expansion), which test_eta_deep_table_matches_hecke
-        pins, in milliseconds instead of ~0.4 s.  The two arrays differ only
-        in the sign of zero: the eta table stores +0.0, the point count keeps
-        some -0.0, and no symbol, antiderivative or Rankin sum built here
-        tells them apart.  The CLI's symbol commands take 11a's exact model's
-        table the same way, and every other curve's by baby-step/giant-step
-        lanes (curve._symbol_table); `coeffs` and `petersson`, which report
-        the point count, keep it.
+        For 11a's exact model that is the eta product: the point count's a_n
+        in milliseconds.  It stores +0.0 where the point count keeps some
+        -0.0; no symbol, antiderivative or Rankin sum built here tells them
+        apart.
         """
         if "table" not in self._cache:
-            self._cache["table"] = curve_mod.eta_deep_table_level11(TABLE_TERMS)
+            self._cache["table"] = curve_mod._symbol_table(self.curve, TABLE_TERMS)
         return self._cache["table"]
 
     def lattice(self):
@@ -82,20 +78,17 @@ class Resources:
         return self._cache["lattice"]
 
     def batch(self, T):
-        """Symbols at z = i up to norm T <= top_T, restricted from one batch built at top_T.
+        """Symbols at z = i up to norm T <= top_T, built by T's first reader and kept.
 
-        A batch's values depend only on (c, d) and the tolerance, so the
-        restriction equals a fresh build, and a T above top_T raises.  The
-        first reader builds the top batch; in the full profile that is
-        criterion 05, after criterion 01 has dropped its deep table, so the
-        two are never held at once.
+        A T above top_T raises.  Every batch is first read after criterion
+        01 has dropped its deep table, so the two are never held at once.
         """
-        if self.top_T not in self._batches:
-            self._batches[self.top_T] = modsym.symbols_up_to(
-                self.table(), self.curve.N, self.top_T, z=1j, tol=1e-10, threads=self.threads
-            )
+        if T > self.top_T:
+            raise ValueError(f"batch only covers norms <= {self.top_T}")
         if T not in self._batches:
-            self._batches[T] = self._batches[self.top_T].restricted(T)
+            self._batches[T] = modsym.symbols_up_to(
+                self.table(), self.curve.N, T, z=1j, tol=1e-10, threads=self.threads
+            )
         return self._batches[T]
 
     def h_at_i(self):
@@ -120,9 +113,7 @@ def _random_gamma(rng, bound):
         c = 11 * rng.randint(1, bound // 11)
         d = rng.randint(-bound, bound)
         if math.gcd(c, d) == 1:
-            a = pow(d, -1, c)
-            b = (a * d - 1) // c
-            return cosets.GammaMatrix(a, b, c, d)
+            return cosets.lift(c, d)
 
 
 HOMOMORPHISM_DRAWS = {False: (100, 1000), True: (25, 60)}  # quick -> (pairs, entry bound)
@@ -573,8 +564,9 @@ def run_acceptance(curve="11a", quick=False, threads=1, seed=11, log=None):
 
     Shared inputs are built where a criterion first reads them, so a
     criterion's seconds include the inputs it builds first: criterion 01
-    its deep table, and the first reader of the top symbol batch (05, or
-    06 in the quick profile) that batch.  Each criterion starts on a
+    its deep table, and the first reader of each symbol batch that batch
+    (05 the one at 1e6 and 08 the one at 1e7; in the quick profile 06 the
+    one at 1e5 and 08 the one at 1e6).  Each criterion starts on a
     trimmed heap, and no array of the run is advised onto huge pages (the
     caller's setting is restored on return), so a criterion's memory is
     what it holds over what is still live, whatever ran before it in the

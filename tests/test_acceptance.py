@@ -105,25 +105,24 @@ def _symbol_columns(batch):
 
 
 @pytest.mark.parametrize("quick, top", [(False, 10 ** 7), (True, 10 ** 6)], ids=["full", "quick"])
-def test_resources_batch_restricts_the_covering_batch(monkeypatch, quick, top):
-    # one build at the profile's top T, served as itself; every smaller T is its
-    # restriction, equal to a fresh build
+def test_resources_batch_builds_each_T_once(monkeypatch, quick, top):
+    # each T is one build, at that T, served as itself on every later read with
+    # the bytes of a fresh build; no T above the profile's top is built
     res = verify.Resources(quick=quick)
     builds = []
     build = modsym.symbols_up_to
     monkeypatch.setattr(modsym, "symbols_up_to", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
-    top_batch = res.batch(top)
-    assert top_batch.T == top and res.batch(top) is top_batch
     with pytest.raises(ValueError):
         res.batch(top + 1)
-    for T in (10 ** 6, 12000, 10 ** 4):
+    Ts = list(dict.fromkeys((top, 10 ** 6, 12000, 10 ** 4)))
+    for T in Ts:
         got = res.batch(T)
         assert res.batch(T) is got
         fresh = build(res.table(), 11, T, z=1j, tol=1e-10)
-        assert (got.T, got.z) == (fresh.T, fresh.z)
+        assert (got.T, got.z) == (fresh.T, fresh.z) == (T, 1j)
         for name, g, f in zip(SYMBOL_COLUMNS, _symbol_columns(got), _symbol_columns(fresh)):
             assert g.tobytes() == f.tobytes(), (T, name)
-    assert builds == [top]
+    assert builds == Ts
 
 
 def test_resources_table_is_the_eta_table_without_point_counting(monkeypatch):
@@ -152,7 +151,7 @@ def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatc
         return table
 
     def crit02(res, quick):
-        events.append(("02", res.batch(10 ** 6).T))
+        events.append(("02", res.batch(10 ** 7).T, res.batch(10 ** 7).T))
         return True, "", None
 
     build = modsym.symbols_up_to
@@ -172,7 +171,7 @@ def test_full_run_builds_the_top_batch_once_the_deep_table_is_dropped(monkeypatc
     c_max, n_max = verify.deep_table_size(11)
     assert events == [
         ("trim",), ("deep", n_max), ("trim",),
-        ("trim",), ("build", 10 ** 7, [True]), ("02", 10 ** 6),
+        ("trim",), ("build", 10 ** 7, [True]), ("02", 10 ** 7, 10 ** 7),
     ]
     assert [r.status for r in results] == ["PASS", "PASS"]
     assert len(logs) == 3
@@ -237,14 +236,13 @@ def test_eta_and_point_count_tables_give_identical_symbols(table11, batch11_1e5)
         assert petersson.rankin_estimate(eta, 11, X) == petersson.rankin_estimate(table11, 11, X)
 
 
-def _moment_loop_reference(res, batch, decades, nfsq):
-    """Criterion 08's moments from symbol_moments over each decade's restricted batch: all 25 per decade."""
+def _moment_loop_reference(res, decades, nfsq):
+    """Criterion 08's moments from symbol_moments over each decade's fresh batch: all 25 per decade."""
     kx_list, ky_list = [], []
     for T in decades:
-        M = stats.symbol_moments(batch.restricted(T), nfsq, res.vol, 4, 4).pairs
+        M = stats.symbol_moments(res.batch(T), nfsq, res.vol, 4, 4).pairs
         kx_list.append(M[(4, 0)] / M[(2, 0)] ** 2)
         ky_list.append(M[(0, 4)] / M[(0, 2)] ** 2)
-    M = stats.symbol_moments(batch.restricted(decades[-1]), nfsq, res.vol, 4, 4).pairs
     corr = abs(M[(1, 1)]) / math.sqrt(M[(2, 0)] * M[(0, 2)])
     odd = {
         (n, m): M[(n, m)]
@@ -272,7 +270,7 @@ def test_gaussian_free_moments_match_the_per_decade_loop():
     decades = [10 ** 4, 10 ** 5, 10 ** 6]
     batch = res.batch(decades[-1])
     nfsq = petersson.lattice_norm(res.lattice(), 1).value
-    want = _hexed(*_moment_loop_reference(res, batch, decades, nfsq))
+    want = _hexed(*_moment_loop_reference(res, decades, nfsq))
     assert _hexed(*verify._gaussian_free_moments(batch, nfsq, res.vol, decades)) == want
     perm = np.random.default_rng(8).permutation(len(batch.norms))
     permuted = _one_group(batch.values[perm], batch.norms[perm])

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from modsymdist import cosets
 from modsymdist.cosets import (
     GammaMatrix,
     _group_sizes,
@@ -232,9 +231,3 @@ def test_coset_arrays_matches_stream():
 )
 def test_group_sizes_are_coset_arrays_group_lengths(N, T, z):
     assert list(_group_sizes(N, T, z)) == [(c, len(ds)) for c, ds, _ in coset_arrays(N, T, z)]
-
-
-def test_coset_count_builds_no_arrays(monkeypatch):
-    want = coset_count(11, 10 ** 6, 0.25 + 0.9j), coset_count(11, 10 ** 4)
-    monkeypatch.setattr(cosets, "_candidates", lambda *args: pytest.fail("built a candidate range"))
-    assert (coset_count(11, 10 ** 6, 0.25 + 0.9j), coset_count(11, 10 ** 4)) == want

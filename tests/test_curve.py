@@ -251,6 +251,34 @@ def test_coefficient_table_checks_bound_before_counting(monkeypatch):
     assert calls == []
 
 
+def test_coefficient_table_refuses_a_long_table_without_sieving_it(monkeypatch):
+    # the bound is crossed below 2 * AP_PRIME_BOUND (Bertrand), so no sieve runs past it
+    sieve = curve_mod.sieve_primes
+
+    def bounded(n):
+        if n > 2 * AP_PRIME_BOUND:
+            pytest.fail(f"sieved to {n}")
+        return sieve(n)
+
+    monkeypatch.setattr(curve_mod, "sieve_primes", bounded)
+    with pytest.raises(ValueError, match="exceeds point-counting bound"):
+        coefficient_table("37a", 10 ** 12)
+
+
+def test_ap_count_refuses_a_large_prime_before_testing_it(monkeypatch, curve11):
+    # trial division to sqrt(p) would take ~5e5 steps here; the bound is checked first
+    test = curve_mod.is_prime
+
+    def bounded(p):
+        if p > AP_PRIME_BOUND:
+            pytest.fail(f"primality tested at {p}")
+        return test(p)
+
+    monkeypatch.setattr(curve_mod, "is_prime", bounded)
+    with pytest.raises(ValueError, match="exceeds point-counting bound"):
+        ap_count(curve11, 10 ** 12 + 39)
+
+
 def test_hasse_bound(table11, curve11):
     for p in curve_mod.sieve_primes(2000):
         if curve11.N % int(p):

@@ -470,15 +470,18 @@ def test_per_c_columns_and_restriction_match_fresh_builds(request, name, N, T, z
         for per_group, column in ((batch.group_cs, batch.cs), (batch.group_err_bounds, err_bounds)):
             got = batch.per_symbol(per_group, start, stop)
             assert got.dtype == column.dtype and got.tobytes() == column[start:stop].tobytes()
-    # a restriction is a fresh build at the smaller bound, every column and dtype alike
+    # a fresh build at a smaller bound holds the symbols of this one with norm <= t,
+    # every per-symbol column and dtype alike: a symbol does not depend on the bound
     for t in (T, T / 10, T / 1000, 1):
         if t < 1:
             continue
-        got, fresh = batch.restricted(t), symbols_up_to(table, N, t, z, tol=1e-10, threads=threads)
-        assert (got.T, got.z, got.count) == (fresh.T, fresh.z, fresh.count)
-        for field in PER_SYMBOL + PER_GROUP:
-            g, f = getattr(got, field), getattr(fresh, field)
-            assert g.dtype == f.dtype and g.tobytes() == f.tobytes(), (t, field)
+        fresh = symbols_up_to(table, N, t, z, tol=1e-10, threads=threads)
+        inside = batch.norms <= t
+        assert (fresh.T, fresh.z, fresh.count) == (float(t), batch.z, int(np.count_nonzero(inside)) + 1)
+        fresh_bounds = fresh.per_symbol(fresh.group_err_bounds)
+        for field, f, g in zip(PER_SYMBOL + ("err_bounds",), (fresh.cs, fresh.norms, fresh.values, fresh_bounds),
+                               (batch.cs, batch.norms, batch.values, err_bounds)):
+            assert f.dtype == g.dtype and f.tobytes() == g[inside].tobytes(), (t, field)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -530,15 +533,15 @@ def test_batch_fills_from_one_coset_enumeration(request, monkeypatch, name, N, T
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
-def test_batch_count_and_restrict(batch11_1e4):
-    sub = batch11_1e4.restricted(122)
+def test_batch_count_and_restrict(table11, batch11_1e4):
+    sub = symbols_up_to(table11, 11, 122, tol=1e-12)
     assert sub.count == 3
     assert batch11_1e4.count == 795  # frozen from the exhaustive enumeration
 
 
-def test_samples_from_batch(batch11_1e4):
+def test_samples_from_batch(table11):
     # the identity coset is implied by the batch: counted, with symbol 0
-    sub = batch11_1e4.restricted(122)
+    sub = symbols_up_to(table11, 11, 122, tol=1e-12)
     values = np.concatenate([[0j], sub.values])
     assert len(values) == sub.count == 3
     assert values[0] == 0

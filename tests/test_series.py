@@ -372,8 +372,8 @@ def test_smoothed_requires_coverage(batch11_1e4):
             smoothed_sum(batch11_1e4, WeightSpec("one"), 2000, U)
 
 
-def test_norm_bound_below_identity_refused(batch11_1e4):
-    # the identity coset has norm 1, so no sum or view exists below T = 1
+def test_norm_bound_below_identity_refused(table11, batch11_1e4):
+    # the identity coset has norm 1, so no sum or batch exists below T = 1
     for T in (0.5, 0.0, -3.0, math.nan):
         with pytest.raises(ValueError, match="T must be >= 1"):
             sharp_sum(batch11_1e4, WeightSpec("one"), T)
@@ -382,10 +382,10 @@ def test_norm_bound_below_identity_refused(batch11_1e4):
         with pytest.raises(ValueError, match="T must be >= 1"):
             eisenstein_twisted(batch11_1e4, 2, 0, 0, T)
         with pytest.raises(ValueError, match="T must be >= 1"):
-            batch11_1e4.restricted(T)
+            symbols_up_to(table11, 11, T, tol=1e-12)
     # T = 1 holds the identity alone
     assert sharp_sum(batch11_1e4, WeightSpec("one"), 1).count == 1
-    assert batch11_1e4.restricted(1).count == 1
+    assert symbols_up_to(table11, 11, 1, tol=1e-12).count == 1
     assert eisenstein_twisted(batch11_1e4, 2, 0, 0, 1).value == 1
 
 
@@ -399,7 +399,7 @@ def test_eisenstein_dominant_identity_term(batch11_1e5):
 def test_eisenstein_reorder_invariance(batch11_1e5, table11):
     # absolute convergence: reversing the (finite) term order changes nothing
     rep = eisenstein_twisted(batch11_1e5, 2.0, 1, 0, 10 ** 4)
-    b = batch11_1e5.restricted(10 ** 4)
+    b = symbols_up_to(table11, 11, 10 ** 4, tol=1e-10)
     terms = (b.values ** 1) * (1.0 / b.norms) ** 2.0
     rev = complex(math.fsum(terms.real[::-1]), math.fsum(terms.imag[::-1]))
     assert abs(rep.value - rev) < 1e-12
@@ -415,13 +415,13 @@ def test_eisenstein_rejects_low_s(batch11_1e4):
             eisenstein_twisted(batch11_1e4, s, 1, 0, 2000)
 
 
-def test_eisenstein_rejects_negative_exponents(batch11_1e4):
+def test_eisenstein_rejects_negative_exponents(table11, batch11_1e4):
     for m, n in ((-1, 0), (0, -1), (-2, -2)):
         with pytest.raises(ValueError, match="must be >= 0"):
             eisenstein_twisted(batch11_1e4, 2.0, m, n)
     # m + n > 6 is summed like any other pair
     rep = eisenstein_twisted(batch11_1e4, 2.0, 4, 3, 10 ** 3)
-    b = batch11_1e4.restricted(10 ** 3)
+    b = symbols_up_to(table11, 11, 10 ** 3, tol=1e-12)
     terms = b.values ** 4 * np.conj(b.values) ** 3 * (1.0 / b.norms) ** complex(2.0)
     assert rep.value == cfsum(terms)
 
